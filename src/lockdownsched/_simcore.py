@@ -1,30 +1,19 @@
-"""Compiled simulation kernels over flat arrays.
+"""The week loops behind the evolutionary fast path and simulate().
 
-The plain-Python engine in simulator.py is the readable reference; these
-kernels replay the exact same arithmetic, in the exact same order, over
-preassembled numpy arrays so that a full three-day run costs microseconds
-instead of milliseconds.  Evolution evaluates hundreds of thousands of
-plans, so this is the hot path.  Falls back to pure Python when numba is
-unavailable (slow but identical).
+The plain-Python engine in simulator.py is the readable reference; the loops
+here replay the exact same arithmetic, in the exact same order, over plain
+Python lists prepared once per dataset and model by build_context.  Each run
+buckets the requests by (day, slot, establishment) cell in a dict and walks
+the week cell by cell, so its outputs are bit-identical to the reference's.
+Evolution scores every offspring through counts_for_slots, so this is the
+hot path; bounding and decoding are whole-array numpy expressions.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba present in normal installs
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 from .dataset import (
     AGE_GROUPS,
@@ -38,192 +27,189 @@ from .dataset import (
 )
 from .partial_infection import g_factor
 
-N_CELLS = N_DAYS * N_SLOTS * N_ESTABLISHMENTS
-N_TRAJ_ROWS = N_DAYS * (N_SLOTS // 2)
-N_GROUPS = len(AGE_GROUPS)
+CELLS_PER_DAY = N_SLOTS * N_ESTABLISHMENTS
+N_CELLS = N_DAYS * CELLS_PER_DAY
 
 
-@njit(cache=True)
-def _bound_kernel(raw):
-    out = np.empty_like(raw)
-    for i in range(raw.shape[0]):
-        x = raw[i]
-        if x < 0.0:
-            x = -x
-        v = x % 1.0
-        if v <= 0.0:
-            v = 0.0001
-        out[i] = v
-    return out
+class SimContext:
+    """Per dataset + model inputs of the week loops, converted once."""
+
+    __slots__ = (
+        "ds",
+        "model",
+        "s",
+        "table",
+        "n_persons",
+        "n_requests",
+        "req_person",
+        "req_cell",
+        "window_base",
+        "window_width",
+        "person_id",
+        "age_idx",
+        "health",
+        "levels0",
+        "status0",
+        "gcoef",
+        "probs",
+        "rules",
+    )
 
 
-@njit(cache=True)
-def _decode_kernel(vector, window_base, window_width):
-    nr = window_base.shape[0]
-    out = np.empty(nr, np.int64)
-    length = vector.shape[0]
-    pos = 0
-    for r in range(nr):
-        v = vector[pos]
-        pos += 1
-        if pos == length:
-            pos = 0
-        w = window_width[r]
-        k = int(v * w)
-        if k > w - 1:
-            k = w - 1
-        out[r] = window_base[r] + k
-    return out
+def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
+    from .simulator import FULL_RULES, MODEL_FULL, MODEL_PARTIAL, PARTIAL_RULES
+
+    ri = request_index(ds)
+    ctx = SimContext()
+    ctx.ds = ds
+    ctx.model = model
+    ctx.s = s
+    ctx.table = table
+    ctx.n_persons = ri.n_persons
+    ctx.n_requests = ri.n_requests
+    ctx.req_person = ri.person.tolist()
+    # cell of a request in slot 0; its slot adds slot * N_ESTABLISHMENTS
+    ctx.req_cell = (
+        ri.day.astype(np.int64) * CELLS_PER_DAY + ri.establishment.astype(np.int64)
+    )
+    ctx.window_base = ri.window_base.astype(np.int64)
+    ctx.window_width = ri.window_width.astype(np.int64)
+    ctx.person_id = ri.person_id.tolist()
+    age_index = {age: i for i, age in enumerate(AGE_GROUPS)}
+    ctx.age_idx = [age_index[p.age_group] for p in ds.persons]
+    ctx.health = ri.health.tolist()
+
+    if model == MODEL_PARTIAL:
+        if s is None or s < 2:
+            raise ValueError("fractional model needs s >= 2")
+        ctx.levels0 = [
+            float(ds.taxonomy_infection.get(p.age_group, 0.0)) for p in ds.persons
+        ]
+        ctx.status0 = None
+        # same Python expression as the reference, so the bits agree
+        ctx.gcoef = [g_factor(s, j) for j in range(1, ctx.n_persons + 2)]
+        ctx.probs = None
+        rules = [PARTIAL_RULES[a] for a in AGE_GROUPS]
+        ctx.rules = (
+            [r.iso_high for r in rules],
+            [r.iso_low for r in rules],
+            [r.out_threshold for r in rules],
+            [math.inf if r.immune_above is None else r.immune_above for r in rules],
+            [r.recover_above for r in rules],
+        )
+    elif model == MODEL_FULL:
+        if table is None:
+            raise ValueError("standard model needs a meeting-probability table")
+        status = {INFECTED: 1, IMMUNE: 2}
+        ctx.status0 = [status.get(p.immunity_flag, 0) for p in ds.persons]
+        ctx.levels0 = None
+        ctx.gcoef = None
+        ctx.probs = list(table.probs)
+        rules = [FULL_RULES[a] for a in AGE_GROUPS]
+        ctx.rules = (
+            [r.day1_health for r in rules],
+            [r.day2_health for r in rules],
+            [math.inf if r.immune_above is None else r.immune_above for r in rules],
+            [r.recover_above for r in rules],
+        )
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    return ctx
 
 
-@njit(cache=True)
-def _sort_requests(req_person, req_day, req_slot, req_est):
-    """Stable counting sort of requests into (day, slot, establishment) cells.
-
-    Returns (bounds, order): cell c holds requests order[bounds[c]:bounds[c+1]]
-    in canonical request order.
-    """
-    nr = req_person.shape[0]
-    bounds = np.zeros(N_CELLS + 1, np.int64)
-    keys = np.empty(nr, np.int64)
-    for r in range(nr):
-        k = (req_day[r] * N_SLOTS + req_slot[r]) * N_ESTABLISHMENTS + req_est[r]
-        keys[r] = k
-        bounds[k + 1] += 1
-    for c in range(N_CELLS):
-        bounds[c + 1] += bounds[c]
-    order = np.empty(nr, np.int64)
-    fill = bounds[:N_CELLS].copy()
-    for r in range(nr):
-        k = keys[r]
-        order[fill[k]] = r
-        fill[k] += 1
-    return bounds, order
+def bound_array(raw_vector) -> np.ndarray:
+    """allocation.bound_vector over an array: fold into (0,1), 0 -> 0.0001."""
+    v = np.abs(np.asarray(raw_vector, dtype=np.float64)) % 1.0
+    v[v <= 0.0] = 0.0001
+    return v
 
 
-@njit(cache=True)
-def _partial_kernel(
-    req_person,
-    req_day,
-    req_slot,
-    req_est,
-    levels0,
-    health,
-    age_idx,
-    person_id,
-    group_counts,
-    gcoef,
-    iso_high,
-    iso_low,
-    out_thr,
-    immune_above,
-    recover_above,
-):
-    n = levels0.shape[0]
-    bounds, order = _sort_requests(req_person, req_day, req_slot, req_est)
+def decode_slots(ctx: SimContext, bounded_vector) -> np.ndarray:
+    """allocation.decode over arrays: one slot per request, cycling the vector."""
+    v = np.asarray(bounded_vector, dtype=np.float64)
+    w = ctx.window_width
+    picks = v[np.arange(ctx.n_requests) % v.shape[0]]
+    return ctx.window_base + np.minimum((picks * w).astype(np.int64), w - 1)
 
-    levels = levels0.copy()
-    isolated = np.zeros(n, np.bool_)
-    iso_day = np.full(n, -1, np.int64)
-    seen = np.full(n, -1, np.int64)
-    member = np.empty(n, np.int64)
-    ranked = np.empty(n, np.float64)
-    occupancy = np.zeros((N_DAYS, N_SLOTS, N_ESTABLISHMENTS), np.int64)
-    trajectory = np.zeros((N_TRAJ_ROWS, N_GROUPS), np.float64)
-    traj_row = 0
+
+def _cells(ctx: SimContext, slots) -> dict:
+    """cell -> distinct person indices of its requests, in request order."""
+    keys = ctx.req_cell + N_ESTABLISHMENTS * np.asarray(slots, dtype=np.int64)
+    cells = {}
+    for cell, pi in zip(keys.tolist(), ctx.req_person):
+        bucket = cells.get(cell)
+        if bucket is None:
+            cells[cell] = [pi]
+        elif bucket[-1] != pi:
+            # a person's requests are contiguous, so a repeat can only be last
+            bucket.append(pi)
+    return cells
+
+
+def _partial_week(ctx: SimContext, slots):
+    n = ctx.n_persons
+    cells = _cells(ctx, slots)
+    age_idx, health, gcoef = ctx.age_idx, ctx.health, ctx.gcoef
+    iso_high, iso_low, out_thr, immune_above, recover_above = ctx.rules
+
+    levels = list(ctx.levels0)
+    isolated = [False] * n
+    iso_day = [-1] * n
+    occupancy = [0] * N_CELLS
+    snapshots = []  # levels every four hours, for the report's trajectory
 
     for day in range(N_DAYS):
         for slot in range(N_SLOTS):
-            for est in range(N_ESTABLISHMENTS):
-                cell = (day * N_SLOTS + slot) * N_ESTABLISHMENTS + est
-                lo = bounds[cell]
-                hi = bounds[cell + 1]
-                if hi == lo:
+            first = (day * N_SLOTS + slot) * N_ESTABLISHMENTS
+            for cell in range(first, first + N_ESTABLISHMENTS):
+                bucket = cells.get(cell)
+                if bucket is None:
                     continue
-                m = 0
-                for t in range(lo, hi):
-                    pi = req_person[order[t]]
-                    if isolated[pi] or seen[pi] == cell:
-                        continue
-                    seen[pi] = cell
-                    member[m] = pi
-                    m += 1
-                occupancy[day, slot, est] = m
+                group = [pi for pi in bucket if not isolated[pi]]
+                m = len(group)
+                occupancy[cell] = m
                 if m < 2:
                     continue
+                lv = [levels[pi] for pi in group]
                 n_inf = 0
                 all_full = True
-                for t in range(m):
-                    lv = levels[member[t]]
-                    if lv > 0.0:
+                for x in lv:
+                    if x > 0.0:
                         n_inf += 1
-                    if lv < 1.0:
+                    if x < 1.0:
                         all_full = False
                 if n_inf == 0 or all_full:
                     continue
                 if n_inf == m:
-                    owner = 0
-                    for t in range(1, m):
-                        a = member[t]
-                        b = member[owner]
-                        if levels[a] < levels[b] or (
-                            levels[a] == levels[b] and person_id[a] < person_id[b]
-                        ):
-                            owner = t
-                    s_max = 1.0 - levels[member[owner]]
-                    cnt = 0
-                    for t in range(m):
-                        if t == owner:
-                            continue
-                        ranked[cnt] = levels[member[t]]
-                        cnt += 1
+                    # the most susceptible scales everyone else's level; which
+                    # of several tied owners is dropped leaves the same values
+                    ranked = sorted(lv, reverse=True)
+                    s_max = 1.0 - ranked.pop()
                 else:
                     s_max = 1.0
-                    cnt = 0
-                    for t in range(m):
-                        lv = levels[member[t]]
-                        if lv > 0.0:
-                            ranked[cnt] = lv
-                            cnt += 1
-                # stable insertion sort, descending, to mirror sorted(...)
-                for a in range(1, cnt):
-                    v = ranked[a]
-                    b = a - 1
-                    while b >= 0 and ranked[b] < v:
-                        ranked[b + 1] = ranked[b]
-                        b -= 1
-                    ranked[b + 1] = v
+                    ranked = sorted((x for x in lv if x > 0.0), reverse=True)
                 pressure = 0.0
-                for j in range(cnt):
-                    pressure += s_max * ranked[j] * gcoef[j]
+                for j, x in enumerate(ranked):
+                    pressure += s_max * x * gcoef[j]
                 if pressure == 0.0:
                     continue
-                for t in range(m):
-                    pi = member[t]
+                for pi in group:
                     levels[pi] = pressure * (1.0 - levels[pi]) + levels[pi]
             if slot % 2 == 1:
-                for g in range(N_GROUPS):
-                    trajectory[traj_row, g] = 0.0
-                for pi in range(n):
-                    trajectory[traj_row, age_idx[pi]] += levels[pi]
-                for g in range(N_GROUPS):
-                    if group_counts[g] > 0:
-                        trajectory[traj_row, g] /= group_counts[g]
-                traj_row += 1
+                snapshots.append(levels[:])
         for pi in range(n):
             if isolated[pi]:
                 continue
-            lv = levels[pi]
+            x = levels[pi]
             g = age_idx[pi]
-            if lv > iso_high[g] or (
-                lv > iso_low[g] and lv <= iso_high[g] and health[pi] <= 7.0
+            if x > iso_high[g] or (
+                x > iso_low[g] and x <= iso_high[g] and health[pi] <= 7.0
             ):
                 isolated[pi] = True
                 iso_day[pi] = day
 
-    class_code = np.zeros(n, np.int8)
-    n_h = 0
-    n_d = 0
+    class_code = [0] * n
+    n_h = n_d = 0
     for pi in range(n):
         g = age_idx[pi]
         if levels[pi] > out_thr[g]:
@@ -235,86 +221,50 @@ def _partial_kernel(
             else:
                 class_code[pi] = 3
                 n_d += 1
-    return levels, iso_day, class_code, occupancy, trajectory, n_h, n_d
+    return levels, snapshots, iso_day, class_code, occupancy, n_h, n_d
 
 
-@njit(cache=True)
-def _full_kernel(
-    req_person,
-    req_day,
-    req_slot,
-    req_est,
-    status0,
-    health,
-    age_idx,
-    person_id,
-    probs,
-    day1_health,
-    day2_health,
-    immune_above,
-    recover_above,
-):
-    n = status0.shape[0]
-    bounds, order = _sort_requests(req_person, req_day, req_slot, req_est)
+def _full_week(ctx: SimContext, slots):
+    n = ctx.n_persons
+    cells = _cells(ctx, slots)
+    age_idx, health, person_id, probs = ctx.age_idx, ctx.health, ctx.person_id, ctx.probs
+    day1_health, day2_health, immune_above, recover_above = ctx.rules
+    max_n = len(probs)
 
-    status = status0.copy()
-    days = np.zeros(n, np.int64)
-    isolated = np.zeros(n, np.bool_)
-    iso_day = np.full(n, -1, np.int64)
-    seen = np.full(n, -1, np.int64)
-    member = np.empty(n, np.int64)
-    sus = np.empty(n, np.int64)
-    occupancy = np.zeros((N_DAYS, N_SLOTS, N_ESTABLISHMENTS), np.int64)
-    max_n = probs.shape[0]
+    status = list(ctx.status0)
+    days = [0] * n
+    isolated = [False] * n
+    iso_day = [-1] * n
+    occupancy = [0] * N_CELLS
 
     for day in range(N_DAYS):
-        for slot in range(N_SLOTS):
-            for est in range(N_ESTABLISHMENTS):
-                cell = (day * N_SLOTS + slot) * N_ESTABLISHMENTS + est
-                lo = bounds[cell]
-                hi = bounds[cell + 1]
-                if hi == lo:
-                    continue
-                m = 0
-                for t in range(lo, hi):
-                    pi = req_person[order[t]]
-                    if isolated[pi] or seen[pi] == cell:
-                        continue
-                    seen[pi] = cell
-                    member[m] = pi
-                    m += 1
-                occupancy[day, slot, est] = m
-                if m < 2:
-                    continue
-                n_inf = 0
-                ns = 0
-                for t in range(m):
-                    st = status[member[t]]
-                    if st == 1:
-                        n_inf += 1
-                    elif st == 0:
-                        sus[ns] = member[t]
-                        ns += 1
-                if n_inf == 0 or ns == 0:
-                    continue
-                if n_inf > max_n:
-                    p = 1.0
-                else:
-                    p = probs[n_inf - 1]
-                k = int(p * ns)
-                if k <= 0:
-                    continue
-                # infect the k susceptibles with the lowest person ids
-                for a in range(1, ns):
-                    v = sus[a]
-                    b = a - 1
-                    while b >= 0 and person_id[sus[b]] > person_id[v]:
-                        sus[b + 1] = sus[b]
-                        b -= 1
-                    sus[b + 1] = v
-                for t in range(k):
-                    status[sus[t]] = 1
-                    days[sus[t]] = 0
+        for cell in range(day * CELLS_PER_DAY, (day + 1) * CELLS_PER_DAY):
+            bucket = cells.get(cell)
+            if bucket is None:
+                continue
+            group = [pi for pi in bucket if not isolated[pi]]
+            occupancy[cell] = len(group)
+            if len(group) < 2:
+                continue
+            n_inf = 0
+            sus = []
+            for pi in group:
+                st = status[pi]
+                if st == 1:
+                    n_inf += 1
+                elif st == 0:
+                    sus.append(pi)
+            if n_inf == 0 or not sus:
+                continue
+            p = 1.0 if n_inf > max_n else probs[n_inf - 1]
+            k = int(p * len(sus))
+            if k <= 0:
+                continue
+            # infect the k susceptibles with the lowest person ids
+            sus.sort(key=person_id.__getitem__)
+            for pi in sus[:k]:
+                status[pi] = 1
+                days[pi] = 0
         for pi in range(n):
             # the infection clock keeps counting even in isolation
             if status[pi] == 1:
@@ -328,9 +278,8 @@ def _full_kernel(
                 isolated[pi] = True
                 iso_day[pi] = day
 
-    class_code = np.zeros(n, np.int8)
-    n_h = 0
-    n_d = 0
+    class_code = [0] * n
+    n_h = n_d = 0
     for pi in range(n):
         if status[pi] != 1:
             continue
@@ -346,201 +295,60 @@ def _full_kernel(
     return status, days, iso_day, class_code, occupancy, n_h, n_d
 
 
-class SimContext:
-    """Precompiled arrays for repeated simulation of one dataset + model."""
+def run_slots(ctx: SimContext, slots):
+    """Raw week-loop outputs for a slot assignment (one entry per request).
 
-    __slots__ = (
-        "ds",
-        "model",
-        "s",
-        "table",
-        "n_persons",
-        "n_requests",
-        "req_person",
-        "req_day",
-        "req_est",
-        "window_base",
-        "window_width",
-        "person_id",
-        "age_idx",
-        "health",
-        "group_counts",
-        "levels0",
-        "status0",
-        "gcoef",
-        "probs",
-        "rule_arrays",
-    )
-
-
-def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
-    from .simulator import FULL_RULES, MODEL_FULL, MODEL_PARTIAL, PARTIAL_RULES
-
-    ri = request_index(ds)
-    ctx = SimContext()
-    ctx.ds = ds
-    ctx.model = model
-    ctx.s = s
-    ctx.table = table
-    ctx.n_persons = ri.n_persons
-    ctx.n_requests = ri.n_requests
-    ctx.req_person = ri.person.astype(np.int64)
-    ctx.req_day = ri.day.astype(np.int64)
-    ctx.req_est = ri.establishment.astype(np.int64)
-    ctx.window_base = ri.window_base.astype(np.int64)
-    ctx.window_width = ri.window_width.astype(np.int64)
-    ctx.person_id = ri.person_id.astype(np.int64)
-    age_index = {age: i for i, age in enumerate(AGE_GROUPS)}
-    ctx.age_idx = np.array(
-        [age_index[p.age_group] for p in ds.persons], dtype=np.int64
-    )
-    ctx.health = ri.health.astype(np.float64)
-    ctx.group_counts = np.bincount(ctx.age_idx, minlength=N_GROUPS).astype(np.int64)
-
-    if model == MODEL_PARTIAL:
-        if s is None or s < 2:
-            raise ValueError("fractional model needs s >= 2")
-        ctx.levels0 = np.array(
-            [float(ds.taxonomy_infection.get(p.age_group, 0.0)) for p in ds.persons],
-            dtype=np.float64,
-        )
-        ctx.status0 = None
-        # same Python expression as the reference, so the bits agree
-        ctx.gcoef = np.array(
-            [g_factor(s, j) for j in range(1, ctx.n_persons + 2)], dtype=np.float64
-        )
-        ctx.probs = None
-        rules = [PARTIAL_RULES[a] for a in AGE_GROUPS]
-        ctx.rule_arrays = (
-            np.array([r.iso_high for r in rules]),
-            np.array([r.iso_low for r in rules]),
-            np.array([r.out_threshold for r in rules]),
-            np.array(
-                [np.inf if r.immune_above is None else r.immune_above for r in rules]
-            ),
-            np.array([r.recover_above for r in rules]),
-        )
-    elif model == MODEL_FULL:
-        if table is None:
-            raise ValueError("standard model needs a meeting-probability table")
-        status0 = np.zeros(ctx.n_persons, dtype=np.int8)
-        for i, p in enumerate(ds.persons):
-            if p.immunity_flag == INFECTED:
-                status0[i] = 1
-            elif p.immunity_flag == IMMUNE:
-                status0[i] = 2
-        ctx.status0 = status0
-        ctx.levels0 = None
-        ctx.gcoef = None
-        ctx.probs = np.array(table.probs, dtype=np.float64)
-        rules = [FULL_RULES[a] for a in AGE_GROUPS]
-        ctx.rule_arrays = (
-            np.array([r.day1_health for r in rules]),
-            np.array([r.day2_health for r in rules]),
-            np.array(
-                [np.inf if r.immune_above is None else r.immune_above for r in rules]
-            ),
-            np.array([r.recover_above for r in rules]),
-        )
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return ctx
-
-
-def decode_slots(ctx: SimContext, bounded_vector) -> np.ndarray:
-    vec = np.ascontiguousarray(bounded_vector, dtype=np.float64)
-    return _decode_kernel(vec, ctx.window_base, ctx.window_width)
-
-
-def bound_array(raw_vector) -> np.ndarray:
-    vec = np.ascontiguousarray(raw_vector, dtype=np.float64)
-    return _bound_kernel(vec)
-
-
-def run_slots(ctx: SimContext, slots: np.ndarray):
-    """Raw kernel outputs for a slot assignment (one entry per request)."""
-    req_slot = np.ascontiguousarray(slots, dtype=np.int64)
+    Fractional model: (levels, snapshots, iso_day, class_code, occupancy,
+    n_h, n_d); standard model: (status, days, iso_day, class_code, occupancy,
+    n_h, n_d).  occupancy is flat, one count per cell in week order.
+    """
     if ctx.model == "partial":
-        return _partial_kernel(
-            ctx.req_person,
-            ctx.req_day,
-            req_slot,
-            ctx.req_est,
-            ctx.levels0,
-            ctx.health,
-            ctx.age_idx,
-            ctx.person_id,
-            ctx.group_counts,
-            ctx.gcoef,
-            *ctx.rule_arrays,
-        )
-    return _full_kernel(
-        ctx.req_person,
-        ctx.req_day,
-        req_slot,
-        ctx.req_est,
-        ctx.status0,
-        ctx.health,
-        ctx.age_idx,
-        ctx.person_id,
-        ctx.probs,
-        *ctx.rule_arrays,
-    )
+        return _partial_week(ctx, slots)
+    return _full_week(ctx, slots)
 
 
 def counts_for_slots(ctx: SimContext, slots: np.ndarray) -> tuple:
     """(N_H, N_D) fast path used by the evolutionary loop."""
     out = run_slots(ctx, slots)
-    return int(out[-2]), int(out[-1])
+    return out[-2], out[-1]
 
 
 def simulate_outcome(ds: Dataset, plan, model: str, *, s=None, table=None):
-    """Kernel-backed equivalent of simulator.simulate(engine="reference")."""
+    """Week-loop equivalent of simulator.simulate(engine="reference")."""
     from .full_infection import Status
-    from .simulator import MODEL_PARTIAL, OUTCOME_LABELS, SimOutcome
+    from .simulator import MODEL_PARTIAL, OUTCOME_LABELS, SimOutcome, _group_averages
 
     ctx = build_context(ds, model, s=s, table=table)
-    slots = np.asarray(plan.slots, dtype=np.int64)
-
-    def iso_sets(iso_day):
-        by_day = [set() for _ in range(N_DAYS)]
-        for pi, d in enumerate(iso_day):
-            if d >= 0:
-                by_day[d].add(ds.persons[pi].id)
-        return tuple(frozenset(day) for day in by_day)
-
-    if model == MODEL_PARTIAL:
-        levels, iso_day, codes, occupancy, trajectory, n_h, n_d = run_slots(ctx, slots)
-        return SimOutcome(
-            model=model,
-            n_hospitalized=int(n_h),
-            n_dead=int(n_d),
-            isolated_by_day=iso_sets(iso_day),
-            classifications=tuple(OUTCOME_LABELS[c] for c in codes),
-            final_levels=tuple(float(v) for v in levels),
-            final_status=None,
-            trajectory=tuple(tuple(float(v) for v in row) for row in trajectory),
-            occupancy=tuple(
-                tuple(tuple(int(v) for v in slot_row) for slot_row in day)
-                for day in occupancy
-            ),
-        )
-
-    status, days, iso_day, codes, occupancy, n_h, n_d = run_slots(ctx, slots)
-    status_names = {0: Status.S.name, 1: Status.I.name, 2: Status.R.name}
-    return SimOutcome(
+    state, extra, iso_day, codes, occupancy, n_h, n_d = run_slots(ctx, plan.slots)
+    by_day = [set() for _ in range(N_DAYS)]
+    for pi, d in enumerate(iso_day):
+        if d >= 0:
+            by_day[d].add(ds.persons[pi].id)
+    rows = [
+        tuple(occupancy[c : c + N_ESTABLISHMENTS])
+        for c in range(0, N_CELLS, N_ESTABLISHMENTS)
+    ]
+    common = dict(
         model=model,
-        n_hospitalized=int(n_h),
-        n_dead=int(n_d),
-        isolated_by_day=iso_sets(iso_day),
+        n_hospitalized=n_h,
+        n_dead=n_d,
+        isolated_by_day=tuple(frozenset(ids) for ids in by_day),
         classifications=tuple(OUTCOME_LABELS[c] for c in codes),
-        final_levels=None,
-        final_status=tuple(
-            (status_names[int(st)], int(d)) for st, d in zip(status, days)
-        ),
-        trajectory=None,
         occupancy=tuple(
-            tuple(tuple(int(v) for v in slot_row) for slot_row in day)
-            for day in occupancy
+            tuple(rows[d * N_SLOTS : (d + 1) * N_SLOTS]) for d in range(N_DAYS)
         ),
+    )
+    if model == MODEL_PARTIAL:
+        return SimOutcome(
+            final_levels=tuple(state),
+            final_status=None,
+            trajectory=tuple(_group_averages(ds, levels) for levels in extra),
+            **common,
+        )
+    names = {0: Status.S.name, 1: Status.I.name, 2: Status.R.name}
+    return SimOutcome(
+        final_levels=None,
+        final_status=tuple((names[st], d) for st, d in zip(state, extra)),
+        trajectory=None,
+        **common,
     )

@@ -49,6 +49,8 @@ from .simulator import MODEL_FULL, MODEL_PARTIAL, fitness_value
 
 TOURNAMENT_SIZE = 4
 KILL_TOURNAMENT_SIZE = 2
+# fitness memo bound: about 15 MB at 1704 requests; a full memo starts over
+MEMO_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,7 @@ class _Evaluator:
             table=table,
         )
         self.rbuf, self.stack = make_vm_buffers()
+        self.memo = {}
 
     def raw_vector(self, tree: GpNode) -> np.ndarray:
         codes, payloads = compile_postfix(tree)
@@ -208,8 +211,17 @@ class _Evaluator:
         if bounded is None:
             return (-math.inf, -1, -1)
         slots = decode_slots(self.ctx, bounded)
-        n_h, n_d = counts_for_slots(self.ctx, slots)
-        return (fitness_value(n_h, n_d, self.config.w_c), n_h, n_d)
+        # the week is deterministic in the plan, so equal plans share a score;
+        # every slot index is below N_SLOTS, so one byte per request is a key
+        key = slots.astype(np.uint8).tobytes()
+        scored = self.memo.get(key)
+        if scored is None:
+            n_h, n_d = counts_for_slots(self.ctx, slots)
+            scored = (fitness_value(n_h, n_d, self.config.w_c), n_h, n_d)
+            if len(self.memo) >= MEMO_ENTRIES:
+                self.memo.clear()
+            self.memo[key] = scored
+        return scored
 
     def record(self, tree: GpNode, fitness, n_h, n_d, ds, pir_id, seed):
         bounded = self.bounded_vector(tree)
@@ -253,6 +265,14 @@ def _target_met(config: GpConfig, fitness: float, n_d: int) -> bool:
     if config.target_nd is not None and 0 <= n_d <= config.target_nd:
         return True
     return False
+
+
+def _score_population(evaluator, population, sizes) -> tuple:
+    """(fitness, n_h, n_d, best index) over the whole population."""
+    evals = [evaluator.evaluate(t) for t in population]
+    fitness = [e[0] for e in evals]
+    best_idx = max(range(len(population)), key=lambda i: (fitness[i], -sizes[i]))
+    return fitness, [e[1] for e in evals], [e[2] for e in evals], best_idx
 
 
 def evolve_pir(
@@ -301,14 +321,8 @@ def evolve_pir(
             range(len(population)), key=lambda i: (scores[i], -sizes[i])
         )
     else:
-        evals = [evaluator.evaluate(t) for t in population]
-        fitness = [e[0] for e in evals]
-        n_h = [e[1] for e in evals]
-        n_d = [e[2] for e in evals]
+        fitness, n_h, n_d, best_idx = _score_population(evaluator, population, sizes)
         scores = fitness
-        best_idx = max(
-            range(len(population)), key=lambda i: (fitness[i], -sizes[i])
-        )
         best_rec = None
         if math.isfinite(fitness[best_idx]):
             best_rec = emit(best_idx)
@@ -346,15 +360,10 @@ def evolve_pir(
             if min(scores) >= config.seed_len:
                 # warm-up done: rescore the whole population for real
                 seeding = False
-                evals = [evaluator.evaluate(t) for t in population]
-                fitness = [e[0] for e in evals]
-                n_h = [e[1] for e in evals]
-                n_d = [e[2] for e in evals]
-                scores = fitness
-                best_idx = max(
-                    range(len(population)),
-                    key=lambda i: (fitness[i], -sizes[i]),
+                fitness, n_h, n_d, best_idx = _score_population(
+                    evaluator, population, sizes
                 )
+                scores = fitness
                 if math.isfinite(fitness[best_idx]):
                     best_rec = emit(best_idx)
             continue
@@ -371,12 +380,8 @@ def evolve_pir(
     if best_rec is None:
         # degenerate: nothing finite appeared; rescore to report honestly
         if seeding:
-            evals = [evaluator.evaluate(t) for t in population]
-            fitness = [e[0] for e in evals]
-            n_h = [e[1] for e in evals]
-            n_d = [e[2] for e in evals]
-            best_idx = max(
-                range(len(population)), key=lambda i: (fitness[i], -sizes[i])
+            fitness, n_h, n_d, best_idx = _score_population(
+                evaluator, population, sizes
             )
             if math.isfinite(fitness[best_idx]):
                 return emit(best_idx)

@@ -19,8 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._simcore import njit
 from .allocation import bound_value
+
+try:
+    from numba import njit
+except ImportError:  # numba is an optional extra; run_vm then runs as Python
+
+    def njit(*args, **kwargs):
+        def wrap(fn):
+            return fn
+
+        return wrap
 
 P_MAX = 10_000
 TREE_CAP = 2_000

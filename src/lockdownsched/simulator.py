@@ -355,8 +355,8 @@ def simulate(
 
     The fractional model needs the sub-location count s; the standard model
     needs a meeting-probability table.  engine picks the implementation:
-    "reference" is the plain-Python one, "kernel" the compiled one, "auto"
-    prefers the kernel.  Both produce identical outcomes.
+    "reference" is the readable one, "kernel" the week loop that evolution
+    scores with, "auto" prefers the kernel.  Both produce identical outcomes.
     """
     validate_plan(plan, ds)
     if model == MODEL_PARTIAL:

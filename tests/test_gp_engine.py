@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from lockdownsched import gp_engine
 from lockdownsched.allocation import AllocationPlan, decode
 from lockdownsched.dataset import generate_dataset, mark_apriori_infection
 from lockdownsched.full_infection import build_pn_table
@@ -144,6 +145,77 @@ class TestEvolvePir:
         best = evolve_pir(small_ds, cfg, seed=1)
         assert len(best.vector) >= 12
         assert math.isfinite(best.fitness)
+
+
+class TestFitnessMemo:
+    def test_one_simulation_per_distinct_plan(self, small_ds, monkeypatch):
+        decoded, simulated = set(), []
+        decode_slots, counts_for_slots = gp_engine.decode_slots, gp_engine.counts_for_slots
+
+        def decode_spy(ctx, bounded):
+            slots = decode_slots(ctx, bounded)
+            decoded.add(slots.tobytes())
+            return slots
+
+        def counts_spy(ctx, slots):
+            simulated.append(slots.tobytes())
+            return counts_for_slots(ctx, slots)
+
+        monkeypatch.setattr(gp_engine, "decode_slots", decode_spy)
+        monkeypatch.setattr(gp_engine, "counts_for_slots", counts_spy)
+        cfg = quick_config()
+        evolve_pir(small_ds, cfg, seed=5)
+        assert len(simulated) == len(set(simulated)) == len(decoded)
+        # many offspring repeat a plan already scored
+        assert len(simulated) < cfg.population + cfg.budget
+
+    def test_full_memo_starts_over(self, small_ds, monkeypatch):
+        monkeypatch.setattr(gp_engine, "MEMO_ENTRIES", 3)
+        evaluator = gp_engine._Evaluator(small_ds, quick_config(), None)
+        best = evolve_pir(small_ds, quick_config(), seed=5, evaluator=evaluator)
+        assert 1 <= len(evaluator.memo) <= 3
+        assert best == evolve_pir(small_ds, quick_config(), seed=5)
+
+    # improvement streams recorded before the fitness memo and the list-based
+    # week loops existed: (fitness, N_H, N_D, plan digest prefix) per record
+    PINNED_PARTIAL = [
+        (-19.2, 27, 15, "9c28b566d8fca477"),
+        (-11.05, 13, 10, "8592166a39ce657c"),
+        (-10.35, 11, 10, "ebfbd295580d4b99"),
+        (-9.4, 12, 8, "339940ed71173714"),
+        (-6.4, 9, 5, "4db0025afa8c10bd"),
+    ]
+    PINNED_FULL = [
+        (-1.4, 4, 0, "b1ec3cbb50779c6c"),
+        (-0.65, 0, 1, "87416a25f49020a0"),
+        (0.0, 0, 0, "58748b42a90dbb61"),
+    ]
+
+    @staticmethod
+    def stream(ds, cfg, seed, **kw):
+        got = []
+        best = evolve_pir(ds, cfg, seed, got.append, **kw)
+        rows = [(r.fitness, r.n_h, r.n_d, r.plan_digest[:16]) for r in got]
+        return rows, best
+
+    def test_pinned_partial_run(self, small_ds):
+        rows, best = self.stream(small_ds, quick_config(), 5)
+        assert rows == self.PINNED_PARTIAL
+        assert best.vector == (
+            0.0001, 0.9960784313725526, 0.5254901960784314, 1e-05,
+            0.9450980392156862, 0.8588235294117647, 0.0001,
+            0.5254901960784314, 0.3333333333333333,
+        )
+
+    def test_pinned_full_run(self, tiny_table):
+        ds = mark_apriori_infection(generate_dataset(seed=99), 0.2, 0.021, seed=99)
+        cfg = GpConfig(model=MODEL_FULL, q=5, population=20, budget=150)
+        rows, best = self.stream(ds, cfg, 2, table=tiny_table)
+        assert rows == self.PINNED_FULL
+        assert best.vector == (
+            0.0001, 0.7294117647058823, 0.7019607843137265,
+            0.41960784313725696, 0.5438596491228069,
+        )
 
 
 class TestArchive:

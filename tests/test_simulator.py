@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lockdownsched.allocation import AllocationPlan, decode, round_robin
-from lockdownsched.dataset import parse_dataset
+from lockdownsched.dataset import AGE_GROUPS, parse_dataset
 from lockdownsched.full_infection import InfectionStatus, PnTable, Status
 from lockdownsched.partial_infection import EncounterGroup, encounter_pressure
 from lockdownsched.simulator import (
@@ -290,7 +292,85 @@ def random_dataset(rng):
     return ds.with_taxonomy(priors)
 
 
+# Worlds for the engine-agreement property: few establishments and windows,
+# so cells crowd, and a row is (age, health, immunity flag, day requests).
+_request = st.builds("{}{}1".format, st.sampled_from("MAPN"), st.sampled_from("FC"))
+_person = st.tuples(
+    st.sampled_from(AGE_GROUPS),
+    st.sampled_from((1.0, 2.5, 4.0, 5.5, 6.5, 7.0, 8.0, 9.0, 10.0)),
+    st.sampled_from((0, 0, 1, 1, 2)),
+    st.tuples(*[st.lists(_request, max_size=3).map(":".join)] * 3),
+)
+_priors = st.dictionaries(
+    st.sampled_from(AGE_GROUPS), st.sampled_from((0.2, 0.5, 0.9, 0.95, 0.99, 1.0))
+)
+_vector = st.lists(st.floats(0.0001, 0.9999), min_size=1, max_size=6)
+
+
+def world(rows, priors):
+    lines = [
+        f"{pid} {age} {health} {flag} {d0} | {d1} | {d2}"
+        for pid, (age, health, flag, (d0, d1, d2)) in enumerate(rows, start=1)
+    ]
+    return parse_dataset("\n".join(lines)).with_taxonomy(priors)
+
+
+def crowd(n_infected):
+    """n infected share one supermarket slot with two susceptibles, each
+    listed twice on Monday, and one person requests nothing."""
+    return (
+        [(30, 9.0, 1, ("MF1:MF1", "MF1", "MF1"))] * n_infected
+        + [(20, 8.0, 0, ("MF1:MF1", "MF1", ""))] * 2
+        + [(50, 3.0, 0, ("", "", ""))]
+    )
+
+
+CROWD = crowd(22)
+# sick, highly infected visitors isolate after Monday or Tuesday
+ISOLATING = [
+    (40, 5.0, 1, ("MF1", "MF1", "MF1")),
+    (40, 6.0, 0, ("MF1:AC1", "MF1", "MF1")),
+    (70, 9.0, 0, ("MF1", "MF1:MF1", "MF1")),
+    (20, 4.0, 1, ("AC1", "AC1", "AC1")),
+]
+
+
 class TestEngineAgreement:
+    TABLE = make_table({1: 0.31, 2: 0.52, 3: 0.66, 4: 0.74, 5: 0.81})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_person, min_size=1, max_size=30), _priors, _vector)
+    @example(CROWD, {30: 0.5}, [0.3])
+    @example(crowd(20), {30: 0.5}, [0.3])
+    @example(CROWD, {20: 0.2, 30: 0.99}, [0.7, 0.2])
+    @example(CROWD, {age: 1.0 for age in AGE_GROUPS}, [0.3])
+    @example(ISOLATING, {40: 0.95, 70: 0.5, 20: 0.99}, [0.1])
+    @example(ISOLATING, {}, [0.6, 0.1])
+    def test_kernel_matches_reference_property(self, rows, priors, vector):
+        ds = world(rows, priors)
+        plan = decode(vector, ds)
+        ref_p = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="reference")
+        assert simulate(ds, plan, MODEL_PARTIAL, s=4, engine="kernel") == ref_p
+        ref_f = simulate(ds, plan, MODEL_FULL, table=self.TABLE, engine="reference")
+        assert simulate(ds, plan, MODEL_FULL, table=self.TABLE, engine="kernel") == ref_f
+
+    def test_examples_reach_the_edge_cases(self):
+        # the explicit examples above really hit the cases they are named for
+        ds = world(CROWD, {age: 0.5 for age in AGE_GROUPS})
+        plan = decode([0.3], ds)
+        part = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="kernel")
+        full = simulate(ds, plan, MODEL_FULL, table=self.TABLE, engine="kernel")
+        assert part.occupancy[0][0][0] == 24
+        # 22 infected exceed the 20-entry table, so p = 1 infects both
+        assert full.final_status[22:24] == (("I", 3), ("I", 3))
+        assert part.final_levels[24] == 0.5
+        iso = world(ISOLATING, {40: 0.95, 70: 0.5, 20: 0.99})
+        plan = decode([0.1], iso)
+        part = simulate(iso, plan, MODEL_PARTIAL, s=4, engine="kernel")
+        full = simulate(iso, plan, MODEL_FULL, table=self.TABLE, engine="kernel")
+        assert part.isolated_by_day[0] and part.occupancy[1][0][0] < 3
+        assert full.isolated_by_day[1] == frozenset({1, 4})
+
     def test_kernel_matches_reference_partial_and_full(self):
         rng = random.Random(20210621)
         table = make_table({1: 0.31, 2: 0.52, 3: 0.66, 4: 0.74, 5: 0.81})
