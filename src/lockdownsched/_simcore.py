@@ -3,10 +3,15 @@
 The plain-Python engine in simulator.py is the readable reference; the loops
 here replay the exact same arithmetic, in the exact same order, over plain
 Python lists prepared once per dataset and model by build_context.  Each run
-buckets the requests by (day, slot, establishment) cell in a dict and walks
-the week cell by cell, so its outputs are bit-identical to the reference's.
-Evolution scores every offspring through counts_for_slots, so this is the
-hot path; bounding and decoding are whole-array numpy expressions.
+buckets the requests by (day, slot, establishment) cell with one stable
+int16 sort (_buckets) and walks the week in cell order, so its outputs are
+bit-identical to the reference's.  The standard-model loop visits only cells
+with at least ctx.min_group distinct members, the smallest group in which
+the table can infect anyone; smaller cells change nothing but occupancy,
+which simulate_outcome derives after the week from the buckets and the
+isolation days.  Evolution scores every offspring through counts_for_slots,
+so this is the hot path; bounding and decoding are whole-array numpy
+expressions.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ class SimContext:
         "status0",
         "gcoef",
         "probs",
+        "min_group",
         "rules",
     )
 
@@ -67,11 +73,12 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
     ctx.table = table
     ctx.n_persons = ri.n_persons
     ctx.n_requests = ri.n_requests
-    ctx.req_person = ri.person.tolist()
-    # cell of a request in slot 0; its slot adds slot * N_ESTABLISHMENTS
+    ctx.req_person = ri.person
+    # cell of a request in slot 0; its slot adds slot * N_ESTABLISHMENTS.
+    # int16 holds every cell (N_CELLS - 1 = 287) and sorts by radix
     ctx.req_cell = (
         ri.day.astype(np.int64) * CELLS_PER_DAY + ri.establishment.astype(np.int64)
-    )
+    ).astype(np.int16)
     ctx.window_base = ri.window_base.astype(np.int64)
     ctx.window_width = ri.window_width.astype(np.int64)
     ctx.person_id = ri.person_id.tolist()
@@ -89,6 +96,7 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
         # same Python expression as the reference, so the bits agree
         ctx.gcoef = [g_factor(s, j) for j in range(1, ctx.n_persons + 2)]
         ctx.probs = None
+        ctx.min_group = None
         rules = [PARTIAL_RULES[a] for a in AGE_GROUPS]
         ctx.rules = (
             [r.iso_high for r in rules],
@@ -105,6 +113,7 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
         ctx.levels0 = None
         ctx.gcoef = None
         ctx.probs = list(table.probs)
+        ctx.min_group = _min_group(ctx.probs)
         rules = [FULL_RULES[a] for a in AGE_GROUPS]
         ctx.rules = (
             [r.day1_health for r in rules],
@@ -132,42 +141,61 @@ def decode_slots(ctx: SimContext, bounded_vector) -> np.ndarray:
     return ctx.window_base + np.minimum((picks * w).astype(np.int64), w - 1)
 
 
-def _cells(ctx: SimContext, slots) -> dict:
-    """cell -> distinct person indices of its requests, in request order."""
-    keys = ctx.req_cell + N_ESTABLISHMENTS * np.asarray(slots, dtype=np.int64)
-    cells = {}
-    for cell, pi in zip(keys.tolist(), ctx.req_person):
-        bucket = cells.get(cell)
-        if bucket is None:
-            cells[cell] = [pi]
-        elif bucket[-1] != pi:
-            # a person's requests are contiguous, so a repeat can only be last
-            bucket.append(pi)
-    return cells
+def _min_group(probs) -> int:
+    """Fewest distinct visitors (n_inf + n_sus, both >= 1) that can infect."""
+    max_n = len(probs)
+    total = 2
+    while True:
+        for n_inf in range(1, total):
+            # the standard loop's own expression, so the bits agree
+            p = 1.0 if n_inf > max_n else probs[n_inf - 1]
+            if int(p * (total - n_inf)) >= 1:
+                return total
+        total += 1  # ends by max_n + 2, where p = 1.0 infects one
+
+
+def _buckets(ctx: SimContext, slots):
+    """(sizes, bounds, members) of the cells of a slot assignment.
+
+    members lists the distinct person indices of each cell's requests in
+    request order, cell after cell; cell c holds members[bounds[c]:bounds[c+1]]
+    and sizes[c] of them.
+    """
+    keys = ctx.req_cell + N_ESTABLISHMENTS * np.asarray(slots, dtype=np.int16)
+    order = np.argsort(keys, kind="stable")
+    cell = keys[order]
+    person = ctx.req_person[order]
+    # a person's requests are contiguous and the sort is stable, so a repeat
+    # within a cell can only follow its first appearance directly
+    first = np.ones(cell.shape[0], dtype=bool)
+    first[1:] = (cell[1:] != cell[:-1]) | (person[1:] != person[:-1])
+    sizes = np.bincount(cell[first], minlength=N_CELLS)
+    bounds = np.zeros(N_CELLS + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    return sizes, bounds, person[first]
 
 
 def _partial_week(ctx: SimContext, slots):
     n = ctx.n_persons
-    cells = _cells(ctx, slots)
+    _, bounds, members = _buckets(ctx, slots)
+    bounds, members = bounds.tolist(), members.tolist()
     age_idx, health, gcoef = ctx.age_idx, ctx.health, ctx.gcoef
     iso_high, iso_low, out_thr, immune_above, recover_above = ctx.rules
 
     levels = list(ctx.levels0)
     isolated = [False] * n
     iso_day = [-1] * n
-    occupancy = [0] * N_CELLS
     snapshots = []  # levels every four hours, for the report's trajectory
 
     for day in range(N_DAYS):
         for slot in range(N_SLOTS):
             first = (day * N_SLOTS + slot) * N_ESTABLISHMENTS
             for cell in range(first, first + N_ESTABLISHMENTS):
-                bucket = cells.get(cell)
-                if bucket is None:
+                lo, hi = bounds[cell], bounds[cell + 1]
+                if hi - lo < 2:
                     continue
-                group = [pi for pi in bucket if not isolated[pi]]
+                group = [pi for pi in members[lo:hi] if not isolated[pi]]
                 m = len(group)
-                occupancy[cell] = m
                 if m < 2:
                     continue
                 lv = [levels[pi] for pi in group]
@@ -221,30 +249,34 @@ def _partial_week(ctx: SimContext, slots):
             else:
                 class_code[pi] = 3
                 n_d += 1
-    return levels, snapshots, iso_day, class_code, occupancy, n_h, n_d
+    return levels, snapshots, iso_day, class_code, n_h, n_d
 
 
 def _full_week(ctx: SimContext, slots):
     n = ctx.n_persons
-    cells = _cells(ctx, slots)
+    min_group = ctx.min_group
+    sizes, bounds, members = _buckets(ctx, slots)
+    # a group is a subset of its cell, so a smaller cell cannot infect anyone
+    busy = np.flatnonzero(sizes >= min_group)
+    spans = [[] for _ in range(N_DAYS)]  # member ranges of each day's cells
+    starts, ends = bounds[busy].tolist(), bounds[busy + 1].tolist()
+    for cell, lo, hi in zip(busy.tolist(), starts, ends):
+        spans[cell // CELLS_PER_DAY].append((lo, hi))
+    members = members.tolist()
     age_idx, health, person_id, probs = ctx.age_idx, ctx.health, ctx.person_id, ctx.probs
     day1_health, day2_health, immune_above, recover_above = ctx.rules
     max_n = len(probs)
 
     status = list(ctx.status0)
+    infected = [pi for pi, st in enumerate(status) if st == 1]
     days = [0] * n
     isolated = [False] * n
     iso_day = [-1] * n
-    occupancy = [0] * N_CELLS
 
     for day in range(N_DAYS):
-        for cell in range(day * CELLS_PER_DAY, (day + 1) * CELLS_PER_DAY):
-            bucket = cells.get(cell)
-            if bucket is None:
-                continue
-            group = [pi for pi in bucket if not isolated[pi]]
-            occupancy[cell] = len(group)
-            if len(group) < 2:
+        for lo, hi in spans[day]:
+            group = [pi for pi in members[lo:hi] if not isolated[pi]]
+            if len(group) < min_group:
                 continue
             n_inf = 0
             sus = []
@@ -265,11 +297,11 @@ def _full_week(ctx: SimContext, slots):
             for pi in sus[:k]:
                 status[pi] = 1
                 days[pi] = 0
-        for pi in range(n):
+                infected.append(pi)
+        for pi in infected:
             # the infection clock keeps counting even in isolation
-            if status[pi] == 1:
-                days[pi] += 1
-            if isolated[pi] or status[pi] != 1:
+            days[pi] += 1
+            if isolated[pi]:
                 continue
             g = age_idx[pi]
             if (days[pi] > 1 and health[pi] < day1_health[g]) or (
@@ -280,9 +312,7 @@ def _full_week(ctx: SimContext, slots):
 
     class_code = [0] * n
     n_h = n_d = 0
-    for pi in range(n):
-        if status[pi] != 1:
-            continue
+    for pi in infected:
         g = age_idx[pi]
         if health[pi] > immune_above[g]:
             class_code[pi] = 1
@@ -292,15 +322,17 @@ def _full_week(ctx: SimContext, slots):
         else:
             class_code[pi] = 3
             n_d += 1
-    return status, days, iso_day, class_code, occupancy, n_h, n_d
+    return status, days, iso_day, class_code, n_h, n_d
 
 
 def run_slots(ctx: SimContext, slots):
     """Raw week-loop outputs for a slot assignment (one entry per request).
 
-    Fractional model: (levels, snapshots, iso_day, class_code, occupancy,
-    n_h, n_d); standard model: (status, days, iso_day, class_code, occupancy,
-    n_h, n_d).  occupancy is flat, one count per cell in week order.
+    Fractional model: (levels, snapshots, iso_day, class_code, n_h, n_d);
+    standard model: (status, days, iso_day, class_code, n_h, n_d).  iso_day
+    is the day a person isolated at the end of, or -1.  The standard loop
+    visits only cells of at least ctx.min_group distinct members; occupancy
+    is left to simulate_outcome.
     """
     if ctx.model == "partial":
         return _partial_week(ctx, slots)
@@ -319,11 +351,17 @@ def simulate_outcome(ds: Dataset, plan, model: str, *, s=None, table=None):
     from .simulator import MODEL_PARTIAL, OUTCOME_LABELS, SimOutcome, _group_averages
 
     ctx = build_context(ds, model, s=s, table=table)
-    state, extra, iso_day, codes, occupancy, n_h, n_d = run_slots(ctx, plan.slots)
+    state, extra, iso_day, codes, n_h, n_d = run_slots(ctx, plan.slots)
     by_day = [set() for _ in range(N_DAYS)]
     for pi, d in enumerate(iso_day):
         if d >= 0:
             by_day[d].add(ds.persons[pi].id)
+    # a member attends cell c of day d unless they isolated before day d
+    sizes, _, members = _buckets(ctx, plan.slots)
+    cell = np.repeat(np.arange(N_CELLS), sizes)
+    iso = np.asarray(iso_day, dtype=np.int64)[members]
+    present = (iso < 0) | (iso >= cell // CELLS_PER_DAY)
+    occupancy = np.bincount(cell[present], minlength=N_CELLS).tolist()
     rows = [
         tuple(occupancy[c : c + N_ESTABLISHMENTS])
         for c in range(0, N_CELLS, N_ESTABLISHMENTS)

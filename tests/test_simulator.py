@@ -1,12 +1,24 @@
+import functools
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lockdownsched._simcore import build_context
 from lockdownsched.allocation import AllocationPlan, decode, round_robin
-from lockdownsched.dataset import AGE_GROUPS, parse_dataset
-from lockdownsched.full_infection import InfectionStatus, PnTable, Status
+from lockdownsched.dataset import (
+    AGE_GROUPS,
+    INFECTED,
+    establishment_id,
+    parse_dataset,
+)
+from lockdownsched.full_infection import (
+    InfectionStatus,
+    PnTable,
+    Status,
+    build_pn_table,
+)
 from lockdownsched.partial_infection import EncounterGroup, encounter_pressure
 from lockdownsched.simulator import (
     MODEL_FULL,
@@ -346,6 +358,7 @@ class TestEngineAgreement:
     @example(CROWD, {age: 1.0 for age in AGE_GROUPS}, [0.3])
     @example(ISOLATING, {40: 0.95, 70: 0.5, 20: 0.99}, [0.1])
     @example(ISOLATING, {}, [0.6, 0.1])
+    @example([(20, 1.0, 0, ("", "", ""))], {}, [0.5])  # no requests at all
     def test_kernel_matches_reference_property(self, rows, priors, vector):
         ds = world(rows, priors)
         plan = decode(vector, ds)
@@ -397,6 +410,92 @@ class TestEngineAgreement:
         a = simulate(seven_ds, plan, MODEL_PARTIAL, s=6)
         b = simulate(seven_ds, plan, MODEL_PARTIAL, s=6)
         assert a == b
+
+
+# name -> (table, its min_group): the benchmark's q=4 table, a crowded q=40
+# one, the agreement table, an all-zero table (p = 1 only past its end) and
+# one where a single infected person infects anyone they meet
+STANDARD_TABLES = {
+    "q4": (lambda: build_pn_table(4, 100_000, seed=0), 11),
+    "q40": (lambda: build_pn_table(40, 20_000, seed=0), 4),
+    "agreement": (lambda: TestEngineAgreement.TABLE, 4),
+    "zeros": (lambda: make_table({n: 0.0 for n in range(1, 21)}), 22),
+    "p1_one": (lambda: make_table({1: 1.0}), 2),
+}
+
+
+@functools.cache
+def standard_table(name):
+    return STANDARD_TABLES[name][0]()
+
+
+def threshold_rows(table, size):
+    """Monday rows: a supermarket cell of exactly size people in which the
+    table infects someone, and a sports-club cell of size - 1 people."""
+    probs = list(table.probs)
+    n_inf = next(
+        i
+        for i in range(1, size)
+        if int((probs[i - 1] if i <= len(probs) else 1.0) * (size - i)) >= 1
+    )
+    infected, susceptible = (30, 9.0, 1), (20, 8.0, 0)
+    return [
+        (*person, (kind, "", ""))
+        for kind, n in (("MF1", size), ("MC1", size - 1))
+        for person in [infected] * n_inf + [susceptible] * (n - n_inf)
+    ]
+
+
+class TestCellFilter:
+    """The standard loop visits only cells of at least min_group people."""
+
+    @pytest.mark.parametrize("name", sorted(STANDARD_TABLES))
+    def test_min_group_matches_brute_force(self, name):
+        table, expected = standard_table(name), STANDARD_TABLES[name][1]
+        probs = list(table.probs)
+
+        def p(n_inf):
+            return probs[n_inf - 1] if n_inf <= len(probs) else 1.0
+
+        brute = min(
+            n_inf + n_sus
+            for n_inf in range(1, 41)
+            for n_sus in range(1, 41)
+            if int(p(n_inf) * n_sus) >= 1
+        )
+        ds = parse_dataset("1 20 9.0 0 MF1 | |\n")
+        assert build_context(ds, MODEL_FULL, table=table).min_group == brute
+        assert brute == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_person, min_size=1, max_size=30),
+        _priors,
+        _vector,
+        st.sampled_from(sorted(STANDARD_TABLES)),
+    )
+    def test_kernel_matches_reference_across_tables(self, rows, priors, vector, name):
+        ds = world(rows, priors)
+        plan = decode(vector, ds)
+        table = standard_table(name)
+        ref = simulate(ds, plan, MODEL_FULL, table=table, engine="reference")
+        assert simulate(ds, plan, MODEL_FULL, table=table, engine="kernel") == ref
+
+    @pytest.mark.parametrize("name", sorted(STANDARD_TABLES))
+    def test_cells_at_the_threshold(self, name):
+        table, size = standard_table(name), STANDARD_TABLES[name][1]
+        ds = world(threshold_rows(table, size), {})
+        plan = decode([0.3], ds)  # every morning request lands in slot 0
+        ref = simulate(ds, plan, MODEL_FULL, table=table, engine="reference")
+        assert simulate(ds, plan, MODEL_FULL, table=table, engine="kernel") == ref
+        monday = ref.occupancy[0][0]
+        store, club = establishment_id("F", 1), establishment_id("C", 1)
+        assert (monday[store], monday[club]) == (size, size - 1)
+        flags = [p.immunity_flag for p in ds.persons]
+        status = [letter for letter, _ in ref.final_status]
+        # the full cell infects someone; the one a person short cannot
+        assert status[:size].count("I") > flags[:size].count(INFECTED)
+        assert status[size:].count("I") == flags[size:].count(INFECTED)
 
 
 def test_outcome_json_round_shape(seven_ds):
