@@ -9,9 +9,9 @@ bit-identical to the reference's.  The standard-model loop visits only cells
 with at least ctx.min_group distinct members, the smallest group in which
 the table can infect anyone; smaller cells change nothing but occupancy,
 which simulate_outcome derives after the week from the buckets and the
-isolation days.  Evolution scores every offspring through counts_for_slots,
-so this is the hot path; bounding and decoding are whole-array numpy
-expressions.
+isolation days.  Evolution scores every plan it has not met before through
+counts_for_slots, so this is the hot path; bounding and decoding are
+whole-array numpy expressions.
 """
 
 from __future__ import annotations

@@ -382,6 +382,23 @@ class RequestIndex:
 
 
 def request_index(ds: Dataset) -> RequestIndex:
+    """The dataset's RequestIndex, built on first use and shared after.
+
+    A Dataset is frozen and its persons are immutable (replace() and the
+    helpers above return new instances), so the index never goes stale.  Its
+    arrays are read-only because every caller shares them.
+    """
+    index = ds.__dict__.get("_request_index")
+    if index is None:
+        index = _build_request_index(ds)
+        for value in vars(index).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        object.__setattr__(ds, "_request_index", index)
+    return index
+
+
+def _build_request_index(ds: Dataset) -> RequestIndex:
     person, day, base, width, est = [], [], [], [], []
     for i, p in enumerate(ds.persons):
         for d, requests in enumerate(p.requests_by_day):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -36,20 +37,14 @@ from ._simcore import (
 )
 from .dataset import Dataset
 from .full_infection import PnTable, build_pn_table
-from .gp_tree import (
-    GpNode,
-    compile_postfix,
-    crossover,
-    make_vm_buffers,
-    mutate,
-    ramped_population,
-    run_vm,
-)
+from .gp_tree import GpNode, crossover, eval_tree, mutate, ramped_population
 from .simulator import MODEL_FULL, MODEL_PARTIAL, fitness_value
 
 TOURNAMENT_SIZE = 4
 KILL_TOURNAMENT_SIZE = 2
-# fitness memo bound: about 15 MB at 1704 requests; a full memo starts over
+# entries of both fitness memos together; no key is longer than the request
+# count, so this caps the keys at about 15 MB at 1704 requests.  A full memo
+# starts over
 MEMO_ENTRIES = 8192
 
 
@@ -156,7 +151,12 @@ class Archive:
 
 
 def plan_digest(ds: Dataset, slots) -> str:
-    h = hashlib.sha256(ds.digest().encode())
+    return _slots_digest(hashlib.sha256(ds.digest().encode()), slots)
+
+
+def _slots_digest(ds_hash, slots) -> str:
+    """plan_digest from the dataset's hash object, which is left as it was."""
+    h = ds_hash.copy()
     h.update(np.asarray(slots, dtype=np.int64).tobytes())
     return h.hexdigest()
 
@@ -179,7 +179,18 @@ def pareto_front(records) -> tuple:
 
 
 class _Evaluator:
-    """Tree -> (fitness, n_h, n_d) through the compiled pipeline."""
+    """Tree -> (fitness, n_h, n_d), memoised by printed vector and by plan.
+
+    Two dicts hold scores.  ``vector_memo`` is keyed by the float64 bytes of
+    the raw printed vector: equal bytes bound and decode to an equal plan, so
+    a hit skips bounding and decoding.  It only takes vectors of at most
+    ``n_requests // 8`` values, so no vector key is longer than a plan key.
+    ``memo`` is keyed by the decoded plan, one byte per request: the week is
+    deterministic in the plan, so different vectors that decode alike share
+    one simulation.  The kinds of key stay in separate dicts because a
+    vector key can have the length of a plan key.  Both start over together
+    when they would hold more than ``MEMO_ENTRIES`` entries between them.
+    """
 
     def __init__(self, ds, config, table):
         self.config = config
@@ -189,42 +200,45 @@ class _Evaluator:
             s=config.s if config.model == MODEL_PARTIAL else None,
             table=table,
         )
-        self.rbuf, self.stack = make_vm_buffers()
+        # plan_digest's dataset half, hashed once
+        self.ds_hash = hashlib.sha256(ds.digest().encode())
         self.memo = {}
-
-    def raw_vector(self, tree: GpNode) -> np.ndarray:
-        codes, payloads = compile_postfix(tree)
-        p_z = run_vm(codes, payloads, self.rbuf, self.stack)
-        return self.rbuf[1 : p_z + 1]
+        self.vector_memo = {}
 
     def vector_length(self, tree: GpNode) -> int:
-        return self.raw_vector(tree).shape[0]
-
-    def bounded_vector(self, tree: GpNode) -> np.ndarray | None:
-        raw = self.raw_vector(tree)
-        if not np.isfinite(raw).all():
-            return None
-        return bound_array(raw)
+        return len(eval_tree(tree))
 
     def evaluate(self, tree: GpNode) -> tuple:
-        bounded = self.bounded_vector(tree)
-        if bounded is None:
+        raw = eval_tree(tree)
+        if not all(map(math.isfinite, raw)):
             return (-math.inf, -1, -1)
-        slots = decode_slots(self.ctx, bounded)
-        # the week is deterministic in the plan, so equal plans share a score;
+        vkey = None
+        if 8 * len(raw) <= self.ctx.n_requests:
+            vkey = array("d", raw).tobytes()
+            scored = self.vector_memo.get(vkey)
+            if scored is not None:
+                return scored
+        slots = decode_slots(self.ctx, bound_array(raw))
         # every slot index is below N_SLOTS, so one byte per request is a key
         key = slots.astype(np.uint8).tobytes()
         scored = self.memo.get(key)
         if scored is None:
             n_h, n_d = counts_for_slots(self.ctx, slots)
             scored = (fitness_value(n_h, n_d, self.config.w_c), n_h, n_d)
-            if len(self.memo) >= MEMO_ENTRIES:
-                self.memo.clear()
-            self.memo[key] = scored
+        elif vkey is None:
+            return scored
+        # room for both keys, so the plan just scored survives a restart
+        if len(self.memo) + len(self.vector_memo) + 2 > MEMO_ENTRIES:
+            self.memo.clear()
+            self.vector_memo.clear()
+        self.memo[key] = scored
+        if vkey is not None:
+            self.vector_memo[vkey] = scored
         return scored
 
-    def record(self, tree: GpNode, fitness, n_h, n_d, ds, pir_id, seed):
-        bounded = self.bounded_vector(tree)
+    def record(self, tree: GpNode, fitness, n_h, n_d, pir_id, seed):
+        # called for finite-fitness trees only, so the vector is finite
+        bounded = bound_array(eval_tree(tree))
         slots = decode_slots(self.ctx, bounded)
         return SolutionRecord(
             vector=tuple(float(v) for v in bounded),
@@ -233,7 +247,7 @@ class _Evaluator:
             n_d=int(n_d),
             pir_id=pir_id,
             seed=seed,
-            plan_digest=plan_digest(ds, slots),
+            plan_digest=_slots_digest(self.ds_hash, slots),
         )
 
 
@@ -306,7 +320,7 @@ def evolve_pir(
 
     def emit(idx) -> SolutionRecord:
         rec = evaluator.record(
-            population[idx], fitness[idx], n_h[idx], n_d[idx], ds, pir_id, seed
+            population[idx], fitness[idx], n_h[idx], n_d[idx], pir_id, seed
         )
         if sink is not None:
             sink(rec)

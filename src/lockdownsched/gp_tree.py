@@ -7,9 +7,11 @@ four working-memory operators over scalars m1/m2.  Evaluation is a plain
 depth-first walk, left child first; every node returns a number to its
 parent and some apply side effects to the machine state.
 
-Two evaluators exist: a readable recursive one that can record a trace of
-pointer movements, and a postfix virtual machine compiled for the
-evolutionary hot loop.  They implement identical semantics.
+Two evaluators exist and implement identical semantics: a recursive one
+that can record a trace of pointer movements, and a postfix virtual machine
+that numba compiles when it is installed.  Evolution scores offspring with
+the recursive one (eval_tree), which is the faster of the two without numba;
+the VM is kept as the second implementation the tests compare it with.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,6 +197,18 @@ def test_request_index_canonical_order():
     assert list(idx.window_base) == [0, 5, 2, 0, 0]
     assert list(idx.window_width) == [2, 3, 3, 8, 2]
     assert list(idx.establishment) == [0, 3, 0, 7, 10]
+
+
+def test_request_index_built_once_per_dataset():
+    ds = parse_dataset("0 20 9.5 0 MF1:NC2 | PF1 |\n1 30 9.4 0 AD2 | | MS1")
+    idx = request_index(ds)
+    assert request_index(ds) is idx
+    for other in (replace(ds), ds.with_taxonomy({20: 0.1})):
+        assert request_index(other) is not idx
+        assert list(request_index(other).person) == list(idx.person)
+    for arr in (idx.person, idx.window_base, idx.health, idx.person_id):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 request_strategy = st.builds(

@@ -3,9 +3,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lockdownsched import gp_engine
+from lockdownsched._simcore import bound_array, counts_for_slots, decode_slots
 from lockdownsched.allocation import AllocationPlan, decode
 from lockdownsched.dataset import generate_dataset, mark_apriori_infection
 from lockdownsched.full_infection import build_pn_table
@@ -19,7 +21,22 @@ from lockdownsched.gp_engine import (
     plan_digest,
     run_pirs,
 )
-from lockdownsched.simulator import MODEL_FULL, MODEL_PARTIAL, fitness, simulate
+from lockdownsched.gp_tree import (
+    GpNode,
+    constant,
+    eval_tree_fast,
+    make_vm_buffers,
+    node,
+    random_tree,
+    sconstant,
+)
+from lockdownsched.simulator import (
+    MODEL_FULL,
+    MODEL_PARTIAL,
+    fitness,
+    fitness_value,
+    simulate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +233,103 @@ class TestFitnessMemo:
             0.0001, 0.7294117647058823, 0.7019607843137265,
             0.41960784313725696, 0.5438596491228069,
         )
+
+
+def printing(values, tail=None):
+    """Tree printing [0.0001, *values]: a right-nested AddRecord chain.
+
+    A value is an int for a Constant or any subtree, such as -1 * 0 for -0.0.
+    """
+    tree = tail if tail is not None else constant(0)
+    for v in values:  # the innermost record is written first
+        tree = node("AddRecord", v if isinstance(v, GpNode) else constant(v), tree)
+    return tree
+
+
+class TestScoringPath:
+    """evaluate() against the pipeline it replaced: VM, bound, decode, week."""
+
+    @pytest.fixture(params=[MODEL_PARTIAL, MODEL_FULL])
+    def world(self, request, small_ds, small_full_ds, tiny_table):
+        if request.param == MODEL_PARTIAL:
+            return small_ds, quick_config(), None
+        return small_full_ds, GpConfig(model=MODEL_FULL, q=5), tiny_table
+
+    @staticmethod
+    def old_score(evaluator, tree, buffers):
+        with np.errstate(all="ignore"):
+            raw = eval_tree_fast(tree, *buffers)
+        if not np.isfinite(raw).all():
+            return (-math.inf, -1, -1)
+        slots = decode_slots(evaluator.ctx, bound_array(raw))
+        n_h, n_d = counts_for_slots(evaluator.ctx, slots)
+        return (fitness_value(n_h, n_d, evaluator.config.w_c), n_h, n_d)
+
+    def test_random_trees(self, world):
+        ds, cfg, table = world
+        evaluator = gp_engine._Evaluator(ds, cfg, table)
+        buffers = make_vm_buffers()
+        rng = random.Random(17)
+        trees = [
+            random_tree(rng, rng.randint(1, 8), rng.choice(["grow", "full"]))
+            for _ in range(150)
+        ]
+        for tree in trees + trees[:40]:  # the repeats are memo hits
+            assert evaluator.evaluate(tree) == self.old_score(evaluator, tree, buffers)
+        assert evaluator.vector_memo and evaluator.memo
+
+    def test_edge_vectors(self, world):
+        ds, cfg, table = world
+        evaluator = gp_engine._Evaluator(ds, cfg, table)
+        buffers = make_vm_buffers()
+        n = evaluator.ctx.n_requests
+        big = constant(128)
+        for _ in range(8):
+            big = node("MultiplyNumber", big, big)  # 128 ** 256 = inf
+        neg_zero = node("MultiplyNumber", constant(-1), constant(0))
+        cases = [
+            (printing([3, big]), False),
+            (printing([node("SubtractNumber", big, big)]), False),  # NaN
+            (printing([neg_zero, 7, neg_zero]), True),
+            (printing([0, 7, 0]), True),
+            (printing([(i % 200) - 90 for i in range(n // 8 - 1)]), True),
+            (printing([(i % 200) - 90 for i in range(n // 8)]), False),
+            (printing([sconstant(i % 256) for i in range(n + 5)]), False),
+        ]
+        assert len(eval_tree_fast(cases[4][0], *buffers)) == n // 8
+        for tree, keyed in cases:
+            before = len(evaluator.vector_memo)
+            assert evaluator.evaluate(tree) == self.old_score(evaluator, tree, buffers)
+            assert len(evaluator.vector_memo) == before + keyed
+        # a NaN or an infinity never enters either memo
+        assert all(math.isfinite(f) for f, _, _ in evaluator.memo.values())
+
+    def test_same_vector_decoded_once(self, small_ds, monkeypatch):
+        decoded, simulated = [], []
+        decode_real, counts_real = gp_engine.decode_slots, gp_engine.counts_for_slots
+
+        def decode_spy(ctx, bounded):
+            decoded.append(1)
+            return decode_real(ctx, bounded)
+
+        def counts_spy(ctx, slots):
+            simulated.append(1)
+            return counts_real(ctx, slots)
+
+        monkeypatch.setattr(gp_engine, "decode_slots", decode_spy)
+        monkeypatch.setattr(gp_engine, "counts_for_slots", counts_spy)
+        evaluator = gp_engine._Evaluator(small_ds, quick_config(), None)
+        a = printing([5, sconstant(40)], tail=constant(1))
+        b = printing([5, sconstant(40)], tail=node("AddNumber", constant(2), constant(3)))
+        vm = make_vm_buffers()
+        printed = [0.0001, 5.0, 40 / 255.0]
+        assert eval_tree_fast(a, *vm).tolist() == eval_tree_fast(b, *vm).tolist() == printed
+        assert evaluator.evaluate(a) == evaluator.evaluate(b)
+        assert (len(decoded), len(simulated)) == (1, 1)
+        # a vector that only bounds alike is decoded again but not simulated
+        c = printing([6, sconstant(40)], tail=constant(1))
+        assert evaluator.evaluate(c) == evaluator.evaluate(a)
+        assert (len(decoded), len(simulated)) == (2, 1)
 
 
 class TestArchive:

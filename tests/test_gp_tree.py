@@ -202,6 +202,43 @@ class TestVmEquivalence:
             for a, b in zip(ref, fast):
                 assert a == b or (math.isnan(a) and math.isnan(b))
 
+    @staticmethod
+    def assert_same_vector(tree, rbuf, stack):
+        # bit for bit, signed zeros and NaNs included: the fitness memo keys
+        # on these bytes
+        ref = np.asarray(eval_tree(tree), dtype=np.float64)
+        assert ref.tobytes() == eval_tree_fast(tree, rbuf, stack).tobytes()
+
+    def test_trees_near_the_size_cap_match_reference(self):
+        rng = random.Random(11)
+        rbuf, stack = make_vm_buffers()
+        for _ in range(20):
+            tree = random_tree(rng, 6, "full")
+            while True:
+                other = random_tree(rng, rng.randint(0, 7), rng.choice(["grow", "full"]))
+                if tree.size + other.size + 1 > gt.TREE_CAP:
+                    break
+                pair = (tree, other) if rng.random() < 0.5 else (other, tree)
+                tree = GpNode(rng.choice(gt.FUNCTION_CODES), 0.0, *pair)
+            assert tree.size > gt.TREE_CAP - 260
+            self.assert_same_vector(tree, rbuf, stack)
+
+    def test_spine_chains_at_the_cap_match_reference(self):
+        # 999 function nodes deep, 1999 nodes: the deepest legal trees, down
+        # either side (the right spine also fills the VM stack)
+        rng = random.Random(5)
+        rbuf, stack = make_vm_buffers()
+        for side in ("left", "right"):
+            tree = constant(3)
+            for i in range(999):
+                leaf = constant(rng.randint(-127, 128)) if i % 3 else sconstant(rng.randint(0, 255))
+                code = gt.FUNCTION_CODES[i % len(gt.FUNCTION_CODES)]
+                pair = (tree, leaf) if side == "left" else (leaf, tree)
+                tree = GpNode(code, 0.0, *pair)
+            assert tree.size == 1999 <= gt.TREE_CAP
+            assert len(eval_tree(tree)) > 70  # one AddRecord in 13 nodes
+            self.assert_same_vector(tree, rbuf, stack)
+
     def test_postfix_length(self):
         tree = build_golden_tree()
         codes, payloads = compile_postfix(tree)
