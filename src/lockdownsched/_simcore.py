@@ -20,17 +20,26 @@ import math
 
 import numpy as np
 
+from . import simulator
 from .dataset import (
     AGE_GROUPS,
-    IMMUNE,
-    INFECTED,
     N_DAYS,
     N_ESTABLISHMENTS,
     N_SLOTS,
     Dataset,
     request_index,
 )
+from .full_infection import Status
 from .partial_infection import g_factor
+from .simulator import (
+    FULL_RULES,
+    MODEL_FULL,
+    MODEL_PARTIAL,
+    OUTCOME_LABELS,
+    PARTIAL_RULES,
+    SimOutcome,
+    _group_averages,
+)
 
 CELLS_PER_DAY = N_SLOTS * N_ESTABLISHMENTS
 N_CELLS = N_DAYS * CELLS_PER_DAY
@@ -40,10 +49,7 @@ class SimContext:
     """Per dataset + model inputs of the week loops, converted once."""
 
     __slots__ = (
-        "ds",
         "model",
-        "s",
-        "table",
         "n_persons",
         "n_requests",
         "req_person",
@@ -63,14 +69,9 @@ class SimContext:
 
 
 def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
-    from .simulator import FULL_RULES, MODEL_FULL, MODEL_PARTIAL, PARTIAL_RULES
-
     ri = request_index(ds)
     ctx = SimContext()
-    ctx.ds = ds
     ctx.model = model
-    ctx.s = s
-    ctx.table = table
     ctx.n_persons = ri.n_persons
     ctx.n_requests = ri.n_requests
     ctx.req_person = ri.person
@@ -104,12 +105,14 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
             [r.out_threshold for r in rules],
             [math.inf if r.immune_above is None else r.immune_above for r in rules],
             [r.recover_above for r in rules],
+            simulator.ISOLATION_HEALTH_CAP,
         )
     elif model == MODEL_FULL:
         if table is None:
             raise ValueError("standard model needs a meeting-probability table")
-        status = {INFECTED: 1, IMMUNE: 2}
-        ctx.status0 = [status.get(p.immunity_flag, 0) for p in ds.persons]
+        # the dataset's immunity flags 0/1/2 are the codes of Status.S/I/R;
+        # the loop keeps them as plain ints, which it compares faster
+        ctx.status0 = [p.immunity_flag for p in ds.persons]
         ctx.levels0 = None
         ctx.gcoef = None
         ctx.probs = list(table.probs)
@@ -180,7 +183,7 @@ def _partial_week(ctx: SimContext, slots):
     _, bounds, members = _buckets(ctx, slots)
     bounds, members = bounds.tolist(), members.tolist()
     age_idx, health, gcoef = ctx.age_idx, ctx.health, ctx.gcoef
-    iso_high, iso_low, out_thr, immune_above, recover_above = ctx.rules
+    iso_high, iso_low, out_thr, immune_above, recover_above, health_cap = ctx.rules
 
     levels = list(ctx.levels0)
     isolated = [False] * n
@@ -231,7 +234,7 @@ def _partial_week(ctx: SimContext, slots):
             x = levels[pi]
             g = age_idx[pi]
             if x > iso_high[g] or (
-                x > iso_low[g] and x <= iso_high[g] and health[pi] <= 7.0
+                x > iso_low[g] and x <= iso_high[g] and health[pi] <= health_cap
             ):
                 isolated[pi] = True
                 iso_day[pi] = day
@@ -334,7 +337,7 @@ def run_slots(ctx: SimContext, slots):
     visits only cells of at least ctx.min_group distinct members; occupancy
     is left to simulate_outcome.
     """
-    if ctx.model == "partial":
+    if ctx.model == MODEL_PARTIAL:
         return _partial_week(ctx, slots)
     return _full_week(ctx, slots)
 
@@ -347,9 +350,6 @@ def counts_for_slots(ctx: SimContext, slots: np.ndarray) -> tuple:
 
 def simulate_outcome(ds: Dataset, plan, model: str, *, s=None, table=None):
     """Week-loop equivalent of simulator.simulate(engine="reference")."""
-    from .full_infection import Status
-    from .simulator import MODEL_PARTIAL, OUTCOME_LABELS, SimOutcome, _group_averages
-
     ctx = build_context(ds, model, s=s, table=table)
     state, extra, iso_day, codes, n_h, n_d = run_slots(ctx, plan.slots)
     by_day = [set() for _ in range(N_DAYS)]
@@ -383,10 +383,9 @@ def simulate_outcome(ds: Dataset, plan, model: str, *, s=None, table=None):
             trajectory=tuple(_group_averages(ds, levels) for levels in extra),
             **common,
         )
-    names = {0: Status.S.name, 1: Status.I.name, 2: Status.R.name}
     return SimOutcome(
         final_levels=None,
-        final_status=tuple((names[st], d) for st, d in zip(state, extra)),
+        final_status=tuple((Status(st).name, d) for st, d in zip(state, extra)),
         trajectory=None,
         **common,
     )

@@ -20,6 +20,7 @@ from .dataset import (
     slot_label,
 )
 
+# the longest vector a plan is decoded from, and the tree machine's pointer cap
 MAX_VECTOR_LEN = 10_000
 
 
@@ -54,12 +55,12 @@ class AllocationPlan:
     def as_map(self, ds: Dataset) -> dict:
         """Map (person id, day, request ordinal) -> slot."""
         out = {}
-        pos = 0
-        for person in ds.persons:
-            for day, requests in enumerate(person.requests_by_day):
-                for ordinal in range(len(requests)):
-                    out[(person.id, day, ordinal)] = self.slots[pos]
-                    pos += 1
+        ordinal = {}
+        for slot, (pi, day, _) in zip(self.slots, ds.requests(), strict=True):
+            key = (ds.persons[pi].id, day)
+            k = ordinal.get(key, 0)
+            ordinal[key] = k + 1
+            out[(*key, k)] = slot
         return out
 
 
@@ -69,18 +70,13 @@ def validate_plan(plan: AllocationPlan, ds: Dataset) -> None:
         raise ValueError(
             f"plan has {len(plan.slots)} slots for {ds.n_requests()} requests"
         )
-    pos = 0
-    for person in ds.persons:
-        for day, requests in enumerate(person.requests_by_day):
-            for req in requests:
-                base, width = WINDOWS[req.window]
-                slot = plan.slots[pos]
-                if not base <= slot < base + width:
-                    raise ValueError(
-                        f"slot {slot} outside window {req.window} "
-                        f"for person {person.id} day {day}"
-                    )
-                pos += 1
+    for slot, (pi, day, req) in zip(plan.slots, ds.requests()):
+        base, width = WINDOWS[req.window]
+        if not base <= slot < base + width:
+            raise ValueError(
+                f"slot {slot} outside window {req.window} "
+                f"for person {ds.persons[pi].id} day {day}"
+            )
 
 
 def decode(vector, ds: Dataset) -> AllocationPlan:
@@ -93,14 +89,10 @@ def decode(vector, ds: Dataset) -> AllocationPlan:
     if len(vector) == 0:
         raise ValueError("vector must not be empty")
     slots = []
-    pos = 0
-    for person in ds.persons:
-        for requests in person.requests_by_day:
-            for req in requests:
-                v = vector[pos % len(vector)]
-                base, width = WINDOWS[req.window]
-                slots.append(base + min(int(v * width), width - 1))
-                pos += 1
+    for pos, (_, _, req) in enumerate(ds.requests()):
+        v = vector[pos % len(vector)]
+        base, width = WINDOWS[req.window]
+        slots.append(base + min(int(v * width), width - 1))
     return AllocationPlan(tuple(slots))
 
 
@@ -123,15 +115,13 @@ def round_robin(ds: Dataset, variant: str) -> AllocationPlan:
     cycle = _ROUND_ROBIN_SLOTS[variant]
     counters = {}
     slots = []
-    for person in ds.persons:
-        for day, requests in enumerate(person.requests_by_day):
-            for req in requests:
-                cls = "M" if req.window in ("M", "A") else req.window
-                key = (day, cls)
-                k = counters.get(key, 0)
-                counters[key] = k + 1
-                seq = cycle[cls]
-                slots.append(seq[k % len(seq)])
+    for _, day, req in ds.requests():
+        cls = "M" if req.window in ("M", "A") else req.window
+        key = (day, cls)
+        k = counters.get(key, 0)
+        counters[key] = k + 1
+        seq = cycle[cls]
+        slots.append(seq[k % len(seq)])
     return AllocationPlan(tuple(slots))
 
 
@@ -143,25 +133,16 @@ def write_plan_csv(plan: AllocationPlan, ds: Dataset, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PLAN_CSV_HEADER)
-        pos = 0
-        for person in ds.persons:
-            for day, requests in enumerate(person.requests_by_day):
-                for req in requests:
-                    slot = plan.slots[pos]
-                    where = (
-                        f"{establishment_label(establishment_id(req.kind, req.index))}, "
-                        f"{slot_label(slot)}"
-                    )
-                    writer.writerow([person.id, day, req.key, slot, where])
-                    pos += 1
+        for slot, (pi, day, req) in zip(plan.slots, ds.requests()):
+            where = (
+                f"{establishment_label(establishment_id(req.kind, req.index))}, "
+                f"{slot_label(slot)}"
+            )
+            writer.writerow([ds.persons[pi].id, day, req.key, slot, where])
 
 
 def read_plan_csv(ds: Dataset, path) -> AllocationPlan:
-    expected = []
-    for person in ds.persons:
-        for day, requests in enumerate(person.requests_by_day):
-            for req in requests:
-                expected.append((person.id, day, req.key))
+    expected = [(ds.persons[pi].id, day, req.key) for pi, day, req in ds.requests()]
     slots = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

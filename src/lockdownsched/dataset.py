@@ -86,6 +86,25 @@ class Dataset:
     def n_requests(self) -> int:
         return sum(p.n_requests() for p in self.persons)
 
+    def requests(self) -> tuple:
+        """(person position, day, request) for every request, in canonical
+        order: person order, then day, then the person's order within the day.
+        Plans, decoders and the simulators all read requests in this order.
+
+        Built on first use and kept, as request_index is: a Dataset never
+        changes, and walking a flat tuple is cheaper than the nested loops.
+        """
+        walk = self.__dict__.get("_requests")
+        if walk is None:
+            walk = tuple(
+                (pi, day, req)
+                for pi, person in enumerate(self.persons)
+                for day, requests in enumerate(person.requests_by_day)
+                for req in requests
+            )
+            object.__setattr__(self, "_requests", walk)
+        return walk
+
     def with_taxonomy(self, priors: dict) -> "Dataset":
         return replace(self, taxonomy_infection=dict(priors))
 
@@ -363,11 +382,7 @@ def mark_apriori_infection(ds: Dataset, fraction_infected: float, fraction_immun
 
 @dataclass(frozen=True)
 class RequestIndex:
-    """Dataset requests flattened in canonical order.
-
-    Canonical order is person order, then day, then the person's request
-    order within the day; decoders consume genome values in this order.
-    """
+    """Dataset requests flattened in canonical order (Dataset.requests)."""
     n_persons: int
     n_requests: int
     person: np.ndarray        # person position in ds.persons (not id)
@@ -376,9 +391,7 @@ class RequestIndex:
     window_width: np.ndarray
     establishment: np.ndarray
     person_id: np.ndarray     # id field per person position
-    age_group: np.ndarray
     health: np.ndarray
-    immunity_flag: np.ndarray
 
 
 def request_index(ds: Dataset) -> RequestIndex:
@@ -400,15 +413,13 @@ def request_index(ds: Dataset) -> RequestIndex:
 
 def _build_request_index(ds: Dataset) -> RequestIndex:
     person, day, base, width, est = [], [], [], [], []
-    for i, p in enumerate(ds.persons):
-        for d, requests in enumerate(p.requests_by_day):
-            for r in requests:
-                b, w = WINDOWS[r.window]
-                person.append(i)
-                day.append(d)
-                base.append(b)
-                width.append(w)
-                est.append(establishment_id(r.kind, r.index))
+    for i, d, r in ds.requests():
+        b, w = WINDOWS[r.window]
+        person.append(i)
+        day.append(d)
+        base.append(b)
+        width.append(w)
+        est.append(establishment_id(r.kind, r.index))
     return RequestIndex(
         n_persons=len(ds.persons),
         n_requests=len(person),
@@ -418,7 +429,5 @@ def _build_request_index(ds: Dataset) -> RequestIndex:
         window_width=np.asarray(width, dtype=np.int8),
         establishment=np.asarray(est, dtype=np.int8),
         person_id=np.asarray([p.id for p in ds.persons], dtype=np.int32),
-        age_group=np.asarray([p.age_group for p in ds.persons], dtype=np.int16),
         health=np.asarray([p.health for p in ds.persons], dtype=np.float64),
-        immunity_flag=np.asarray([p.immunity_flag for p in ds.persons], dtype=np.int8),
     )

@@ -61,19 +61,14 @@ class ExperimentSpec:
     pn_seed: int = 0
 
     def validate(self) -> None:
+        """Reject a bad spec before anything is written; GpConfig checks the
+        model, its parameter, w_c and the evolution settings."""
         if (self.dataset_path is None) == (self.generate_seed is None):
             raise ValueError("exactly one dataset source must be given")
-        if self.model not in (MODEL_PARTIAL, MODEL_FULL):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.model == MODEL_PARTIAL and (self.s is None or self.s < 2):
-            raise ValueError("partial model needs s >= 2")
-        if self.model == MODEL_FULL and (self.q is None or self.q < 1):
-            raise ValueError("full model needs q >= 1")
+        self.gp_config()
         for variant in self.baselines:
             if variant not in BASELINE_VARIANTS:
                 raise ValueError(f"unknown baseline {variant!r}")
-        if not 0.0 <= self.w_c <= 1.0:
-            raise ValueError("w_c outside [0, 1]")
 
     def gp_config(self) -> GpConfig:
         return GpConfig(

@@ -8,10 +8,10 @@ depth-first walk, left child first; every node returns a number to its
 parent and some apply side effects to the machine state.
 
 Two evaluators exist and implement identical semantics: a recursive one
-that can record a trace of pointer movements, and a postfix virtual machine
-that numba compiles when it is installed.  Evolution scores offspring with
-the recursive one (eval_tree), which is the faster of the two without numba;
-the VM is kept as the second implementation the tests compare it with.
+that can record a trace of pointer movements, and a plain-Python postfix
+virtual machine.  Evolution scores offspring with the recursive one
+(eval_tree), the faster of the two; the VM is kept as the second
+implementation the tests compare it with.
 """
 
 from __future__ import annotations
@@ -21,19 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import bound_value
+from .allocation import MAX_VECTOR_LEN, bound_value
 
-try:
-    from numba import njit
-except ImportError:  # numba is an optional extra; run_vm then runs as Python
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-P_MAX = 10_000
 TREE_CAP = 2_000
 
 CONSTANT = 0
@@ -168,20 +157,20 @@ def _eval(node: GpNode, st: EvalState, trace) -> float:
         value = left
     elif code == ZERO_RECORD:
         st.p_r += 1
-        if st.p_r > P_MAX:
-            st.p_r = P_MAX
+        if st.p_r > MAX_VECTOR_LEN:
+            st.p_r = MAX_VECTOR_LEN
         st.write(st.p_r, 0.00001)
         value = left
     elif code == WRITE_RECORD:
         st.p_r += 1
-        if st.p_r > P_MAX:
-            st.p_r = P_MAX
+        if st.p_r > MAX_VECTOR_LEN:
+            st.p_r = MAX_VECTOR_LEN
         st.write(st.p_r, left)
         value = right
     elif code == ADD_RECORD:
         st.p_z += 1
-        if st.p_z > P_MAX:
-            st.p_z = P_MAX
+        if st.p_z > MAX_VECTOR_LEN:
+            st.p_z = MAX_VECTOR_LEN
         st.p_r = st.p_z
         st.write(st.p_r, left)
         value = left
@@ -218,7 +207,7 @@ def genotype_to_vector(root: GpNode) -> tuple:
     return tuple(bound_value(v) for v in eval_tree(root))
 
 
-# --- compiled evaluation ----------------------------------------------------
+# --- postfix evaluation -----------------------------------------------------
 
 def compile_postfix(root: GpNode) -> tuple:
     """Flatten to postfix code/payload arrays for the virtual machine."""
@@ -239,12 +228,11 @@ def compile_postfix(root: GpNode) -> tuple:
     return codes, payloads
 
 
-@njit(cache=True)
 def run_vm(codes, payloads, rbuf, stack):
     """Postfix replay of the machine; returns the final vector length p_z.
 
-    rbuf must hold P_MAX+1 floats (1-based cells), stack must cover the tree
-    depth.  The caller reads the result from rbuf[1..p_z].
+    rbuf must hold MAX_VECTOR_LEN+1 floats (1-based cells), stack must cover
+    the tree depth.  The caller reads the result from rbuf[1..p_z].
     """
     p_r = 1
     p_z = 1
@@ -282,22 +270,22 @@ def run_vm(codes, payloads, rbuf, stack):
         elif op == 8:
             sp -= 1
             p_r += 1
-            if p_r > P_MAX:
-                p_r = P_MAX
+            if p_r > MAX_VECTOR_LEN:
+                p_r = MAX_VECTOR_LEN
             rbuf[p_r] = 0.00001
         elif op == 9:
             left = stack[sp - 2]
             stack[sp - 2] = stack[sp - 1]
             sp -= 1
             p_r += 1
-            if p_r > P_MAX:
-                p_r = P_MAX
+            if p_r > MAX_VECTOR_LEN:
+                p_r = MAX_VECTOR_LEN
             rbuf[p_r] = left
         elif op == 10:
             sp -= 1
             p_z += 1
-            if p_z > P_MAX:
-                p_z = P_MAX
+            if p_z > MAX_VECTOR_LEN:
+                p_z = MAX_VECTOR_LEN
             p_r = p_z
             rbuf[p_r] = stack[sp - 1]
         elif op == 11:
@@ -319,7 +307,7 @@ def run_vm(codes, payloads, rbuf, stack):
 def make_vm_buffers() -> tuple:
     """(rbuf, stack) scratch arrays sized for any legal tree."""
     return (
-        np.zeros(P_MAX + 1, dtype=np.float64),
+        np.zeros(MAX_VECTOR_LEN + 1, dtype=np.float64),
         np.zeros(TREE_CAP + 2, dtype=np.float64),
     )
 

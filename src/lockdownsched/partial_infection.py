@@ -28,16 +28,6 @@ def _g_prefix(s: int, count: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class GFactors:
-    s: int
-    factors: tuple
-
-    @classmethod
-    def build(cls, s: int, count: int) -> "GFactors":
-        return cls(s, tuple(g_factor(s, j) for j in range(1, count + 1)))
-
-
-@dataclass(frozen=True)
 class EncounterGroup:
     """Participants as (person id, i_level) pairs meeting across s sub-locations."""
     participants: tuple

@@ -15,13 +15,10 @@ from dataclasses import dataclass
 from .allocation import AllocationPlan, validate_plan
 from .dataset import (
     AGE_GROUPS,
-    IMMUNE,
-    INFECTED,
     N_DAYS,
     N_ESTABLISHMENTS,
     N_SLOTS,
     Dataset,
-    Person,
     establishment_id,
 )
 from .full_infection import InfectionStatus, PnTable, Status, transmit
@@ -45,9 +42,10 @@ class PartialRule:
     """Per-age-group thresholds for the fractional infection model.
 
     Isolation: I above iso_high, or inside (iso_low, iso_high] while health
-    is at most 7.0.  Outcomes apply when I ends above out_threshold: health
-    above immune_above escapes unharmed, above recover_above survives the
-    ICU, anything lower dies.  Bands are lower-exclusive, upper-inclusive.
+    is at most ISOLATION_HEALTH_CAP.  Outcomes apply when I ends above
+    out_threshold: health above immune_above escapes unharmed, above
+    recover_above survives the ICU, anything lower dies.  Bands are
+    lower-exclusive, upper-inclusive.
     """
     iso_high: float
     iso_low: float
@@ -127,39 +125,6 @@ def full_outcome(age_group: int, status: Status, health: float) -> str:
     return _health_band(health, rule.immune_above, rule.recover_above)
 
 
-def check_isolation(person: Person, state, model: str) -> bool:
-    """End-of-day isolation decision; state is a level or an InfectionStatus."""
-    if person.age_group not in PARTIAL_RULES:
-        raise ValueError(f"unknown age group {person.age_group}")
-    if model == MODEL_PARTIAL:
-        return partial_isolation(person.age_group, state, person.health)
-    if model == MODEL_FULL:
-        if state.status != Status.I:
-            return False
-        return full_isolation(person.age_group, state.days_infected, person.health)
-    raise ValueError(f"unknown model {model!r}")
-
-
-def classify(person: Person, state, model: str) -> str:
-    if model == MODEL_PARTIAL:
-        return partial_outcome(person.age_group, state, person.health)
-    if model == MODEL_FULL:
-        return full_outcome(person.age_group, state.status, person.health)
-    raise ValueError(f"unknown model {model!r}")
-
-
-def evaluate_outcomes(ds: Dataset, final_states, model: str) -> tuple:
-    """(N_H, N_D) from per-person end states; N_H counts ICU survivors only."""
-    n_h = n_d = 0
-    for person, state in zip(ds.persons, final_states, strict=True):
-        out = classify(person, state, model)
-        if out == OUTCOME_ICU_RECOVERED:
-            n_h += 1
-        elif out == OUTCOME_ICU_DEATH:
-            n_d += 1
-    return n_h, n_d
-
-
 def fitness_value(n_h: int, n_d: int, w_c: float = 0.65) -> float:
     if not 0.0 <= w_c <= 1.0:
         raise ValueError("w_c must lie in [0, 1]")
@@ -215,14 +180,9 @@ def fitness(outcome: SimOutcome, w_c: float = 0.65) -> float:
 def _request_cells(ds: Dataset, plan: AllocationPlan):
     """Person indices per (day, slot, establishment), in request order."""
     cells = {}
-    pos = 0
-    for pi, person in enumerate(ds.persons):
-        for day, requests in enumerate(person.requests_by_day):
-            for req in requests:
-                slot = plan.slots[pos]
-                pos += 1
-                est = establishment_id(req.kind, req.index)
-                cells.setdefault((day, slot, est), []).append(pi)
+    for slot, (pi, day, req) in zip(plan.slots, ds.requests()):
+        est = establishment_id(req.kind, req.index)
+        cells.setdefault((day, slot, est), []).append(pi)
     return cells
 
 
@@ -292,14 +252,8 @@ def _simulate_partial(ds: Dataset, plan: AllocationPlan, s: int):
 
 def _simulate_full(ds: Dataset, plan: AllocationPlan, table: PnTable):
     persons = ds.persons
-    states = []
-    for p in persons:
-        if p.immunity_flag == INFECTED:
-            states.append(InfectionStatus(Status.I, 0))
-        elif p.immunity_flag == IMMUNE:
-            states.append(InfectionStatus(Status.R, 0))
-        else:
-            states.append(InfectionStatus(Status.S, 0))
+    # the dataset's immunity flags 0/1/2 are the codes of Status.S/I/R
+    states = [InfectionStatus(Status(p.immunity_flag), 0) for p in persons]
     isolated = [False] * len(persons)
     id_to_index = {p.id: i for i, p in enumerate(persons)}
     cells = _request_cells(ds, plan)
@@ -349,14 +303,14 @@ def simulate(
     *,
     s: int | None = None,
     table: PnTable | None = None,
-    engine: str = "auto",
+    engine: str = "kernel",
 ) -> SimOutcome:
     """Run the three-day simulation of a plan and classify everyone.
 
     The fractional model needs the sub-location count s; the standard model
     needs a meeting-probability table.  engine picks the implementation:
-    "reference" is the readable one, "kernel" the week loop that evolution
-    scores with, "auto" prefers the kernel.  Both produce identical outcomes.
+    "kernel" (the default) is the week loop that evolution scores with,
+    "reference" the readable one below.  Both produce identical outcomes.
     """
     validate_plan(plan, ds)
     if model == MODEL_PARTIAL:
@@ -367,10 +321,10 @@ def simulate(
             raise ValueError("standard model needs a meeting-probability table")
     else:
         raise ValueError(f"unknown model {model!r}")
-    if engine not in ("auto", "kernel", "reference"):
+    if engine not in ("kernel", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
 
-    if engine in ("auto", "kernel"):
+    if engine == "kernel":
         from . import _simcore
 
         return _simcore.simulate_outcome(ds, plan, model, s=s, table=table)

@@ -80,6 +80,15 @@ class TestRun:
         assert "not empty" in capsys.readouterr().err
         assert (out / "keep.txt").read_text() == "precious\n"
 
+    def test_bad_evolution_settings_write_nothing(self, tmp_path, capsys):
+        # a population below 4 is refused before the baselines are written
+        out = tmp_path / "r"
+        args = ["run", "--generate", "1", "--model", "partial", "--s", "4",
+                "--pirs", "1", "--pop", "2", "--budget", "5", "--out", str(out)]
+        assert main(args) == 1
+        assert "population" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestReplayAndCompare:
     def test_round_trip(self, tmp_path, capsys):

@@ -197,15 +197,22 @@ def test_request_index_canonical_order():
     assert list(idx.window_base) == [0, 5, 2, 0, 0]
     assert list(idx.window_width) == [2, 3, 3, 8, 2]
     assert list(idx.establishment) == [0, 3, 0, 7, 10]
+    walked = [(pi, day, req.key) for pi, day, req in ds.requests()]
+    assert walked == [
+        (0, 0, "MF1"), (0, 0, "NC2"), (0, 1, "PF1"), (1, 0, "AD2"), (1, 2, "MS1")
+    ]
 
 
 def test_request_index_built_once_per_dataset():
     ds = parse_dataset("0 20 9.5 0 MF1:NC2 | PF1 |\n1 30 9.4 0 AD2 | | MS1")
     idx = request_index(ds)
     assert request_index(ds) is idx
+    assert ds.requests() is ds.requests()
     for other in (replace(ds), ds.with_taxonomy({20: 0.1})):
         assert request_index(other) is not idx
         assert list(request_index(other).person) == list(idx.person)
+        assert other.requests() is not ds.requests()
+        assert other.requests() == ds.requests()
     for arr in (idx.person, idx.window_base, idx.health, idx.person_id):
         with pytest.raises(ValueError):
             arr[0] = 1

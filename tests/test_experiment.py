@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +63,8 @@ class TestSpec:
             ExperimentSpec(model="full", generate_seed=1, q=None).validate()
         with pytest.raises(ValueError):
             partial_spec(baselines=("comp9",)).validate()
+        with pytest.raises(ValueError, match="population"):
+            partial_spec(population=2).validate()
 
     def test_json_round_trip(self):
         spec = partial_spec(pir_seeds=(3, 4), seed_len=10)
@@ -197,9 +200,9 @@ class TestReplay:
         assert names
         for path in names:
             rel = os.path.relpath(path, out)
-            original = open(path, "rb").read()
-            assert open(first / rel, "rb").read() == original
-            assert open(second / rel, "rb").read() == original
+            original = Path(path).read_bytes()
+            assert (first / rel).read_bytes() == original
+            assert (second / rel).read_bytes() == original
 
     def test_replay_uses_bundled_dataset(self, report, tmp_path):
         _, out, _ = report

@@ -45,9 +45,14 @@ raw_vector = st.lists(raw_value, min_size=1, max_size=3 * N_REQUESTS)
 
 
 @pytest.fixture(scope="module")
-def ctx():
+def ds():
     ds = parse_dataset(TEXT)
     assert ds.n_requests() == N_REQUESTS
+    return ds
+
+
+@pytest.fixture(scope="module")
+def ctx(ds):
     return build_context(ds, "partial", s=4)
 
 
@@ -73,11 +78,11 @@ def test_bound_array_folds_integers_and_zeros():
 @example([0.5])
 @example([0.9999999999999999])
 @example([0.0001 * k for k in range(1, 3 * N_REQUESTS + 1)])
-def test_decode_slots_matches_decode(ctx, values):
+def test_decode_slots_matches_decode(ds, ctx, values):
     bounded = bound_vector(values)
     slots = decode_slots(ctx, np.array(bounded))
     assert slots.dtype == np.int64
-    assert slots.tolist() == list(decode(bounded, ctx.ds).slots)
+    assert slots.tolist() == list(decode(bounded, ds).slots)
 
 
 def test_counts_match_reference_at_benchmark_scale():

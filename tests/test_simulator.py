@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lockdownsched import simulator
 from lockdownsched._simcore import build_context
 from lockdownsched.allocation import AllocationPlan, decode, round_robin
 from lockdownsched.dataset import (
@@ -14,7 +15,6 @@ from lockdownsched.dataset import (
     parse_dataset,
 )
 from lockdownsched.full_infection import (
-    InfectionStatus,
     PnTable,
     Status,
     build_pn_table,
@@ -27,9 +27,6 @@ from lockdownsched.simulator import (
     OUTCOME_ICU_RECOVERED,
     OUTCOME_IMMUNE,
     OUTCOME_NONE,
-    check_isolation,
-    classify,
-    evaluate_outcomes,
     fitness,
     fitness_value,
     full_isolation,
@@ -236,20 +233,6 @@ class TestRules:
         assert full_outcome(80, Status.I, 10.0) == OUTCOME_ICU_RECOVERED
         assert full_outcome(70, Status.I, 9.51) == OUTCOME_IMMUNE
 
-    def test_person_level_wrappers(self):
-        ds = parse_dataset("5 20 8.0 0 | |\n")
-        person = ds.persons[0]
-        assert check_isolation(person, 0.98, MODEL_PARTIAL)
-        assert not check_isolation(person, 0.96, MODEL_PARTIAL)
-        assert not check_isolation(person, InfectionStatus(Status.S), MODEL_FULL)
-        sick = parse_dataset("5 20 4.0 0 | |\n").persons[0]
-        assert check_isolation(sick, InfectionStatus(Status.I, 2), MODEL_FULL)
-        assert classify(person, 0.96, MODEL_PARTIAL) == OUTCOME_IMMUNE
-
-    def test_evaluate_outcomes_partial(self):
-        ds = parse_dataset("1 20 6.0 0 | |\n2 20 2.0 0 | |\n3 20 9.0 0 | |\n")
-        assert evaluate_outcomes(ds, [0.96, 0.96, 0.2], MODEL_PARTIAL) == (1, 1)
-
 
 class TestFitness:
     def test_worked_values(self):
@@ -278,8 +261,9 @@ class TestArgumentChecks:
             simulate(seven_ds, plan, "other", s=4)
         with pytest.raises(ValueError):
             simulate(seven_ds, AllocationPlan((0,) * 6), MODEL_PARTIAL, s=4)
-        with pytest.raises(ValueError):
-            simulate(seven_ds, plan, MODEL_PARTIAL, s=4, engine="turbo")
+        for engine in ("turbo", "auto"):
+            with pytest.raises(ValueError, match="engine"):
+                simulate(seven_ds, plan, MODEL_PARTIAL, s=4, engine=engine)
 
 
 def random_dataset(rng):
@@ -410,6 +394,18 @@ class TestEngineAgreement:
         a = simulate(seven_ds, plan, MODEL_PARTIAL, s=6)
         b = simulate(seven_ds, plan, MODEL_PARTIAL, s=6)
         assert a == b
+
+
+def test_kernel_follows_the_isolation_health_cap(monkeypatch):
+    # both engines read simulator.ISOLATION_HEALTH_CAP; raised to 9.0 it lets
+    # the 70-year-old of health 9.0 isolate in the lower band
+    ds = world(ISOLATING, {40: 0.95, 70: 0.5, 20: 0.99})
+    plan = decode([0.1], ds)
+    before = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="reference")
+    monkeypatch.setattr(simulator, "ISOLATION_HEALTH_CAP", 9.0)
+    ref = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="reference")
+    assert 3 in ref.isolated_by_day[0] - before.isolated_by_day[0]
+    assert simulate(ds, plan, MODEL_PARTIAL, s=4, engine="kernel") == ref
 
 
 # name -> (table, its min_group): the benchmark's q=4 table, a crowded q=40
