@@ -37,14 +37,12 @@ from .full_infection import (
     Status,
     analytic_pn,
     build_pn_table,
-    load_or_build_pn_table,
     transmit,
 )
 from .gp_engine import (
     Archive,
     GpConfig,
     SolutionRecord,
-    config_from_file,
     evolve_pir,
     run_pirs,
 )
@@ -93,7 +91,6 @@ __all__ = [
     "brute_force_pressure",
     "build_pn_table",
     "compare",
-    "config_from_file",
     "decode",
     "encounter_pressure",
     "eval_tree",
@@ -104,7 +101,6 @@ __all__ = [
     "generate_dataset",
     "genotype_to_vector",
     "load_dataset",
-    "load_or_build_pn_table",
     "mark_apriori_infection",
     "parse_dataset",
     "parse_priors",

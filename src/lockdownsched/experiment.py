@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass, field
 
 from .allocation import decode, round_robin, write_plan_csv
@@ -27,7 +29,7 @@ from .dataset import (
     slot_label,
 )
 from .full_infection import build_pn_table
-from .gp_engine import Archive, GpConfig, run_pirs
+from .gp_engine import Archive, GpConfig, dominates, run_pirs
 from .simulator import MODEL_FULL, MODEL_PARTIAL, SimOutcome, fitness_value, simulate
 
 DAY_LABELS = ("MON", "TUE", "WED")
@@ -210,14 +212,35 @@ def _write_solution_detail(dirpath, ds, plan, outcome: SimOutcome) -> None:
 def run_experiment(
     spec: ExperimentSpec, out_dir, *, dataset_override: Dataset | None = None
 ) -> dict:
-    """Execute the run and write the report directory; returns the summary."""
+    """Execute the run and write the report directory; returns the summary.
+
+    The report is written into a hidden sibling of ``out_dir`` and renamed
+    into place once the manifest is written, so an interrupted or failed run
+    leaves ``out_dir`` as it was.
+    """
     spec.validate()
     raw_ds, ds = _prepare_dataset(spec, dataset_override)
     # Stale files from an earlier run would sit beside a fresh manifest and
     # make the tree lie about what was computed, so never write into one.
     if os.path.isdir(out_dir) and os.listdir(out_dir):
         raise ValueError(f"output directory {out_dir} is not empty")
-    os.makedirs(out_dir, exist_ok=True)
+    target = os.path.realpath(out_dir)
+    parent, name = os.path.split(target)
+    os.makedirs(parent, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=f".{name}.", dir=parent)
+    try:
+        # a plain mkdir inside the 0700 staging directory, so the report
+        # gets the mode os.makedirs would give it
+        report = os.path.join(staging, name)
+        os.mkdir(report)
+        summary = _write_report(spec, raw_ds, ds, report)
+        os.rename(report, target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return summary
+
+
+def _write_report(spec: ExperimentSpec, raw_ds, ds, out_dir) -> dict:
     solutions_dir = os.path.join(out_dir, "solutions")
 
     table = None
@@ -408,10 +431,4 @@ def _points(summary: dict) -> list:
 
 def _dominance(winners, losers) -> int:
     """How many loser points are strictly dominated by some winner point."""
-    count = 0
-    for nd, nh in losers:
-        if any(
-            wd <= nd and wh <= nh and (wd < nd or wh < nh) for wd, wh in winners
-        ):
-            count += 1
-    return count
+    return sum(any(dominates(w, loser) for w in winners) for loser in losers)

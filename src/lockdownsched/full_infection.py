@@ -9,7 +9,6 @@ Transmission per encounter then truncates p_n times the susceptible count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -71,20 +70,6 @@ class PnTable:
             return 1.0
         return self.probs[n - 1]
 
-    def save(self, path) -> None:
-        payload = {"q": self.q, "iterations": self.iterations, "seed": self.seed,
-                   "probs": list(self.probs)}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "PnTable":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls(payload["q"], payload["iterations"], payload["seed"],
-                   tuple(payload["probs"]))
-
 
 def build_pn_table(q: int, iterations: int = 100_000, seed: int = 0) -> PnTable:
     """Estimate p_1..p_20 by simulating the 21-person venue visits."""
@@ -109,19 +94,6 @@ def build_pn_table(q: int, iterations: int = 100_000, seed: int = 0) -> PnTable:
         met_counts += met_first_n.sum(axis=0)
         done += m
     return PnTable(q, iterations, seed, tuple(met_counts / iterations))
-
-
-def load_or_build_pn_table(q: int, iterations: int, seed: int, cache_path) -> PnTable:
-    """Reuse a cached table when its (q, iterations, seed) key matches."""
-    try:
-        table = PnTable.load(cache_path)
-        if (table.q, table.iterations, table.seed) == (q, iterations, seed):
-            return table
-    except (OSError, ValueError, KeyError):
-        pass
-    table = build_pn_table(q, iterations, seed)
-    table.save(cache_path)
-    return table
 
 
 def transmit(encounter, table: PnTable) -> set:

@@ -1,11 +1,14 @@
 """Steady-state evolution of slot-printing program trees.
 
 Each parallel independent run (PIR) keeps a fixed-size population.  One
-offspring is produced per iteration: tournament-of-4 parent selection
-(ties prefer the smaller tree), subtree crossover against a second
-tournament winner 80% of the time, subtree mutation otherwise, and a
-kill-tournament-of-2 picks the slot to reuse (ties kill the bigger tree,
-the incumbent best is never killed).  Every strict improvement of the best
+offspring is produced per iteration: tournament-of-``TOURNAMENT_SIZE``
+parent selection (ties prefer the smaller tree), subtree crossover against
+a second tournament winner with probability ``CROSSOVER_RATE``, subtree
+mutation otherwise, and a kill-tournament-of-``KILL_TOURNAMENT_SIZE`` picks
+the slot to reuse (ties kill the bigger tree, the incumbent best is never
+killed).  The initial population and the variation operators use the
+``gp_tree`` defaults: ramped depths 2..6, the ``TREE_CAP`` size cap and
+mutation subtrees of depth at most 4.  Every strict improvement of the best
 fitness is emitted as a solution record, so a run's trajectory can be
 archived and replayed.
 
@@ -24,11 +27,10 @@ import hashlib
 import math
 import random
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import gp_tree
 from ._simcore import (
     bound_array,
     build_context,
@@ -42,6 +44,7 @@ from .simulator import MODEL_FULL, MODEL_PARTIAL, fitness_value
 
 TOURNAMENT_SIZE = 4
 KILL_TOURNAMENT_SIZE = 2
+CROSSOVER_RATE = 0.8
 # entries of both fitness memos together; no key is longer than the request
 # count, so this caps the keys at about 15 MB at 1704 requests.  A full memo
 # starts over
@@ -50,7 +53,11 @@ MEMO_ENTRIES = 8192
 
 @dataclass(frozen=True)
 class GpConfig:
-    """Knobs for one evolution run; validated on construction."""
+    """Settings of one evolution run; validated on construction.
+
+    The search scheme itself is fixed: ``TOURNAMENT_SIZE``,
+    ``KILL_TOURNAMENT_SIZE`` and ``CROSSOVER_RATE`` are module constants.
+    """
 
     model: str = MODEL_PARTIAL
     s: int | None = 4
@@ -58,11 +65,6 @@ class GpConfig:
     w_c: float = 0.65
     population: int = 500
     budget: int = 20_000
-    crossover_rate: float = 0.8
-    tree_cap: int = gp_tree.TREE_CAP
-    init_min_depth: int = 2
-    init_max_depth: int = 6
-    mutation_depth: int = 4
     seed_len: int | None = None
     target_fitness: float | None = None
     target_nd: int | None = None
@@ -82,39 +84,10 @@ class GpConfig:
             raise ValueError("population must be at least 4")
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover rate outside [0, 1]")
         if not 0.0 <= self.w_c <= 1.0:
             raise ValueError("w_c outside [0, 1]")
-        if self.tree_cap < 1 or self.mutation_depth < 0:
-            raise ValueError("bad size limits")
         if self.seed_len is not None and self.seed_len < 1:
             raise ValueError("seed_len must be positive when set")
-
-
-def config_from_file(path) -> GpConfig:
-    """Read ``key = value`` lines into a GpConfig; '#' starts a comment."""
-    known = {f.name: f for f in fields(GpConfig)}
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if not sep or key not in known:
-                raise ValueError(f"line {lineno}: unknown setting {key!r}")
-            if raw.lower() == "none":
-                values[key] = None
-            elif key == "model":
-                values[key] = raw
-            elif key in ("w_c", "crossover_rate", "target_fitness"):
-                values[key] = float(raw)
-            else:
-                values[key] = int(raw)
-    return GpConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -161,17 +134,19 @@ def _slots_digest(ds_hash, slots) -> str:
     return h.hexdigest()
 
 
+def dominates(a, b) -> bool:
+    """Whether (N_D, N_H) point a is no worse than b in both and better in one."""
+    return a[0] <= b[0] and a[1] <= b[1] and a != b
+
+
 def pareto_front(records) -> tuple:
     """Records whose (N_D, N_H) is not dominated by any other record's."""
     points = {(r.n_d, r.n_h) for r in records}
-    front = []
-    for rec in records:
-        nd, nh = rec.n_d, rec.n_h
-        dominated = any(
-            (d <= nd and h <= nh) and (d < nd or h < nh) for d, h in points
-        )
-        if not dominated:
-            front.append(rec)
+    front = [
+        rec
+        for rec in records
+        if not any(dominates(p, (rec.n_d, rec.n_h)) for p in points)
+    ]
     best_per_point = {}
     for rec in sorted(front, key=SolutionRecord.sort_key):
         best_per_point.setdefault((rec.n_d, rec.n_h), rec)
@@ -192,8 +167,10 @@ class _Evaluator:
     when they would hold more than ``MEMO_ENTRIES`` entries between them.
     """
 
-    def __init__(self, ds, config, table):
+    def __init__(self, ds, config, table: PnTable | None = None):
         self.config = config
+        if config.model == MODEL_FULL and table is None:
+            table = build_pn_table(config.q, config.pn_iterations, seed=config.pn_seed)
         self.ctx = build_context(
             ds,
             config.model,
@@ -305,16 +282,10 @@ def evolve_pir(
     finite-fitness best included) in the order they appear.
     """
     if evaluator is None:
-        if config.model == MODEL_FULL and table is None:
-            table = build_pn_table(
-                config.q, config.pn_iterations, seed=config.pn_seed
-            )
         evaluator = _Evaluator(ds, config, table)
     rng = random.Random(seed)
 
-    population = ramped_population(
-        rng, config.population, config.init_min_depth, config.init_max_depth
-    )
+    population = ramped_population(rng, config.population)
     sizes = [t.size for t in population]
     seeding = config.seed_len is not None
 
@@ -350,18 +321,11 @@ def evolve_pir(
         ):
             break
         parent = _tournament(rng, scores, sizes, TOURNAMENT_SIZE)
-        if rng.random() < config.crossover_rate:
+        if rng.random() < CROSSOVER_RATE:
             partner = _tournament(rng, scores, sizes, TOURNAMENT_SIZE)
-            child = crossover(
-                population[parent], population[partner], rng, config.tree_cap
-            )
+            child = crossover(population[parent], population[partner], rng)
         else:
-            child = mutate(
-                population[parent],
-                rng,
-                config.tree_cap,
-                config.mutation_depth,
-            )
+            child = mutate(population[parent], rng)
         spent += 1
         victim = _kill_tournament(rng, scores, sizes, best_idx)
         population[victim] = child
@@ -417,8 +381,6 @@ def run_pirs(
     hospitalisations jointly.  Later PIRs are skipped once a run has already
     met the configured early-stop target.
     """
-    if config.model == MODEL_FULL and table is None:
-        table = build_pn_table(config.q, config.pn_iterations, seed=config.pn_seed)
     evaluator = _Evaluator(ds, config, table)
     records = []
     for pir_id, seed in enumerate(seeds):
@@ -428,7 +390,6 @@ def run_pirs(
             seed,
             records.append,
             pir_id=pir_id,
-            table=table,
             evaluator=evaluator,
         )
         if _target_met(config, best.fitness, best.n_d):

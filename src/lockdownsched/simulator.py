@@ -148,30 +148,6 @@ class SimOutcome:
     def counts(self) -> tuple:
         return self.n_hospitalized, self.n_dead
 
-    def to_json(self, ds: Dataset) -> dict:
-        doc = {
-            "model": self.model,
-            "n_hospitalized": self.n_hospitalized,
-            "n_dead": self.n_dead,
-            "isolated_by_day": [sorted(day) for day in self.isolated_by_day],
-            "persons": [
-                {"id": p.id, "outcome": out}
-                for p, out in zip(ds.persons, self.classifications)
-            ],
-            "occupancy": [
-                [list(slot) for slot in day] for day in self.occupancy
-            ],
-        }
-        if self.model == MODEL_PARTIAL:
-            for entry, lvl in zip(doc["persons"], self.final_levels):
-                entry["infection"] = lvl
-            doc["trajectory"] = [list(row) for row in self.trajectory]
-        else:
-            for entry, (status, days) in zip(doc["persons"], self.final_status):
-                entry["status"] = status
-                entry["days_infected"] = days
-        return doc
-
 
 def fitness(outcome: SimOutcome, w_c: float = 0.65) -> float:
     return fitness_value(outcome.n_hospitalized, outcome.n_dead, w_c)

@@ -3,10 +3,12 @@
 import csv
 import json
 import os
+import stat
 from pathlib import Path
 
 import pytest
 
+from lockdownsched import experiment
 from lockdownsched.allocation import round_robin
 from lockdownsched.dataset import generate_dataset, load_dataset
 from lockdownsched.experiment import (
@@ -39,6 +41,15 @@ def partial_spec(**over):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def tree_bytes(root):
+    """{relative path: bytes} for every file under root."""
+    return {
+        os.path.relpath(os.path.join(d, f), root): Path(d, f).read_bytes()
+        for d, _, files in os.walk(root)
+        for f in files
+    }
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +91,35 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="not empty"):
             run_experiment(partial_spec(), out)
         assert (out / "stale.csv").exists()
+
+    @pytest.mark.parametrize("precreated", [False, True])
+    def test_interrupted_run_leaves_nothing(
+        self, report, tmp_path, monkeypatch, precreated
+    ):
+        _, clean, _ = report
+        out = tmp_path / "run"
+        if precreated:
+            out.mkdir()
+
+        def interrupted(*args, **kwargs):
+            # evolution starts after the baselines and their details are out
+            assert list(tmp_path.rglob("baselines.csv"))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "run_pirs", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(partial_spec(), out)
+        # no half report and no staging sibling
+        assert os.listdir(tmp_path) == (["run"] if precreated else [])
+        assert not out.exists() or os.listdir(out) == []
+
+        monkeypatch.undo()
+        run_experiment(partial_spec(), out)
+        assert tree_bytes(out) == tree_bytes(clean)
+        assert os.listdir(tmp_path) == ["run"]
+        fresh = tmp_path / "fresh"
+        os.makedirs(fresh)
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(fresh.stat().st_mode)
 
     def test_report_files(self, report):
         _, out, _ = report

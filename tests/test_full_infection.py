@@ -9,7 +9,6 @@ from lockdownsched.full_infection import (
     build_pn_table,
     cell_of,
     cell_probabilities,
-    load_or_build_pn_table,
     transmit,
 )
 
@@ -70,17 +69,6 @@ def test_p_for_out_of_range():
     assert table.p_for(0) == 0.0
     with pytest.raises(ValueError):
         build_pn_table(0, iterations=10, seed=1)
-
-
-def test_table_cache_round_trip(tmp_path):
-    path = tmp_path / "pn.json"
-    table = build_pn_table(5, iterations=5_000, seed=7)
-    table.save(path)
-    assert PnTable.load(path) == table
-    assert load_or_build_pn_table(5, 5_000, 7, path) == table
-    rebuilt = load_or_build_pn_table(5, 5_000, 8, path)
-    assert rebuilt.seed == 8
-    assert PnTable.load(path) == rebuilt
 
 
 def infected(pid, days=0):

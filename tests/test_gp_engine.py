@@ -15,7 +15,6 @@ from lockdownsched.gp_engine import (
     Archive,
     GpConfig,
     SolutionRecord,
-    config_from_file,
     evolve_pir,
     pareto_front,
     plan_digest,
@@ -74,33 +73,6 @@ class TestConfig:
             GpConfig(model=MODEL_PARTIAL, s=1)
         with pytest.raises(ValueError):
             GpConfig(model=MODEL_FULL, q=None)
-        with pytest.raises(ValueError):
-            GpConfig(crossover_rate=1.5)
-
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "# evolution settings\n"
-            "model = partial\n"
-            "s = 6\n"
-            "population = 40\n"
-            "budget = 1000\n"
-            "crossover_rate = 0.7\n"
-            "seed_len = none\n"
-            "target_fitness = -2.0\n"
-        )
-        cfg = config_from_file(path)
-        assert cfg.s == 6
-        assert cfg.population == 40
-        assert cfg.crossover_rate == 0.7
-        assert cfg.seed_len is None
-        assert cfg.target_fitness == -2.0
-
-    def test_from_file_rejects_unknown_key(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("mystery = 1\n")
-        with pytest.raises(ValueError):
-            config_from_file(path)
 
 
 class TestEvolvePir:

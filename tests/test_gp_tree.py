@@ -1,5 +1,6 @@
 """Program-tree machine semantics, pinned by a hand-run trace."""
 
+import hashlib
 import math
 import random
 
@@ -243,6 +244,71 @@ class TestVmEquivalence:
         tree = build_golden_tree()
         codes, payloads = compile_postfix(tree)
         assert codes.shape[0] == tree.size == payloads.shape[0]
+
+
+# taken from eval_tree while the postfix VM still agreed with it on every tree
+RANDOM_DIGEST = "c7913c3b5a2059b5ef4888f4aa21ac3f47afdc7fbe753de7482979d406203311"
+NEAR_CAP_DIGEST = "11556b3a04c8da109d058a6b1c60a4e569641353de9587a0cb8875641e97f11c"
+SPINE_DIGEST = "6f04a318d72012058550ff2be452554e657299a227f547ce13e305121d183835"
+
+
+def _seeded_random_trees():
+    rng = random.Random(7)
+    for _ in range(300):
+        yield random_tree(rng, rng.randint(1, 7), rng.choice(["grow", "full"]))
+
+
+def _near_cap_trees():
+    rng = random.Random(11)
+    for _ in range(20):
+        tree = random_tree(rng, 6, "full")
+        while True:
+            other = random_tree(rng, rng.randint(0, 7), rng.choice(["grow", "full"]))
+            if tree.size + other.size + 1 > gt.TREE_CAP:
+                break
+            pair = (tree, other) if rng.random() < 0.5 else (other, tree)
+            tree = GpNode(rng.choice(gt.FUNCTION_CODES), 0.0, *pair)
+        yield tree
+
+
+def _spine_trees():
+    rng = random.Random(5)
+    for side in ("left", "right"):
+        tree = constant(3)
+        for i in range(999):
+            leaf = constant(rng.randint(-127, 128)) if i % 3 else sconstant(rng.randint(0, 255))
+            code = gt.FUNCTION_CODES[i % len(gt.FUNCTION_CODES)]
+            pair = (tree, leaf) if side == "left" else (leaf, tree)
+            tree = GpNode(code, 0.0, *pair)
+        yield tree
+
+
+def _vectors_digest(trees) -> str:
+    """sha256 over each printed vector's length and float64 bytes."""
+    h = hashlib.sha256()
+    for tree in trees:
+        raw = np.asarray(eval_tree(tree), dtype=np.float64)
+        h.update(np.int64(raw.size).tobytes())
+        h.update(raw.tobytes())
+    return h.hexdigest()
+
+
+class TestEvalTreeDigests:
+    """eval_tree's printed vectors, pinned bit for bit (signed zeros and NaN
+    payloads included) so the evaluator has an oracle of its own."""
+
+    def test_random_trees(self):
+        assert _vectors_digest(_seeded_random_trees()) == RANDOM_DIGEST
+
+    def test_trees_near_the_size_cap(self):
+        trees = list(_near_cap_trees())
+        assert all(t.size > gt.TREE_CAP - 260 for t in trees)
+        assert _vectors_digest(trees) == NEAR_CAP_DIGEST
+
+    def test_spine_chains_at_the_cap(self):
+        trees = list(_spine_trees())
+        assert [t.size for t in trees] == [1999, 1999]
+        assert _vectors_digest(trees) == SPINE_DIGEST
 
 
 class TestConstruction:

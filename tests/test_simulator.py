@@ -494,12 +494,11 @@ class TestCellFilter:
         assert status[size:].count("I") == flags[size:].count(INFECTED)
 
 
-def test_outcome_json_round_shape(seven_ds):
+def test_outcome_round_shape(seven_ds):
     plan = AllocationPlan((0,) * 7)
     out = simulate(seven_ds, plan, MODEL_PARTIAL, s=6, engine="reference")
-    doc = out.to_json(seven_ds)
-    assert doc["n_hospitalized"] == 1
-    assert doc["isolated_by_day"] == [[3], [], []]
-    assert len(doc["persons"]) == 7
-    assert doc["persons"][0]["infection"] == pytest.approx(0.4993, abs=1e-3)
-    assert len(doc["trajectory"]) == 12
+    assert out.n_hospitalized == 1
+    assert out.isolated_by_day == (frozenset({3}), frozenset(), frozenset())
+    assert len(out.classifications) == 7
+    assert out.final_levels[0] == pytest.approx(0.4993, abs=1e-3)
+    assert len(out.trajectory) == 12
