@@ -30,7 +30,7 @@ from .dataset import (
     request_index,
 )
 from .full_infection import Status
-from .partial_infection import g_factor
+from .partial_infection import _g_prefix
 from .simulator import (
     FULL_RULES,
     MODEL_FULL,
@@ -83,8 +83,7 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
     ctx.window_base = ri.window_base.astype(np.int64)
     ctx.window_width = ri.window_width.astype(np.int64)
     ctx.person_id = ri.person_id.tolist()
-    age_index = {age: i for i, age in enumerate(AGE_GROUPS)}
-    ctx.age_idx = [age_index[p.age_group] for p in ds.persons]
+    ctx.age_idx = ri.age_index.tolist()
     ctx.health = ri.health.tolist()
 
     if model == MODEL_PARTIAL:
@@ -94,8 +93,8 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
             float(ds.taxonomy_infection.get(p.age_group, 0.0)) for p in ds.persons
         ]
         ctx.status0 = None
-        # same Python expression as the reference, so the bits agree
-        ctx.gcoef = [g_factor(s, j) for j in range(1, ctx.n_persons + 2)]
+        # the reference's own g factors, so the bits agree
+        ctx.gcoef = _g_prefix(s, ctx.n_persons + 1)
         ctx.probs = None
         ctx.min_group = None
         rules = [PARTIAL_RULES[a] for a in AGE_GROUPS]

@@ -12,16 +12,30 @@ import csv
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dataset import (
+    N_DAYS,
+    N_ESTABLISHMENTS,
+    N_SLOTS,
     WINDOWS,
     Dataset,
-    establishment_id,
     establishment_label,
+    request_index,
     slot_label,
 )
 
 # the longest vector a plan is decoded from, and the tree machine's pointer cap
 MAX_VECTOR_LEN = 10_000
+
+# (establishment label, hours label) of every cell of a day, and the plan
+# CSV's "where" column built from them; est * N_SLOTS + slot indexes both
+CELL_LABELS = tuple(
+    (establishment_label(est), slot_label(slot))
+    for est in range(N_ESTABLISHMENTS)
+    for slot in range(N_SLOTS)
+)
+_WHERE_LABELS = tuple(f"{est}, {hours}" for est, hours in CELL_LABELS)
 
 
 def bound_value(x: float) -> float:
@@ -65,18 +79,22 @@ class AllocationPlan:
 
 
 def validate_plan(plan: AllocationPlan, ds: Dataset) -> None:
-    """Check the plan covers the dataset and respects every request window."""
-    if len(plan.slots) != ds.n_requests():
+    """Check the plan covers the dataset and respects every request window;
+    the error names the first request out of its window."""
+    ri = request_index(ds)
+    if len(plan.slots) != ri.n_requests:
         raise ValueError(
-            f"plan has {len(plan.slots)} slots for {ds.n_requests()} requests"
+            f"plan has {len(plan.slots)} slots for {ri.n_requests} requests"
         )
-    for slot, (pi, day, req) in zip(plan.slots, ds.requests()):
-        base, width = WINDOWS[req.window]
-        if not base <= slot < base + width:
-            raise ValueError(
-                f"slot {slot} outside window {req.window} "
-                f"for person {ds.persons[pi].id} day {day}"
-            )
+    offset = np.asarray(plan.slots) - ri.window_base
+    bad = np.flatnonzero((offset < 0) | (offset >= ri.window_width))
+    if bad.size:
+        pos = int(bad[0])
+        pi, day, req = ds.requests()[pos]
+        raise ValueError(
+            f"slot {plan.slots[pos]} outside window {req.window} "
+            f"for person {ds.persons[pi].id} day {day}"
+        )
 
 
 def decode(vector, ds: Dataset) -> AllocationPlan:
@@ -113,16 +131,15 @@ def round_robin(ds: Dataset, variant: str) -> AllocationPlan:
     if variant not in _ROUND_ROBIN_SLOTS:
         raise ValueError(f"unknown round robin variant {variant!r}")
     cycle = _ROUND_ROBIN_SLOTS[variant]
-    counters = {}
-    slots = []
-    for _, day, req in ds.requests():
-        cls = "M" if req.window in ("M", "A") else req.window
-        key = (day, cls)
-        k = counters.get(key, 0)
-        counters[key] = k + 1
-        seq = cycle[cls]
-        slots.append(seq[k % len(seq)])
-    return AllocationPlan(tuple(slots))
+    ri = request_index(ds)
+    # a window's first slot fixes its class: M and A start at 0, P at 2, N at 5
+    cls = np.searchsorted([WINDOWS[c][0] for c in "MPN"], ri.window_base)
+    key = ri.day * 3 + cls
+    # a request's counter value k: the earlier requests with its (day, class)
+    seen = np.cumsum(key[:, None] == np.arange(N_DAYS * 3), axis=0)
+    k = seen[np.arange(ri.n_requests), key] - 1
+    seq = np.asarray([cycle[c] for c in "MPN"])  # one cycle length per variant
+    return AllocationPlan(tuple(seq[cls, k % seq.shape[1]].tolist()))
 
 
 PLAN_CSV_HEADER = ("person", "day", "request", "slot", "where")
@@ -130,19 +147,23 @@ PLAN_CSV_HEADER = ("person", "day", "request", "slot", "where")
 
 def write_plan_csv(plan: AllocationPlan, ds: Dataset, path) -> None:
     validate_plan(plan, ds)
+    ri = request_index(ds)
+    cell = ri.establishment * N_SLOTS + np.asarray(plan.slots)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PLAN_CSV_HEADER)
-        for slot, (pi, day, req) in zip(plan.slots, ds.requests()):
-            where = (
-                f"{establishment_label(establishment_id(req.kind, req.index))}, "
-                f"{slot_label(slot)}"
-            )
-            writer.writerow([ds.persons[pi].id, day, req.key, slot, where])
+        writer.writerows(zip(
+            ri.person_id[ri.person].tolist(),
+            ri.day.tolist(),
+            ri.key,
+            plan.slots,
+            [_WHERE_LABELS[c] for c in cell.tolist()],
+        ))
 
 
 def read_plan_csv(ds: Dataset, path) -> AllocationPlan:
-    expected = [(ds.persons[pi].id, day, req.key) for pi, day, req in ds.requests()]
+    ri = request_index(ds)
+    expected = list(zip(ri.person_id[ri.person].tolist(), ri.day.tolist(), ri.key))
     slots = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

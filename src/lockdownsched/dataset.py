@@ -74,9 +74,6 @@ class Person:
     immunity_flag: int
     requests_by_day: tuple  # 3 tuples of VisitRequest
 
-    def n_requests(self) -> int:
-        return sum(len(day) for day in self.requests_by_day)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -84,7 +81,7 @@ class Dataset:
     taxonomy_infection: dict = field(default_factory=dict)
 
     def n_requests(self) -> int:
-        return sum(p.n_requests() for p in self.persons)
+        return len(self.requests())
 
     def requests(self) -> tuple:
         """(person position, day, request) for every request, in canonical
@@ -106,7 +103,11 @@ class Dataset:
         return walk
 
     def with_taxonomy(self, priors: dict) -> "Dataset":
-        return replace(self, taxonomy_infection=dict(priors))
+        """The same persons under new priors.  The copy shares this dataset's
+        serialized text, which does not depend on the priors."""
+        new = replace(self, taxonomy_infection=dict(priors))
+        new.__dict__["_text"] = self.__dict__.setdefault("_text", [])
+        return new
 
     def digest(self) -> str:
         """Content hash covering persons, requests and taxonomy priors."""
@@ -132,6 +133,12 @@ def parse_request_key(key: str, lineno: int = 0) -> VisitRequest:
     if idx not in "12":
         raise DatasetFormatError(lineno, f"establishment index must be 1 or 2 in {key!r}")
     return VisitRequest(window, kind, int(idx))
+
+
+# every valid request, by key; parse_dataset shares these instances
+_REQUESTS = {r.key: r for r in (
+    VisitRequest(w, k, i) for w in WINDOWS for k in ESTABLISHMENT_KINDS for i in (1, 2)
+)}
 
 
 def parse_dataset(text: str) -> Dataset:
@@ -175,7 +182,9 @@ def parse_dataset(text: str) -> Dataset:
         days = []
         for segment in segments:
             keys = [k.strip() for k in segment.split(":")]
-            days.append(tuple(parse_request_key(k, lineno) for k in keys if k))
+            days.append(tuple(
+                _REQUESTS.get(k) or parse_request_key(k, lineno) for k in keys if k
+            ))
         while len(days) < N_DAYS:
             days.append(())
         persons.append(Person(pid, age, health, flag, tuple(days)))
@@ -184,11 +193,17 @@ def parse_dataset(text: str) -> Dataset:
 
 
 def serialize_dataset(ds: Dataset) -> str:
-    lines = []
-    for p in ds.persons:
-        days = " | ".join(":".join(r.key for r in day) for day in p.requests_by_day)
-        lines.append(f"{p.id} {p.age_group} {p.health!r} {p.immunity_flag} {days}".rstrip())
-    return "\n".join(lines) + "\n"
+    """The dataset's persons in the text format, built on first use and kept
+    in a one-item list (the priors are not part of it, so with_taxonomy
+    copies share the list; digest() and save_dataset share the text)."""
+    cell = ds.__dict__.setdefault("_text", [])
+    if not cell:
+        lines = []
+        for p in ds.persons:
+            days = " | ".join(":".join(r.key for r in day) for day in p.requests_by_day)
+            lines.append(f"{p.id} {p.age_group} {p.health!r} {p.immunity_flag} {days}".rstrip())
+        cell.append("\n".join(lines) + "\n")
+    return cell[0]
 
 
 def load_dataset(path) -> Dataset:
@@ -390,8 +405,11 @@ class RequestIndex:
     window_base: np.ndarray
     window_width: np.ndarray
     establishment: np.ndarray
+    key: tuple                # request key text
     person_id: np.ndarray     # id field per person position
     health: np.ndarray
+    age_index: np.ndarray     # AGE_GROUPS position per person position
+    age_count: tuple          # persons per age group, in AGE_GROUPS order
 
 
 def request_index(ds: Dataset) -> RequestIndex:
@@ -412,7 +430,8 @@ def request_index(ds: Dataset) -> RequestIndex:
 
 
 def _build_request_index(ds: Dataset) -> RequestIndex:
-    person, day, base, width, est = [], [], [], [], []
+    age_index = np.asarray([AGE_GROUPS.index(p.age_group) for p in ds.persons], dtype=np.intp)
+    person, day, base, width, est, key = [], [], [], [], [], []
     for i, d, r in ds.requests():
         b, w = WINDOWS[r.window]
         person.append(i)
@@ -420,6 +439,7 @@ def _build_request_index(ds: Dataset) -> RequestIndex:
         base.append(b)
         width.append(w)
         est.append(establishment_id(r.kind, r.index))
+        key.append(r.key)
     return RequestIndex(
         n_persons=len(ds.persons),
         n_requests=len(person),
@@ -428,6 +448,9 @@ def _build_request_index(ds: Dataset) -> RequestIndex:
         window_base=np.asarray(base, dtype=np.int8),
         window_width=np.asarray(width, dtype=np.int8),
         establishment=np.asarray(est, dtype=np.int8),
+        key=tuple(key),
         person_id=np.asarray([p.id for p in ds.persons], dtype=np.int32),
         health=np.asarray([p.health for p in ds.persons], dtype=np.float64),
+        age_index=age_index,
+        age_count=tuple(np.bincount(age_index, minlength=len(AGE_GROUPS)).tolist()),
     )

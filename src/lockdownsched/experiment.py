@@ -17,16 +17,16 @@ import shutil
 import tempfile
 from dataclasses import asdict, dataclass, field
 
-from .allocation import decode, round_robin, write_plan_csv
+from .allocation import CELL_LABELS, decode, round_robin, write_plan_csv
 from .dataset import (
     AGE_GROUPS,
+    N_SLOTS,
     Dataset,
-    establishment_label,
     generate_dataset,
     load_dataset,
     mark_apriori_infection,
+    request_index,
     save_dataset,
-    slot_label,
 )
 from .full_infection import build_pn_table
 from .gp_engine import Archive, GpConfig, dominates, run_pirs
@@ -127,15 +127,24 @@ def _prepare_dataset(spec: ExperimentSpec, override: Dataset | None) -> tuple:
 
 
 def _age_band_weights(ds: Dataset) -> list:
-    counts = {age: 0 for age in AGE_GROUPS}
-    for person in ds.persons:
-        counts[person.age_group] += 1
+    """(age group positions, their person counts, total) of each AGE_BANDS band."""
+    counts = request_index(ds).age_count
     bands = []
-    for name, ages in AGE_BANDS:
+    for _, ages in AGE_BANDS:
         idx = [AGE_GROUPS.index(a) for a in ages]
-        total = sum(counts[a] for a in ages)
-        bands.append((name, idx, [counts[a] for a in ages], total))
+        weights = [counts[g] for g in idx]
+        bands.append((idx, weights, sum(weights)))
     return bands
+
+
+def _band_value(group_avgs, idx, weights, total) -> float:
+    """Person-weighted mean of some age groups' averages.  The terms are
+    added left to right, as sum() did before Python 3.12 compensated it, so
+    the report's bytes do not depend on the Python version."""
+    value = 0.0
+    for g, w in zip(idx, weights):
+        value += group_avgs[g] * w
+    return value / total if total else 0.0
 
 
 def _write_rows(path, header, rows) -> None:
@@ -153,9 +162,8 @@ def _write_solution_detail(dirpath, ds, plan, outcome: SimOutcome) -> None:
     for day, day_grid in enumerate(outcome.occupancy):
         for slot, counts in enumerate(day_grid):
             for est, count in enumerate(counts):
-                occupancy_rows.append(
-                    (DAY_LABELS[day], slot_label(slot), establishment_label(est), count)
-                )
+                est_label, hours = CELL_LABELS[est * N_SLOTS + slot]
+                occupancy_rows.append((DAY_LABELS[day], hours, est_label, count))
     _write_rows(
         os.path.join(dirpath, "occupancy.csv"),
         ("day", "hours", "establishment", "attendees"),
@@ -168,13 +176,7 @@ def _write_solution_detail(dirpath, ds, plan, outcome: SimOutcome) -> None:
         for i, group_avgs in enumerate(outcome.trajectory):
             day, checkpoint = divmod(i, 4)
             hour = 8 + 4 * (checkpoint + 1)
-            cells = []
-            for _, idx, weights, total in bands:
-                if total:
-                    value = sum(group_avgs[g] * w for g, w in zip(idx, weights)) / total
-                else:
-                    value = 0.0
-                cells.append(repr(value))
+            cells = [repr(_band_value(group_avgs, *band)) for band in bands]
             rows.append((DAY_LABELS[day], hour, *cells))
         _write_rows(
             os.path.join(dirpath, "trajectory.csv"),

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .allocation import AllocationPlan, validate_plan
 from .dataset import (
     AGE_GROUPS,
@@ -20,6 +22,7 @@ from .dataset import (
     N_SLOTS,
     Dataset,
     establishment_id,
+    request_index,
 )
 from .full_infection import InfectionStatus, PnTable, Status, transmit
 from .partial_infection import EncounterGroup, encounter_pressure
@@ -175,13 +178,13 @@ def _gather(bucket, isolated):
 
 
 def _group_averages(ds: Dataset, levels) -> tuple:
-    sums = {age: 0.0 for age in AGE_GROUPS}
-    counts = {age: 0 for age in AGE_GROUPS}
-    for person, lvl in zip(ds.persons, levels):
-        sums[person.age_group] += lvl
-        counts[person.age_group] += 1
+    """Mean level of each age group (0.0 if empty) as Python floats; bincount
+    adds a group's levels in person order, as a left-to-right += loop does."""
+    ri = request_index(ds)
+    sums = np.bincount(ri.age_index, weights=levels, minlength=len(AGE_GROUPS))
     return tuple(
-        sums[age] / counts[age] if counts[age] else 0.0 for age in AGE_GROUPS
+        total / count if count else 0.0
+        for total, count in zip(sums.tolist(), ri.age_count)
     )
 
 

@@ -1,4 +1,6 @@
+import csv
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -14,7 +16,14 @@ from lockdownsched.allocation import (
     validate_plan,
     write_plan_csv,
 )
-from lockdownsched.dataset import WINDOWS, parse_dataset
+from lockdownsched.dataset import (
+    WINDOWS,
+    establishment_id,
+    establishment_label,
+    generate_dataset,
+    parse_dataset,
+    slot_label,
+)
 
 TEXT = """
 1 20 9.5 0 MF1:AD2 | NF1 | PC1:MS2
@@ -159,3 +168,98 @@ def test_windows_match_slot_layout():
     assert WINDOWS["P"] == (2, 3)
     assert WINDOWS["N"] == (5, 3)
     assert WINDOWS["A"] == (0, 8)
+
+
+# The per-request loops that validate_plan, round_robin and write_plan_csv
+# replaced with array expressions: oracles for the tests below.
+
+def _validate_plan_loop(plan, ds):
+    if len(plan.slots) != ds.n_requests():
+        raise ValueError(
+            f"plan has {len(plan.slots)} slots for {ds.n_requests()} requests"
+        )
+    for slot, (pi, day, req) in zip(plan.slots, ds.requests()):
+        base, width = WINDOWS[req.window]
+        if not base <= slot < base + width:
+            raise ValueError(
+                f"slot {slot} outside window {req.window} "
+                f"for person {ds.persons[pi].id} day {day}"
+            )
+
+
+def _round_robin_loop(ds, variant):
+    cycle = {
+        "comp1": {"M": (0,), "P": (2,), "N": (5,)},
+        "comp2": {"M": (0, 1), "P": (2, 4), "N": (5, 7)},
+        "comp3": {"M": (0, 1, 0), "P": (2, 3, 4), "N": (5, 6, 7)},
+    }[variant]
+    counters, slots = {}, []
+    for _, day, req in ds.requests():
+        cls = "M" if req.window in ("M", "A") else req.window
+        k = counters.get((day, cls), 0)
+        counters[(day, cls)] = k + 1
+        slots.append(cycle[cls][k % len(cycle[cls])])
+    return tuple(slots)
+
+
+def _write_plan_csv_loop(plan, ds, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("person", "day", "request", "slot", "where"))
+        for slot, (pi, day, req) in zip(plan.slots, ds.requests()):
+            est = establishment_label(establishment_id(req.kind, req.index))
+            where = f"{est}, {slot_label(slot)}"
+            writer.writerow([ds.persons[pi].id, day, req.key, slot, where])
+
+
+def _message(check, plan, ds):
+    try:
+        check(plan, ds)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_validate_plan_matches_the_loop(seed):
+    ds = generate_dataset(seed)
+    rng = random.Random(seed)
+    good = decode([rng.random() for _ in range(50)], ds).slots
+    plans = [good, good[:-1], good + (0,), (), good[: len(good) // 2]]
+    windows = [WINDOWS[req.window] for _, _, req in ds.requests()]
+    for n_bad in (1, 1, 1, 2, 3) * 20:
+        bad = list(good)
+        for pos in rng.sample(range(len(good)), n_bad):
+            base, width = windows[pos]
+            # just outside the window on either side, or anywhere off the day
+            bad[pos] = rng.choice([base - 1, base + width, -1, 8, 1000])
+        plans.append(tuple(bad))
+    messages = [_message(_validate_plan_loop, AllocationPlan(p), ds) for p in plans]
+    assert messages[0] is None
+    assert all(m is not None for m in messages[1:])
+    for slots, expected in zip(plans, messages):
+        assert _message(validate_plan, AllocationPlan(slots), ds) == expected
+
+
+def test_write_plan_csv_checks_before_creating_the_file(tmp_path, ds):
+    bad = list(round_robin(ds, "comp1").slots)
+    bad[2] = 0  # NF1 forced into the morning
+    path = tmp_path / "plan.csv"
+    with pytest.raises(ValueError, match="slot 0 outside window N for person 1 day 1"):
+        write_plan_csv(AllocationPlan(tuple(bad)), ds, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_round_robin_and_plan_csv_match_the_loops(tmp_path, seed):
+    ds = generate_dataset(seed)
+    plans = [decode([0.1, 0.7, 0.45], ds)]
+    for variant in ("comp1", "comp2", "comp3"):
+        plan = round_robin(ds, variant)
+        assert plan.slots == _round_robin_loop(ds, variant)
+        assert all(type(slot) is int for slot in plan.slots)
+        plans.append(plan)
+    for plan in plans:
+        write_plan_csv(plan, ds, tmp_path / "new.csv")
+        _write_plan_csv_loop(plan, ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -241,3 +241,42 @@ def test_generation_round_trip_property(seed):
     ds = generate_dataset(seed, small)
     assert parse_dataset(serialize_dataset(ds)) == ds
     assert generate_dataset(seed, small) == ds
+
+
+def test_serialized_text_cannot_go_stale():
+    def fresh(d):
+        # a new Dataset object has no kept text, so this serializes anew
+        return serialize_dataset(Dataset(d.persons))
+
+    ds = generate_dataset(3)
+    text = serialize_dataset(ds)
+    assert serialize_dataset(ds) is text
+    taxed = ds.with_taxonomy({20: 0.3})
+    assert serialize_dataset(taxed) is text
+    # a derived dataset that serializes first builds the text for both
+    other = generate_dataset(4)
+    other_taxed = other.with_taxonomy({30: 0.2})
+    assert serialize_dataset(other_taxed) == fresh(other)
+    assert serialize_dataset(other) is serialize_dataset(other_taxed)
+    derived = (
+        replace(ds, persons=ds.persons[:-1]),
+        replace(taxed, persons=ds.persons[1:]),
+        mark_apriori_infection(taxed, 0.1, 0.05, seed=1),
+        parse_dataset(text),
+    )
+    for d in derived:
+        assert serialize_dataset(d) == fresh(d)
+    assert [serialize_dataset(d) == text for d in derived] == [False, False, False, True]
+    # the digest still covers the priors, which the kept text leaves out
+    assert taxed.digest() != ds.digest()
+    assert taxed.digest() != taxed.with_taxonomy({20: 0.4}).digest()
+    assert taxed.with_taxonomy({}).digest() == ds.digest()
+
+
+@pytest.mark.parametrize("key", ["XD2", "AZ2", "AD3", "AD", "MF12", "mf1"])
+def test_parse_dataset_rejects_keys_as_parse_request_key_does(key):
+    with pytest.raises(DatasetFormatError) as direct:
+        parse_request_key(key, lineno=3)
+    with pytest.raises(DatasetFormatError) as parsed:
+        parse_dataset(f"1 30 9.4 0 MF1\n\n2 30 9.4 0 PF1 | NC2:{key}")
+    assert str(parsed.value) == str(direct.value)

@@ -10,7 +10,7 @@ import pytest
 
 from lockdownsched import experiment
 from lockdownsched.allocation import round_robin
-from lockdownsched.dataset import generate_dataset, load_dataset
+from lockdownsched.dataset import AGE_GROUPS, generate_dataset, load_dataset, parse_dataset
 from lockdownsched.experiment import (
     ExperimentSpec,
     compare,
@@ -19,7 +19,7 @@ from lockdownsched.experiment import (
     spec_from_json,
     spec_to_json,
 )
-from lockdownsched.simulator import simulate
+from lockdownsched.simulator import SimOutcome, simulate
 
 PRIORS = {20: 0.01, 40: 0.03, 50: 0.02}
 
@@ -223,6 +223,37 @@ class TestRunExperiment:
         rosters = read_csv(tmp_path / "full" / "solutions" / "comp1" / "rosters.csv")
         assert rosters[0] == ["category", "person", "age", "day", "infection"]
         assert not (tmp_path / "full" / "solutions" / "comp1" / "trajectory.csv").exists()
+
+
+def test_trajectory_bands_add_left_to_right(tmp_path):
+    """A band value adds its terms in order, as sum() did before Python 3.12
+    compensated it, so a report replays byte for byte on every version."""
+    # one person per age group, so every weight is 1 and the middle band
+    # (40, 50, 60) adds 1e16 + 1.0 - 1e16: 0.0 in order, 1.0 compensated
+    ds = parse_dataset("\n".join(f"{i} {age} 9.0 0 MF1" for i, age in enumerate(AGE_GROUPS)))
+    averages = (0.25, 0.5, 1e16, 1.0, -1e16, 0.125, 0.0)
+    n = len(ds.persons)
+    outcome = SimOutcome(
+        model="partial",
+        n_hospitalized=0,
+        n_dead=0,
+        isolated_by_day=(frozenset(),) * 3,
+        classifications=("none",) * n,
+        final_levels=(0.0,) * n,
+        final_status=None,
+        trajectory=(averages,) * 12,
+        occupancy=(((0,) * 12,) * 8,) * 3,
+    )
+    experiment._write_solution_detail(tmp_path, ds, round_robin(ds, "comp1"), outcome)
+    expected = []
+    for ages in ((20, 30), (40, 50, 60), (70, 80)):
+        value = 0.0
+        for age in ages:
+            value += averages[AGE_GROUPS.index(age)] * 1
+        expected.append(repr(value / len(ages)))
+    assert expected[1] == "0.0"
+    rows = read_csv(tmp_path / "trajectory.csv")
+    assert [row[2:] for row in rows[1:]] == [expected] * 12
 
 
 class TestReplay:

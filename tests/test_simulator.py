@@ -502,3 +502,25 @@ def test_outcome_round_shape(seven_ds):
     assert len(out.classifications) == 7
     assert out.final_levels[0] == pytest.approx(0.4993, abs=1e-3)
     assert len(out.trajectory) == 12
+
+
+def _group_averages_loop(ds, levels):
+    """The dict loop _group_averages replaced: the oracle for its bincount."""
+    sums = {age: 0.0 for age in AGE_GROUPS}
+    counts = {age: 0 for age in AGE_GROUPS}
+    for person, lvl in zip(ds.persons, levels):
+        sums[person.age_group] += lvl
+        counts[person.age_group] += 1
+    return tuple(sums[a] / counts[a] if counts[a] else 0.0 for a in AGE_GROUPS)
+
+
+def test_group_averages_match_the_dict_loop():
+    rng = random.Random(5)
+    for _ in range(200):
+        ds = random_dataset(rng)
+        # mixed magnitudes, so a different addition order shows in the bits
+        levels = [rng.random() * 10.0 ** rng.randint(-12, 0) for _ in ds.persons]
+        got = simulator._group_averages(ds, levels)
+        assert got == _group_averages_loop(ds, levels)
+        # Python floats: repr of a numpy float would change trajectory.csv
+        assert all(type(x) is float for x in got)
