@@ -33,7 +33,6 @@ from .full_infection import Status
 from .partial_infection import _g_prefix
 from .simulator import (
     FULL_RULES,
-    MODEL_FULL,
     MODEL_PARTIAL,
     OUTCOME_LABELS,
     PARTIAL_RULES,
@@ -86,9 +85,8 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
     ctx.age_idx = ri.age_index.tolist()
     ctx.health = ri.health.tolist()
 
+    # callers check the model, s and table first: simulate and GpConfig
     if model == MODEL_PARTIAL:
-        if s is None or s < 2:
-            raise ValueError("fractional model needs s >= 2")
         ctx.levels0 = [
             float(ds.taxonomy_infection.get(p.age_group, 0.0)) for p in ds.persons
         ]
@@ -106,9 +104,7 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
             [r.recover_above for r in rules],
             simulator.ISOLATION_HEALTH_CAP,
         )
-    elif model == MODEL_FULL:
-        if table is None:
-            raise ValueError("standard model needs a meeting-probability table")
+    else:
         # the dataset's immunity flags 0/1/2 are the codes of Status.S/I/R;
         # the loop keeps them as plain ints, which it compares faster
         ctx.status0 = [p.immunity_flag for p in ds.persons]
@@ -123,8 +119,6 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
             [math.inf if r.immune_above is None else r.immune_above for r in rules],
             [r.recover_above for r in rules],
         )
-    else:
-        raise ValueError(f"unknown model {model!r}")
     return ctx
 
 

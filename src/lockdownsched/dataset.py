@@ -289,41 +289,21 @@ CANONICAL_PROFILE = PopulationProfile(
 )
 
 
-def _validate_profile(profile: PopulationProfile) -> None:
-    for age, g in profile.groups.items():
-        if age not in AGE_GROUPS:
-            raise ValueError(f"profile group {age} not a known age group")
-        if g.count < 0:
-            raise ValueError(f"group {age}: negative person count")
-        if g.health_min > g.health_max:
-            raise ValueError(f"group {age}: health min above max")
-        if len(g.visits) != N_DAYS:
-            raise ValueError(f"group {age}: expected {N_DAYS} per-day visit stats")
-        for stats in g.visits:
-            if stats.minimum > stats.maximum:
-                raise ValueError(f"group {age}: visit min above max")
-    for day, total in enumerate(profile.day_totals):
-        lo = sum(g.count * g.visits[day].minimum for g in profile.groups.values())
-        hi = sum(g.count * g.visits[day].maximum for g in profile.groups.values())
-        if not lo <= total <= hi:
-            raise ValueError(f"day {day}: total {total} infeasible for [{lo}, {hi}]")
-
-
 def _random_request(rng) -> VisitRequest:
     window = "MPNA"[rng.integers(0, 4)]
     kind = ESTABLISHMENT_KINDS[rng.integers(0, 6)]
     return VisitRequest(window, kind, int(rng.integers(1, 3)))
 
 
-def generate_dataset(seed: int, profile: PopulationProfile = CANONICAL_PROFILE) -> Dataset:
-    """Build a synthetic population matching the profile statistics.
+def generate_dataset(seed: int) -> Dataset:
+    """Build a synthetic population matching CANONICAL_PROFILE's statistics.
 
     Health comes from a clipped normal per group; per-day visit counts from a
     rounded clipped normal, then nudged within the per-group bounds so each
     day's total request count lands exactly on the profile's day totals.
-    Pure function of (seed, profile).
+    Pure function of the seed.
     """
-    _validate_profile(profile)
+    profile = CANONICAL_PROFILE
     rng = np.random.default_rng(seed)
 
     ages, healths, group_stats = [], [], []

@@ -1,24 +1,26 @@
 """Steady-state evolution of slot-printing program trees.
 
-Each parallel independent run (PIR) keeps a fixed-size population.  One
-offspring is produced per iteration: tournament-of-``TOURNAMENT_SIZE``
-parent selection (ties prefer the smaller tree), subtree crossover against
-a second tournament winner with probability ``CROSSOVER_RATE``, subtree
-mutation otherwise, and a kill-tournament-of-``KILL_TOURNAMENT_SIZE`` picks
-the slot to reuse (ties kill the bigger tree, the incumbent best is never
-killed).  The initial population and the variation operators use the
-``gp_tree`` defaults: ramped depths 2..6, the ``TREE_CAP`` size cap and
-mutation subtrees of depth at most 4.  Every strict improvement of the best
-fitness is emitted as a solution record, so a run's trajectory can be
-archived and replayed.
+Each parallel independent run (PIR) keeps a fixed-size population and breeds
+one offspring at a time: tournament-of-``TOURNAMENT_SIZE`` parent selection
+(ties prefer the smaller tree), subtree crossover against a second
+tournament winner with probability ``CROSSOVER_RATE``, subtree mutation
+otherwise, and a kill-tournament-of-``KILL_TOURNAMENT_SIZE`` picks the slot
+to reuse (ties kill the bigger tree, the incumbent best is never killed).
+The initial population and the variation operators use the ``gp_tree``
+defaults: ramped depths 2..6, the ``TREE_CAP`` size cap and mutation
+subtrees of depth at most 4.
+
+A run has two phases that share this breeding step and the budget.  When
+``seed_len`` is set, a warm-up comes first: it scores individuals by printed
+vector length alone until the whole population prints at least ``seed_len``
+values, which makes long allocation vectors appear quickly; its offspring
+count against the budget.  The fitness phase then scores the population
+and breeds on.  Every strict improvement of the best fitness is emitted as
+a solution record, so a run's trajectory can be archived and replayed.
 
 Programs whose raw output vector contains a non-finite value are assigned
 negative-infinite fitness instead of raising; the bounding used for real
 candidates stays strict.
-
-An optional warm-up phase scores individuals purely by printed vector
-length until the whole population prints at least ``seed_len`` values,
-which makes long allocation vectors appear quickly when wanted.
 """
 
 from __future__ import annotations
@@ -45,9 +47,8 @@ from .simulator import MODEL_FULL, MODEL_PARTIAL, fitness_value
 TOURNAMENT_SIZE = 4
 KILL_TOURNAMENT_SIZE = 2
 CROSSOVER_RATE = 0.8
-# entries of both fitness memos together; no key is longer than the request
-# count, so this caps the keys at about 15 MB at 1704 requests.  A full memo
-# starts over
+# entries of the fitness memo; no key is longer than the request count, so
+# this caps the keys at about 15 MB at 1704 requests.  A full memo starts over
 MEMO_ENTRIES = 8192
 
 
@@ -156,15 +157,14 @@ def pareto_front(records) -> tuple:
 class _Evaluator:
     """Tree -> (fitness, n_h, n_d), memoised by printed vector and by plan.
 
-    Two dicts hold scores.  ``vector_memo`` is keyed by the float64 bytes of
-    the raw printed vector: equal bytes bound and decode to an equal plan, so
-    a hit skips bounding and decoding.  It only takes vectors of at most
-    ``n_requests // 8`` values, so no vector key is longer than a plan key.
-    ``memo`` is keyed by the decoded plan, one byte per request: the week is
-    deterministic in the plan, so different vectors that decode alike share
-    one simulation.  The kinds of key stay in separate dicts because a
-    vector key can have the length of a plan key.  Both start over together
-    when they would hold more than ``MEMO_ENTRIES`` entries between them.
+    One dict holds two kinds of key.  A plan key is the decoded plan, one
+    byte per request: the week is deterministic in the plan, so different
+    vectors that decode alike share one simulation.  A vector key is the
+    float64 bytes of the raw printed vector: equal bytes bound and decode to
+    an equal plan, so a hit skips bounding and decoding too.  Only vectors
+    of fewer than ``n_requests / 8`` values get one, so every vector key is
+    shorter than every plan key and the kinds cannot collide.  The dict
+    starts over when it would hold more than ``MEMO_ENTRIES`` entries.
     """
 
     def __init__(self, ds, config, table: PnTable | None = None):
@@ -180,19 +180,15 @@ class _Evaluator:
         # plan_digest's dataset half, hashed once
         self.ds_hash = hashlib.sha256(ds.digest().encode())
         self.memo = {}
-        self.vector_memo = {}
-
-    def vector_length(self, tree: GpNode) -> int:
-        return len(eval_tree(tree))
 
     def evaluate(self, tree: GpNode) -> tuple:
         raw = eval_tree(tree)
         if not all(map(math.isfinite, raw)):
             return (-math.inf, -1, -1)
         vkey = None
-        if 8 * len(raw) <= self.ctx.n_requests:
+        if 8 * len(raw) < self.ctx.n_requests:
             vkey = array("d", raw).tobytes()
-            scored = self.vector_memo.get(vkey)
+            scored = self.memo.get(vkey)
             if scored is not None:
                 return scored
         slots = decode_slots(self.ctx, bound_array(raw))
@@ -205,16 +201,16 @@ class _Evaluator:
         elif vkey is None:
             return scored
         # room for both keys, so the plan just scored survives a restart
-        if len(self.memo) + len(self.vector_memo) + 2 > MEMO_ENTRIES:
+        if len(self.memo) + 2 > MEMO_ENTRIES:
             self.memo.clear()
-            self.vector_memo.clear()
         self.memo[key] = scored
         if vkey is not None:
-            self.vector_memo[vkey] = scored
+            self.memo[vkey] = scored
         return scored
 
-    def record(self, tree: GpNode, fitness, n_h, n_d, pir_id, seed):
+    def record(self, tree: GpNode, scored, pir_id, seed):
         # called for finite-fitness trees only, so the vector is finite
+        fitness, n_h, n_d = scored
         bounded = bound_array(eval_tree(tree))
         slots = decode_slots(self.ctx, bounded)
         return SolutionRecord(
@@ -258,12 +254,18 @@ def _target_met(config: GpConfig, fitness: float, n_d: int) -> bool:
     return False
 
 
-def _score_population(evaluator, population, sizes) -> tuple:
-    """(fitness, n_h, n_d, best index) over the whole population."""
-    evals = [evaluator.evaluate(t) for t in population]
-    fitness = [e[0] for e in evals]
-    best_idx = max(range(len(population)), key=lambda i: (fitness[i], -sizes[i]))
-    return fitness, [e[1] for e in evals], [e[2] for e in evals], best_idx
+def _breed(rng, population, sizes, scores, best_idx) -> int:
+    """Breed one offspring into the slot a kill tournament frees; its index."""
+    parent = _tournament(rng, scores, sizes, TOURNAMENT_SIZE)
+    if rng.random() < CROSSOVER_RATE:
+        partner = _tournament(rng, scores, sizes, TOURNAMENT_SIZE)
+        child = crossover(population[parent], population[partner], rng)
+    else:
+        child = mutate(population[parent], rng)
+    victim = _kill_tournament(rng, scores, sizes, best_idx)
+    population[victim] = child
+    sizes[victim] = child.size
+    return victim
 
 
 def evolve_pir(
@@ -284,85 +286,50 @@ def evolve_pir(
     if evaluator is None:
         evaluator = _Evaluator(ds, config, table)
     rng = random.Random(seed)
-
     population = ramped_population(rng, config.population)
     sizes = [t.size for t in population]
-    seeding = config.seed_len is not None
-
-    def emit(idx) -> SolutionRecord:
-        rec = evaluator.record(
-            population[idx], fitness[idx], n_h[idx], n_d[idx], pir_id, seed
-        )
-        if sink is not None:
-            sink(rec)
-        return rec
-
-    if seeding:
-        lengths = [evaluator.vector_length(t) for t in population]
-        scores = lengths
-        fitness = n_h = n_d = None
-        best_rec = None
-        best_idx = max(
-            range(len(population)), key=lambda i: (scores[i], -sizes[i])
-        )
-    else:
-        fitness, n_h, n_d, best_idx = _score_population(evaluator, population, sizes)
-        scores = fitness
-        best_rec = None
-        if math.isfinite(fitness[best_idx]):
-            best_rec = emit(best_idx)
-
     spent = 0
-    while spent < config.budget:
-        if (
-            not seeding
-            and best_rec is not None
-            and _target_met(config, fitness[best_idx], n_d[best_idx])
-        ):
-            break
-        parent = _tournament(rng, scores, sizes, TOURNAMENT_SIZE)
-        if rng.random() < CROSSOVER_RATE:
-            partner = _tournament(rng, scores, sizes, TOURNAMENT_SIZE)
-            child = crossover(population[parent], population[partner], rng)
-        else:
-            child = mutate(population[parent], rng)
-        spent += 1
-        victim = _kill_tournament(rng, scores, sizes, best_idx)
-        population[victim] = child
-        sizes[victim] = child.size
 
-        if seeding:
-            scores[victim] = evaluator.vector_length(child)
-            if (scores[victim], -sizes[victim]) > (scores[best_idx], -sizes[best_idx]):
+    if config.seed_len is not None:
+        lengths = [len(eval_tree(t)) for t in population]
+        best_idx = max(range(len(population)), key=lambda i: (lengths[i], -sizes[i]))
+        while spent < config.budget:
+            victim = _breed(rng, population, sizes, lengths, best_idx)
+            spent += 1
+            lengths[victim] = len(eval_tree(population[victim]))
+            if (lengths[victim], -sizes[victim]) > (
+                lengths[best_idx], -sizes[best_idx]
+            ):
                 best_idx = victim
-            if min(scores) >= config.seed_len:
-                # warm-up done: rescore the whole population for real
-                seeding = False
-                fitness, n_h, n_d, best_idx = _score_population(
-                    evaluator, population, sizes
-                )
-                scores = fitness
-                if math.isfinite(fitness[best_idx]):
-                    best_rec = emit(best_idx)
-            continue
+            if min(lengths) >= config.seed_len:
+                break
 
-        f, h, d = evaluator.evaluate(child)
-        was_best = fitness[best_idx]
-        fitness[victim] = f
-        n_h[victim] = h
-        n_d[victim] = d
-        if f > was_best and math.isfinite(f):
+    scored = [evaluator.evaluate(t) for t in population]
+    fitness = [f for f, _, _ in scored]
+    best_idx = max(range(len(population)), key=lambda i: (fitness[i], -sizes[i]))
+    best_rec = None
+    improved = True
+    while True:
+        # the kill tournament spares the best, so the target can only be met here
+        if improved and math.isfinite(fitness[best_idx]):
+            best_rec = evaluator.record(
+                population[best_idx], scored[best_idx], pir_id, seed
+            )
+            if sink is not None:
+                sink(best_rec)
+            if _target_met(config, best_rec.fitness, best_rec.n_d):
+                break
+        if spent >= config.budget:
+            break
+        victim = _breed(rng, population, sizes, fitness, best_idx)
+        spent += 1
+        scored[victim] = evaluator.evaluate(population[victim])
+        fitness[victim] = scored[victim][0]
+        improved = fitness[victim] > fitness[best_idx]
+        if improved:
             best_idx = victim
-            best_rec = emit(victim)
 
     if best_rec is None:
-        # degenerate: nothing finite appeared; rescore to report honestly
-        if seeding:
-            fitness, n_h, n_d, best_idx = _score_population(
-                evaluator, population, sizes
-            )
-            if math.isfinite(fitness[best_idx]):
-                return emit(best_idx)
         raise RuntimeError("evolution produced no finite-fitness individual")
     return best_rec
 

@@ -8,11 +8,8 @@ from lockdownsched.dataset import (
     CANONICAL_PROFILE,
     Dataset,
     DatasetFormatError,
-    DayStats,
-    GroupProfile,
     IMMUNE,
     INFECTED,
-    PopulationProfile,
     establishment_id,
     establishment_label,
     format_priors,
@@ -128,23 +125,6 @@ def test_generated_visit_counts_within_bounds():
             assert g.visits[d].minimum <= len(p.requests_by_day[d]) <= g.visits[d].maximum
 
 
-def test_infeasible_profile_rejected():
-    bad = PopulationProfile(
-        groups={20: GroupProfile(5, 9.0, 9.5, 9.0, 0.1,
-                                 (DayStats(2, 1, 3, 0.5),) * 3)},
-        day_totals=(10, 10, 10),
-    )
-    with pytest.raises(ValueError):
-        generate_dataset(1, bad)
-    unreachable = PopulationProfile(
-        groups={20: GroupProfile(2, 9.0, 9.0, 10.0, 0.1,
-                                 (DayStats(2, 1, 3, 0.5),) * 3)},
-        day_totals=(100, 4, 4),
-    )
-    with pytest.raises(ValueError):
-        generate_dataset(1, unreachable)
-
-
 def test_mark_apriori_counts_and_preference():
     ds = generate_dataset(1)
     marked = mark_apriori_infection(ds, 0.053, 6 / 282, seed=9)
@@ -229,18 +209,9 @@ request_strategy = st.builds(
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_generation_round_trip_property(seed):
-    small = PopulationProfile(
-        groups={
-            30: GroupProfile(4, 9.0, 8.1, 10.0, 0.29,
-                             (DayStats(2.0, 1, 5, 0.7),) * 3),
-            70: GroupProfile(3, 5.4, 2.1, 9.0, 3.31,
-                             (DayStats(1.3, 1, 3, 0.3),) * 3),
-        },
-        day_totals=(10, 9, 8),
-    )
-    ds = generate_dataset(seed, small)
+    ds = generate_dataset(seed)
     assert parse_dataset(serialize_dataset(ds)) == ds
-    assert generate_dataset(seed, small) == ds
+    assert generate_dataset(seed) == ds
 
 
 def test_serialized_text_cannot_go_stale():

@@ -23,6 +23,7 @@ from lockdownsched.gp_engine import (
 from lockdownsched.gp_tree import (
     GpNode,
     constant,
+    eval_tree,
     eval_tree_fast,
     make_vm_buffers,
     node,
@@ -207,6 +208,204 @@ class TestFitnessMemo:
         )
 
 
+def counting_evaluations(monkeypatch):
+    """Patch _Evaluator.evaluate to count its calls; returns the counter."""
+    calls = [0]
+    real = gp_engine._Evaluator.evaluate
+
+    def evaluate(self, tree):
+        calls[0] += 1
+        return real(self, tree)
+
+    monkeypatch.setattr(gp_engine._Evaluator, "evaluate", evaluate)
+    return calls
+
+
+class TestWarmUp:
+    """Runs with seed_len, pinned before the loop was split into phases.
+
+    Scoring starts when the warm-up ends, so the evaluation count is the
+    population plus the offspring left in the budget: it pins how many
+    offspring the warm-up bred.
+    """
+
+    PINNED = {
+        # seed -> (evaluations, records, best vector); warm-up ends after 71,
+        # 62 and 93 of the 400 offspring.  Seed 0 is the one whose warm-up
+        # breaks a tie in length by tree size when it picks the best to spare
+        0: (
+            349,
+            [
+                (-47.35, 61, 40, "2c4bef21b827d158"),
+                (-44.35, 58, 37, "aebf34ecaf21cf3e"),
+                (-41.45, 59, 32, "bdc0e8f11d861f9d"),
+                (-36.05, 51, 28, "e33c67c4d1581837"),
+                (-35.45, 53, 26, "5530847bcbb52c98"),
+                (-27.85, 48, 17, "3977030a64a89b5f"),
+                (-24.35, 38, 17, "e60cbfd6aae82807"),
+                (-21.85, 29, 18, "4fabfe7f4a67d0bf"),
+                (-21.5, 28, 18, "bbdc2cc97994dcb6"),
+                (-16.9, 26, 12, "bf77b7d233f936e1"),
+                (-15.55, 24, 11, "5eb1d2a088ecbc4c"),
+                (-13.2, 21, 9, "e534d01264b15741"),
+                (-12.45, 17, 10, "dc5f5532a3412480"),
+                (-12.05, 14, 11, "83cb955271ba068f"),
+                (-10.8, 16, 8, "e3fbe6f475dc33a5"),
+                (-8.8, 14, 6, "8d33b3eaf2d543f1"),
+                (-8.75, 12, 7, "0a0df36d9af9aff4"),
+                (-8.45, 13, 6, "9102fec941c7fa4c"),
+                (-7.65, 7, 8, "82a5e092d0d0e4ef"),
+            ],
+            (
+                0.0001, 0.8980392156862745, 0.5764705882352956, 0.8980392156862745,
+                0.0784313725490196, 0.4, 0.6521027331289488, 0.8980392156862745,
+                0.6521027331289488, 0.8666666666666667, 0.8666666666666667, 0.0001,
+                0.7058823529411765, 0.5, 0.7543859649123021, 0.2823529411764706, 0.0001,
+                0.0784313725490196, 0.8666666666666667, 0.1803921568627451,
+                0.20784313725490197, 0.04186508705496905, 0.6521027331289488,
+                0.15306122448964743, 0.7058823529411765, 0.7058823529411765, 0.5,
+                0.7543859649123021, 0.0784313725490196,
+            ),
+        ),
+        1: (
+            358,
+            [
+                (-16.15, 22, 13, "a05719062da62177"),
+                (-14.8, 20, 12, "373b5380bb38a3b5"),
+                (-13.45, 18, 11, "9346f9a7652d9b65"),
+                (-12.85, 20, 9, "63cbb64267646601"),
+                (-12.1, 16, 10, "43ca72c84db14f2c"),
+                (-12.0, 12, 12, "aa91d64ae0084177"),
+                (-10.0, 10, 10, "01fe75b55e22cdb6"),
+                (-8.7, 10, 8, "d6d00b2fd9dce652"),
+                (-8.35, 9, 8, "8bd6f9914fa38370"),
+                (-7.7, 9, 7, "a92d108ff7d953d3"),
+                (-7.35, 8, 7, "8f765f8129e763d5"),
+            ],
+            (
+                0.0001, 0.0001, 0.8549019607843137, 0.6862745098039216,
+                0.6862745098039216, 0.0001, 0.5976232698961965, 0.0001,
+                0.9941176470588218, 0.5976232698961965, 0.5976232698961965,
+            ),
+        ),
+        2: (
+            327,
+            [
+                (-31.7, 46, 24, "35db9597af0ce387"),
+                (-29.9, 39, 25, "b790ee7a5f6ab16a"),
+                (-27.6, 38, 22, "b497ca5551e42f32"),
+                (-25.9, 35, 21, "4e5821387292d5b5"),
+                (-23.95, 35, 18, "6bc25262727976ee"),
+                (-22.9, 32, 18, "f748f7d70700073a"),
+                (-20.15, 26, 17, "41834bf877be539d"),
+                (-19.55, 28, 15, "c95fb08a64e9b7cc"),
+                (-14.85, 22, 11, "c5becf8acb660524"),
+                (-14.55, 23, 10, "41f0406b9277e16c"),
+                (-14.4, 17, 13, "b4529a60d35839e4"),
+                (-14.15, 20, 11, "c4fc6189c3e2bacd"),
+                (-12.15, 18, 9, "b6895a4dc421d6bf"),
+                (-10.5, 17, 7, "0c3682148fc98b4b"),
+                (-10.45, 15, 8, "f87f969161478b21"),
+                (-10.3, 9, 11, "87033c996fe73b03"),
+                (-10.15, 16, 7, "e079abadcc083c1b"),
+                (-8.8, 14, 6, "9102a84a503955c2"),
+                (-8.45, 13, 6, "aed655695f9d426b"),
+                (-8.1, 12, 6, "8b537b03f892fa30"),
+                (-7.8, 13, 5, "383b81b394e4c532"),
+                (-7.05, 9, 6, "9d34926272a36225"),
+                (-6.4, 9, 5, "c8a8575363786cb5"),
+                (-6.05, 8, 5, "63cceef365e07c0b"),
+            ],
+            (
+                0.0001, 0.9254901960784314, 0.0001, 0.0001, 0.5215686274509803,
+                0.5215686274509803, 0.0001, 0.0001, 0.0001, 0.6179775280898876,
+                0.9355736825980401, 0.0001, 0.5529411764705883, 0.5215686274509803,
+                0.6235294117647059, 0.6235294117647059, 0.6235294117647059, 0.0001,
+                0.0001, 0.5381463911019111, 0.5529411764705883, 0.9568627450980393,
+                0.9254901960784314, 0.9254901960784314, 0.0001,
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pinned_warm_up(self, small_ds, monkeypatch, seed):
+        calls = counting_evaluations(monkeypatch)
+        cfg = GpConfig(model=MODEL_PARTIAL, s=4, population=20, budget=400, seed_len=12)
+        rows, best = TestFitnessMemo.stream(small_ds, cfg, seed)
+        assert (calls[0], rows, best.vector) == self.PINNED[seed]
+
+    def test_warm_up_spends_the_budget(self, small_ds, monkeypatch):
+        # no population prints 40 values within 25 offspring; the run then
+        # scores the population it has and emits that best
+        calls = counting_evaluations(monkeypatch)
+        cfg = GpConfig(model=MODEL_PARTIAL, s=4, population=20, budget=25, seed_len=40)
+        rows, best = TestFitnessMemo.stream(small_ds, cfg, 1)
+        assert calls[0] == 20
+        assert rows == [(-19.6, 30, 14, "1be285ad1d953987")]
+        assert best.vector == (
+            0.0001, 0.0001, 0.38823529411764707, 0.6554133025759334, 0.0001,
+            0.9941176470588218, 0.6554133025759334, 0.18823529411764706,
+            0.023252595155709342, 0.6554133025759334,
+        )
+
+    def test_full_model_warm_up_then_target(self, monkeypatch, tiny_table):
+        # the warm-up completes, and the third record meets target_nd = 0
+        # 49 offspring later
+        calls = counting_evaluations(monkeypatch)
+        ds = mark_apriori_infection(generate_dataset(seed=99), 0.4, 0.021, seed=99)
+        cfg = GpConfig(
+            model=MODEL_FULL, q=5, population=20, budget=300, seed_len=8, target_nd=0
+        )
+        rows, best = TestFitnessMemo.stream(ds, cfg, 4, table=tiny_table)
+        assert calls[0] == 69
+        assert rows == [
+            (-17.75, 47, 2, "4cf303062a00aca0"),
+            (-14.95, 39, 2, "d6a2b60727622fd0"),
+            (-14.0, 40, 0, "358409f8848ae555"),
+        ]
+        assert best.vector == (
+            0.0001, 0.0001, 0.0001, 0.8941176470588239, 0.0001, 0.823529411764706,
+            0.823529411764706, 0.0001, 0.0001, 0.5, 0.12156862745098039,
+            0.6794136250100564, 0.12156862745098039, 0.8323925041331677,
+            0.8838235294117638, 0.0001, 0.0001, 0.019792387543252594, 0.0001,
+            0.0001, 0.6119402985074625,
+        )
+
+
+class TestNonFiniteStart:
+    def test_first_finite_offspring_is_the_first_record(self, small_ds, monkeypatch):
+        cfg = quick_config()
+        real = gp_engine._Evaluator.evaluate
+        scores = []
+
+        def evaluate(self, tree):
+            scores.append(real(self, tree))
+            if len(scores) <= cfg.population:  # the initial population
+                return (-math.inf, -1, -1)
+            return scores[-1]
+
+        monkeypatch.setattr(gp_engine._Evaluator, "evaluate", evaluate)
+        got = []
+        best = evolve_pir(small_ds, cfg, seed=5, sink=got.append)
+        first = next(s for s in scores[cfg.population :] if math.isfinite(s[0]))
+        assert (got[0].fitness, got[0].n_h, got[0].n_d) == first
+        plan = decode(got[0].vector, small_ds)
+        outcome = simulate(small_ds, plan, MODEL_PARTIAL, s=4)
+        assert outcome.counts() == (got[0].n_h, got[0].n_d)
+        assert fitness(outcome) == got[0].fitness
+        assert got[0].plan_digest == plan_digest(small_ds, plan.slots)
+        assert got[-1] == best
+
+    def test_never_finite_raises(self, small_ds, monkeypatch):
+        monkeypatch.setattr(
+            gp_engine._Evaluator, "evaluate", lambda self, tree: (-math.inf, -1, -1)
+        )
+        with pytest.raises(
+            RuntimeError, match="evolution produced no finite-fitness individual"
+        ):
+            evolve_pir(small_ds, quick_config(budget=50), seed=5)
+
+
 def printing(values, tail=None):
     """Tree printing [0.0001, *values]: a right-nested AddRecord chain.
 
@@ -248,7 +447,9 @@ class TestScoringPath:
         ]
         for tree in trees + trees[:40]:  # the repeats are memo hits
             assert evaluator.evaluate(tree) == self.old_score(evaluator, tree, buffers)
-        assert evaluator.vector_memo and evaluator.memo
+        # both kinds of key: printed vectors, shorter than a plan, and plans
+        n = evaluator.ctx.n_requests
+        assert {len(k) < n for k in evaluator.memo} == {True, False}
 
     def test_edge_vectors(self, world):
         ds, cfg, table = world
@@ -264,15 +465,25 @@ class TestScoringPath:
             (printing([node("SubtractNumber", big, big)]), False),  # NaN
             (printing([neg_zero, 7, neg_zero]), True),
             (printing([0, 7, 0]), True),
-            (printing([(i % 200) - 90 for i in range(n // 8 - 1)]), True),
-            (printing([(i % 200) - 90 for i in range(n // 8)]), False),
+            (printing([(i % 200) - 90 for i in range(n // 8 - 2)]), True),
+            (printing([(i % 200) - 90 for i in range(n // 8 - 1)]), False),
             (printing([sconstant(i % 256) for i in range(n + 5)]), False),
         ]
-        assert len(eval_tree_fast(cases[4][0], *buffers)) == n // 8
+        # a vector key takes 8 bytes a value and must stay shorter than the
+        # n-byte plan key: n // 8 - 1 printed values get one, n // 8 do not
+        assert n % 8 == 0
+        assert len(eval_tree_fast(cases[4][0], *buffers)) == n // 8 - 1
+        assert len(eval_tree_fast(cases[5][0], *buffers)) == n // 8
+
+        def vector_keys():
+            return sum(len(k) < n for k in evaluator.memo)
+
         for tree, keyed in cases:
-            before = len(evaluator.vector_memo)
+            before = vector_keys()
             assert evaluator.evaluate(tree) == self.old_score(evaluator, tree, buffers)
-            assert len(evaluator.vector_memo) == before + keyed
+            assert vector_keys() == before + keyed
+            printed = np.asarray(eval_tree(tree), dtype=np.float64)
+            assert (printed.tobytes() in evaluator.memo) == keyed
         # a NaN or an infinity never enters either memo
         assert all(math.isfinite(f) for f, _, _ in evaluator.memo.values())
 
