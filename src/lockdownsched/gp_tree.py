@@ -3,25 +3,22 @@
 A tree is built from fifteen node kinds: two numeric terminals, five
 arithmetic operators, four record operators that grow, shrink or write the
 output vector through two pointers (p_r writes, p_z is the length), and
-four working-memory operators over scalars m1/m2.  Evaluation is a plain
+four working-memory operators over scalars m1/m2.  Evaluation is a
 depth-first walk, left child first; every node returns a number to its
 parent and some apply side effects to the machine state.
 
-Two evaluators exist and implement identical semantics: a recursive one
-that can record a trace of pointer movements, and a plain-Python postfix
-virtual machine.  Evolution scores offspring with the recursive one
-(eval_tree), the faster of the two; the VM is kept as the second
-implementation the tests compare it with.
+There is one evaluator: compile_postfix flattens a tree into its nodes in
+post-order and run_vm runs them on a value stack, optionally recording a
+trace of pointer movements.  Every walk over a tree (evaluation, repr,
+node_at, replace_at) is iterative, so the deepest tree the 2000-node cap
+allows needs no raised recursion limit.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .allocation import MAX_VECTOR_LEN, bound_value
+from .allocation import MAX_VECTOR_LEN, bound_vector
 
 TREE_CAP = 2_000
 
@@ -62,9 +59,6 @@ KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
 TERMINAL_CODES = (CONSTANT, SCONSTANT)
 FUNCTION_CODES = tuple(range(ADD_NUMBER, SET_MEM2 + 1))
 
-# deep chains of small subtrees are legal at the 2000-node cap
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
-
 
 class GpNode:
     """Immutable tree node; subtrees are shared freely between trees."""
@@ -86,9 +80,14 @@ class GpNode:
         return self.left is None
 
     def __repr__(self) -> str:
-        if self.is_terminal():
-            return f"{self.kind}({self.payload:g})"
-        return f"{self.kind}({self.left!r}, {self.right!r})"
+        parts = []
+        for n in compile_postfix(self):
+            if n.left is None:
+                parts.append(f"{n.kind}({n.payload:g})")
+            else:
+                right = parts.pop()
+                parts[-1] = f"{n.kind}({parts[-1]}, {right})"
+        return parts[0]
 
 
 def constant(value: int) -> GpNode:
@@ -118,82 +117,112 @@ class EvalState:
     p_z are invisible in the result and get overwritten when the vector next
     grows, so only the clamp at the hard cap applies.
     """
-    r: list = field(default_factory=lambda: [0.0, 0.0001])
-    p_r: int = 1
-    p_z: int = 1
-    m1: float = 0.0
-    m2: float = 0.0
-
-    def write(self, pos: int, value: float) -> None:
-        while len(self.r) <= pos:
-            self.r.append(0.0)
-        self.r[pos] = value
+    r: list
+    p_r: int
+    p_z: int
+    m1: float
+    m2: float
 
     def result(self) -> list:
         return self.r[1 : self.p_z + 1]
 
 
-def _eval(node: GpNode, st: EvalState, trace) -> float:
-    code = node.code
-    if code <= SCONSTANT:
-        return node.payload
-    left = _eval(node.left, st, trace)
-    right = _eval(node.right, st, trace)
-    if code == ADD_NUMBER:
-        return left + right
-    if code == SUBTRACT_NUMBER:
-        return left - right
-    if code == MULTIPLY_NUMBER:
-        return left * right
-    if code == DIVIDE_NUMBER:
-        if abs(right) < 1.0e-9:
-            right = 1.0
-        return left / right
-    if code == AVERAGE_NUMBER:
-        return (left + right) / 2.0
-    if code == SUB_RECORD:
-        if st.p_r > 1:
-            st.p_r -= 1
-        value = left
-    elif code == ZERO_RECORD:
-        st.p_r += 1
-        if st.p_r > MAX_VECTOR_LEN:
-            st.p_r = MAX_VECTOR_LEN
-        st.write(st.p_r, 0.00001)
-        value = left
-    elif code == WRITE_RECORD:
-        st.p_r += 1
-        if st.p_r > MAX_VECTOR_LEN:
-            st.p_r = MAX_VECTOR_LEN
-        st.write(st.p_r, left)
-        value = right
-    elif code == ADD_RECORD:
-        st.p_z += 1
-        if st.p_z > MAX_VECTOR_LEN:
-            st.p_z = MAX_VECTOR_LEN
-        st.p_r = st.p_z
-        st.write(st.p_r, left)
-        value = left
-    elif code == GET_MEM1:
-        value = st.m1
-    elif code == SET_MEM1:
-        st.m1 = right
-        value = left
-    elif code == GET_MEM2:
-        value = st.m2
-    else:  # SET_MEM2
-        st.m2 = (st.m2 + left) / 2.0
-        value = right
-    if trace is not None:
-        trace.append((node.kind, st.p_r, st.p_z))
-    return value
+def compile_postfix(root: GpNode) -> list:
+    """The tree's nodes in post-order: left subtree, right subtree, parent."""
+    program = []
+    stack = [root]
+    while stack:  # parent, right, left: post-order reversed
+        n = stack.pop()
+        program.append(n)
+        if n.left is not None:
+            stack.append(n.left)
+            stack.append(n.right)
+    program.reverse()
+    return program
+
+
+def run_vm(program: list, trace: list | None = None) -> tuple:
+    """Run a post-order program; returns (root value, final EvalState).
+
+    With a trace list, (kind, p_r, p_z) is appended after each record or
+    memory node.
+    """
+    r = [0.0, 0.0001]
+    p_r = p_z = 1
+    m1 = m2 = 0.0
+    stack = []
+    push, pop = stack.append, stack.pop
+    for n in program:
+        code = n.code
+        if code <= SCONSTANT:
+            push(n.payload)
+            continue
+        right = pop()
+        left = pop()
+        if code <= AVERAGE_NUMBER:
+            if code == ADD_NUMBER:
+                value = left + right
+            elif code == SUBTRACT_NUMBER:
+                value = left - right
+            elif code == MULTIPLY_NUMBER:
+                value = left * right
+            elif code == DIVIDE_NUMBER:
+                if abs(right) < 1.0e-9:
+                    right = 1.0
+                value = left / right
+            else:  # AVERAGE_NUMBER
+                value = (left + right) / 2.0
+        else:
+            # a write lands at most one cell past the end of r: p_r and p_z
+            # only ever step up by one, onto the cell just written
+            if code == SUB_RECORD:
+                if p_r > 1:
+                    p_r -= 1
+                value = left
+            elif code == ZERO_RECORD:
+                p_r += 1
+                if p_r > MAX_VECTOR_LEN:
+                    p_r = MAX_VECTOR_LEN
+                if p_r == len(r):
+                    r.append(0.0)
+                r[p_r] = 0.00001
+                value = left
+            elif code == WRITE_RECORD:
+                p_r += 1
+                if p_r > MAX_VECTOR_LEN:
+                    p_r = MAX_VECTOR_LEN
+                if p_r == len(r):
+                    r.append(0.0)
+                r[p_r] = left
+                value = right
+            elif code == ADD_RECORD:
+                p_z += 1
+                if p_z > MAX_VECTOR_LEN:
+                    p_z = MAX_VECTOR_LEN
+                p_r = p_z
+                if p_r == len(r):
+                    r.append(0.0)
+                r[p_r] = left
+                value = left
+            elif code == GET_MEM1:
+                value = m1
+            elif code == SET_MEM1:
+                m1 = right
+                value = left
+            elif code == GET_MEM2:
+                value = m2
+            else:  # SET_MEM2
+                m2 = (m2 + left) / 2.0
+                value = right
+            if trace is not None:
+                trace.append((KIND_NAMES[code], p_r, p_z))
+        push(value)
+    return pop(), EvalState(r, p_r, p_z, m1, m2)
 
 
 def run_machine(root: GpNode, trace: list | None = None) -> tuple:
     """Evaluate a tree; returns (root value, final EvalState)."""
-    st = EvalState()
-    value = _eval(root, st, trace)
-    return value, st
+    return run_vm(compile_postfix(root), trace)
 
 
 def eval_tree(root: GpNode) -> list:
@@ -204,118 +233,7 @@ def eval_tree(root: GpNode) -> list:
 
 def genotype_to_vector(root: GpNode) -> tuple:
     """Evaluate and fold every element into (0,1)."""
-    return tuple(bound_value(v) for v in eval_tree(root))
-
-
-# --- postfix evaluation -----------------------------------------------------
-
-def compile_postfix(root: GpNode) -> tuple:
-    """Flatten to postfix code/payload arrays for the virtual machine."""
-    codes = np.empty(root.size, dtype=np.int64)
-    payloads = np.zeros(root.size, dtype=np.float64)
-    pos = 0
-
-    def walk(n):
-        nonlocal pos
-        if n.left is not None:
-            walk(n.left)
-            walk(n.right)
-        codes[pos] = n.code
-        payloads[pos] = n.payload
-        pos += 1
-
-    walk(root)
-    return codes, payloads
-
-
-def run_vm(codes, payloads, rbuf, stack):
-    """Postfix replay of the machine; returns the final vector length p_z.
-
-    rbuf must hold MAX_VECTOR_LEN+1 floats (1-based cells), stack must cover
-    the tree depth.  The caller reads the result from rbuf[1..p_z].
-    """
-    p_r = 1
-    p_z = 1
-    m1 = 0.0
-    m2 = 0.0
-    rbuf[1] = 0.0001
-    sp = 0
-    for i in range(codes.shape[0]):
-        op = codes[i]
-        if op <= 1:
-            stack[sp] = payloads[i]
-            sp += 1
-        elif op == 2:
-            sp -= 1
-            stack[sp - 1] = stack[sp - 1] + stack[sp]
-        elif op == 3:
-            sp -= 1
-            stack[sp - 1] = stack[sp - 1] - stack[sp]
-        elif op == 4:
-            sp -= 1
-            stack[sp - 1] = stack[sp - 1] * stack[sp]
-        elif op == 5:
-            sp -= 1
-            r = stack[sp]
-            if abs(r) < 1.0e-9:
-                r = 1.0
-            stack[sp - 1] = stack[sp - 1] / r
-        elif op == 6:
-            sp -= 1
-            stack[sp - 1] = (stack[sp - 1] + stack[sp]) / 2.0
-        elif op == 7:
-            sp -= 1
-            if p_r > 1:
-                p_r -= 1
-        elif op == 8:
-            sp -= 1
-            p_r += 1
-            if p_r > MAX_VECTOR_LEN:
-                p_r = MAX_VECTOR_LEN
-            rbuf[p_r] = 0.00001
-        elif op == 9:
-            left = stack[sp - 2]
-            stack[sp - 2] = stack[sp - 1]
-            sp -= 1
-            p_r += 1
-            if p_r > MAX_VECTOR_LEN:
-                p_r = MAX_VECTOR_LEN
-            rbuf[p_r] = left
-        elif op == 10:
-            sp -= 1
-            p_z += 1
-            if p_z > MAX_VECTOR_LEN:
-                p_z = MAX_VECTOR_LEN
-            p_r = p_z
-            rbuf[p_r] = stack[sp - 1]
-        elif op == 11:
-            sp -= 1
-            stack[sp - 1] = m1
-        elif op == 12:
-            m1 = stack[sp - 1]
-            sp -= 1
-        elif op == 13:
-            sp -= 1
-            stack[sp - 1] = m2
-        else:
-            m2 = (m2 + stack[sp - 2]) / 2.0
-            stack[sp - 2] = stack[sp - 1]
-            sp -= 1
-    return p_z
-
-
-def make_vm_buffers() -> tuple:
-    """(rbuf, stack) scratch arrays sized for any legal tree."""
-    return (
-        np.zeros(MAX_VECTOR_LEN + 1, dtype=np.float64),
-        np.zeros(TREE_CAP + 2, dtype=np.float64),
-    )
-
-
-def eval_tree_fast(root: GpNode, rbuf, stack) -> np.ndarray:
-    codes, payloads = compile_postfix(root)
-    p_z = run_vm(codes, payloads, rbuf, stack)
-    return rbuf[1 : p_z + 1]
+    return bound_vector(eval_tree(root))
 
 
 # --- random construction and variation --------------------------------------
@@ -376,19 +294,23 @@ def replace_at(root: GpNode, index: int, sub: GpNode) -> GpNode:
     Only the nodes on the path from the root are rebuilt; everything else is
     shared with the input trees.
     """
-    if index == 0:
-        return sub
-    index -= 1
-    if index < root.left.size:
-        return GpNode(
-            root.code, root.payload, replace_at(root.left, index, sub), root.right
-        )
-    return GpNode(
-        root.code,
-        root.payload,
-        root.left,
-        replace_at(root.right, index - root.left.size, sub),
-    )
+    path = []  # (ancestor, True if the walk went left), root first
+    n = root
+    while index > 0:
+        index -= 1
+        went_left = index < n.left.size
+        path.append((n, went_left))
+        if went_left:
+            n = n.left
+        else:
+            index -= n.left.size
+            n = n.right
+    for parent, went_left in reversed(path):
+        if went_left:
+            sub = GpNode(parent.code, parent.payload, sub, parent.right)
+        else:
+            sub = GpNode(parent.code, parent.payload, parent.left, sub)
+    return sub
 
 
 def crossover(a: GpNode, b: GpNode, rng, cap: int = TREE_CAP) -> GpNode:

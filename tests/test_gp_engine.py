@@ -24,8 +24,6 @@ from lockdownsched.gp_tree import (
     GpNode,
     constant,
     eval_tree,
-    eval_tree_fast,
-    make_vm_buffers,
     node,
     random_tree,
     sconstant,
@@ -418,7 +416,7 @@ def printing(values, tail=None):
 
 
 class TestScoringPath:
-    """evaluate() against the pipeline it replaced: VM, bound, decode, week."""
+    """evaluate() against the unmemoised pipeline: tree, bound, decode, week."""
 
     @pytest.fixture(params=[MODEL_PARTIAL, MODEL_FULL])
     def world(self, request, small_ds, small_full_ds, tiny_table):
@@ -427,9 +425,8 @@ class TestScoringPath:
         return small_full_ds, GpConfig(model=MODEL_FULL, q=5), tiny_table
 
     @staticmethod
-    def old_score(evaluator, tree, buffers):
-        with np.errstate(all="ignore"):
-            raw = eval_tree_fast(tree, *buffers)
+    def old_score(evaluator, tree):
+        raw = np.asarray(eval_tree(tree), dtype=np.float64)
         if not np.isfinite(raw).all():
             return (-math.inf, -1, -1)
         slots = decode_slots(evaluator.ctx, bound_array(raw))
@@ -439,14 +436,13 @@ class TestScoringPath:
     def test_random_trees(self, world):
         ds, cfg, table = world
         evaluator = gp_engine._Evaluator(ds, cfg, table)
-        buffers = make_vm_buffers()
         rng = random.Random(17)
         trees = [
             random_tree(rng, rng.randint(1, 8), rng.choice(["grow", "full"]))
             for _ in range(150)
         ]
         for tree in trees + trees[:40]:  # the repeats are memo hits
-            assert evaluator.evaluate(tree) == self.old_score(evaluator, tree, buffers)
+            assert evaluator.evaluate(tree) == self.old_score(evaluator, tree)
         # both kinds of key: printed vectors, shorter than a plan, and plans
         n = evaluator.ctx.n_requests
         assert {len(k) < n for k in evaluator.memo} == {True, False}
@@ -454,7 +450,6 @@ class TestScoringPath:
     def test_edge_vectors(self, world):
         ds, cfg, table = world
         evaluator = gp_engine._Evaluator(ds, cfg, table)
-        buffers = make_vm_buffers()
         n = evaluator.ctx.n_requests
         big = constant(128)
         for _ in range(8):
@@ -472,15 +467,15 @@ class TestScoringPath:
         # a vector key takes 8 bytes a value and must stay shorter than the
         # n-byte plan key: n // 8 - 1 printed values get one, n // 8 do not
         assert n % 8 == 0
-        assert len(eval_tree_fast(cases[4][0], *buffers)) == n // 8 - 1
-        assert len(eval_tree_fast(cases[5][0], *buffers)) == n // 8
+        assert len(eval_tree(cases[4][0])) == n // 8 - 1
+        assert len(eval_tree(cases[5][0])) == n // 8
 
         def vector_keys():
             return sum(len(k) < n for k in evaluator.memo)
 
         for tree, keyed in cases:
             before = vector_keys()
-            assert evaluator.evaluate(tree) == self.old_score(evaluator, tree, buffers)
+            assert evaluator.evaluate(tree) == self.old_score(evaluator, tree)
             assert vector_keys() == before + keyed
             printed = np.asarray(eval_tree(tree), dtype=np.float64)
             assert (printed.tobytes() in evaluator.memo) == keyed
@@ -504,9 +499,8 @@ class TestScoringPath:
         evaluator = gp_engine._Evaluator(small_ds, quick_config(), None)
         a = printing([5, sconstant(40)], tail=constant(1))
         b = printing([5, sconstant(40)], tail=node("AddNumber", constant(2), constant(3)))
-        vm = make_vm_buffers()
         printed = [0.0001, 5.0, 40 / 255.0]
-        assert eval_tree_fast(a, *vm).tolist() == eval_tree_fast(b, *vm).tolist() == printed
+        assert eval_tree(a) == eval_tree(b) == printed
         assert evaluator.evaluate(a) == evaluator.evaluate(b)
         assert (len(decoded), len(simulated)) == (1, 1)
         # a vector that only bounds alike is decoded again but not simulated

@@ -2,7 +2,10 @@
 
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,9 +17,7 @@ from lockdownsched.gp_tree import (
     constant,
     crossover,
     eval_tree,
-    eval_tree_fast,
     genotype_to_vector,
-    make_vm_buffers,
     mutate,
     node,
     node_at,
@@ -24,6 +25,7 @@ from lockdownsched.gp_tree import (
     random_tree,
     replace_at,
     run_machine,
+    run_vm,
     sconstant,
 )
 
@@ -108,9 +110,13 @@ class TestGoldenTrace:
         assert genotype_to_vector(build_golden_tree()) == (0.0001, 0.0001, 0.4)
 
     def test_vm_agrees(self):
-        rbuf, stack = make_vm_buffers()
-        raw = eval_tree_fast(build_golden_tree(), rbuf, stack)
-        assert list(raw) == [0.0001, 16.0, 0.4]
+        # the two steps run_machine chains, called on their own
+        value, st = run_vm(compile_postfix(build_golden_tree()))
+        assert (value, st.result()) == (0.0, [0.0001, 16.0, 0.4])
+
+    def test_postfix_length(self):
+        tree = build_golden_tree()
+        assert len(compile_postfix(tree)) == tree.size
 
 
 class TestNodeSemantics:
@@ -136,6 +142,12 @@ class TestNodeSemantics:
         assert value == 7.0
         tree = node("DivideNumber", constant(7), constant(2))
         assert run_machine(tree)[0] == 3.5
+        # a NaN divisor is not near zero, so the quotient stays NaN
+        inf = constant(128)
+        for _ in range(8):
+            inf = node("MultiplyNumber", inf, inf)  # 128 ** 256 overflows
+        tree = node("DivideNumber", constant(7), node("SubtractNumber", inf, inf))
+        assert math.isnan(run_machine(tree)[0])
 
     def test_average(self):
         assert run_machine(node("AverageNumber", constant(3), constant(8)))[0] == 5.5
@@ -191,62 +203,8 @@ class TestNodeSemantics:
         assert st.result() == [0.0001, 9.0]
 
 
-class TestVmEquivalence:
-    def test_random_trees_match_reference(self):
-        rng = random.Random(7)
-        rbuf, stack = make_vm_buffers()
-        for _ in range(300):
-            tree = random_tree(rng, rng.randint(1, 7), rng.choice(["grow", "full"]))
-            ref = eval_tree(tree)
-            fast = eval_tree_fast(tree, rbuf, stack)
-            assert len(ref) == len(fast)
-            for a, b in zip(ref, fast):
-                assert a == b or (math.isnan(a) and math.isnan(b))
-
-    @staticmethod
-    def assert_same_vector(tree, rbuf, stack):
-        # bit for bit, signed zeros and NaNs included: the fitness memo keys
-        # on these bytes
-        ref = np.asarray(eval_tree(tree), dtype=np.float64)
-        assert ref.tobytes() == eval_tree_fast(tree, rbuf, stack).tobytes()
-
-    def test_trees_near_the_size_cap_match_reference(self):
-        rng = random.Random(11)
-        rbuf, stack = make_vm_buffers()
-        for _ in range(20):
-            tree = random_tree(rng, 6, "full")
-            while True:
-                other = random_tree(rng, rng.randint(0, 7), rng.choice(["grow", "full"]))
-                if tree.size + other.size + 1 > gt.TREE_CAP:
-                    break
-                pair = (tree, other) if rng.random() < 0.5 else (other, tree)
-                tree = GpNode(rng.choice(gt.FUNCTION_CODES), 0.0, *pair)
-            assert tree.size > gt.TREE_CAP - 260
-            self.assert_same_vector(tree, rbuf, stack)
-
-    def test_spine_chains_at_the_cap_match_reference(self):
-        # 999 function nodes deep, 1999 nodes: the deepest legal trees, down
-        # either side (the right spine also fills the VM stack)
-        rng = random.Random(5)
-        rbuf, stack = make_vm_buffers()
-        for side in ("left", "right"):
-            tree = constant(3)
-            for i in range(999):
-                leaf = constant(rng.randint(-127, 128)) if i % 3 else sconstant(rng.randint(0, 255))
-                code = gt.FUNCTION_CODES[i % len(gt.FUNCTION_CODES)]
-                pair = (tree, leaf) if side == "left" else (leaf, tree)
-                tree = GpNode(code, 0.0, *pair)
-            assert tree.size == 1999 <= gt.TREE_CAP
-            assert len(eval_tree(tree)) > 70  # one AddRecord in 13 nodes
-            self.assert_same_vector(tree, rbuf, stack)
-
-    def test_postfix_length(self):
-        tree = build_golden_tree()
-        codes, payloads = compile_postfix(tree)
-        assert codes.shape[0] == tree.size == payloads.shape[0]
-
-
-# taken from eval_tree while the postfix VM still agreed with it on every tree
+# taken from a recursive evaluator while a second, array-based one agreed with
+# it on every tree
 RANDOM_DIGEST = "c7913c3b5a2059b5ef4888f4aa21ac3f47afdc7fbe753de7482979d406203311"
 NEAR_CAP_DIGEST = "11556b3a04c8da109d058a6b1c60a4e569641353de9587a0cb8875641e97f11c"
 SPINE_DIGEST = "6f04a318d72012058550ff2be452554e657299a227f547ce13e305121d183835"
@@ -309,6 +267,75 @@ class TestEvalTreeDigests:
         trees = list(_spine_trees())
         assert [t.size for t in trees] == [1999, 1999]
         assert _vectors_digest(trees) == SPINE_DIGEST
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+class TestDeepTrees:
+    """The 999-deep spines at the size cap under a recursion limit only about
+    100 frames above the caller: no tree walk may recurse per level."""
+
+    def test_spines_under_a_low_recursion_limit(self):
+        rng = random.Random(13)
+        spines = list(_spine_trees())
+        # preorder index of the bottom of each spine: left spine, right spine
+        deepest = (999, 1998)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            for tree, index in zip(spines, deepest):
+                printed = eval_tree(tree)
+                assert len(printed) > 70
+
+                trace = []
+                _, st = run_machine(tree, trace)
+                assert st.result() == printed
+                effects = sum(n.code >= gt.SUB_RECORD for n in compile_postfix(tree))
+                assert len(trace) == effects
+
+                bottom = node_at(tree, index)
+                assert bottom.is_terminal() and bottom.payload == 3.0
+                sub = node("AddRecord", constant(1), constant(2))
+                swapped = replace_at(tree, index, sub)
+                assert swapped.size == tree.size + 2
+                assert node_at(swapped, index) is sub
+                # rebuilding the path around the same subtree changes nothing
+                same = replace_at(tree, index, bottom)
+                assert same is not tree and repr(same) == repr(tree)
+
+                text = repr(tree)
+                assert text.count("(") == tree.size
+                assert text.startswith(tree.kind + "(")
+
+                for _ in range(20):
+                    for child in (crossover(tree, spines[0], rng), mutate(tree, rng)):
+                        assert child.size <= gt.TREE_CAP
+                        assert len(eval_tree(child)) >= 1
+        finally:
+            sys.setrecursionlimit(old)
+
+    def test_import_leaves_the_recursion_limit_alone(self):
+        src = os.path.dirname(os.path.dirname(gt.__file__))
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        code = (
+            "import sys; default = sys.getrecursionlimit(); "
+            "import lockdownsched; print(default, sys.getrecursionlimit())"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout.split()
+        assert out[0] == out[1]
 
 
 class TestConstruction:
