@@ -9,10 +9,7 @@ reproducible reports.
 
 from .allocation import (
     AllocationPlan,
-    bound_value,
-    bound_vector,
     decode,
-    read_plan_csv,
     round_robin,
     write_plan_csv,
 )
@@ -86,8 +83,6 @@ __all__ = [
     "VisitRequest",
     "analytic_pn",
     "apply_update",
-    "bound_value",
-    "bound_vector",
     "brute_force_pressure",
     "build_pn_table",
     "compare",
@@ -104,7 +99,6 @@ __all__ = [
     "mark_apriori_infection",
     "parse_dataset",
     "parse_priors",
-    "read_plan_csv",
     "round_robin",
     "run_experiment",
     "run_from_manifest",

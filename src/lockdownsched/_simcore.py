@@ -10,8 +10,12 @@ with at least ctx.min_group distinct members, the smallest group in which
 the table can infect anyone; smaller cells change nothing but occupancy,
 which simulate_outcome derives after the week from the buckets and the
 isolation days.  Evolution scores every plan it has not met before through
-counts_for_slots, so this is the hot path; bounding and decoding are
-whole-array numpy expressions.
+counts_for_slots, so this is the hot path.
+
+bound_array and decode_slots are the package's one rule for turning a
+printed vector into a plan.  Evolution scores and records with both, and
+allocation.decode, which rebuilds the reports' plans from the recorded
+bounded vectors, wraps decode_slots.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .dataset import (
     N_ESTABLISHMENTS,
     N_SLOTS,
     Dataset,
+    RequestIndex,
     request_index,
 )
 from .full_infection import Status
@@ -50,11 +55,8 @@ class SimContext:
     __slots__ = (
         "model",
         "n_persons",
-        "n_requests",
         "req_person",
         "req_cell",
-        "window_base",
-        "window_width",
         "person_id",
         "age_idx",
         "health",
@@ -72,15 +74,12 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
     ctx = SimContext()
     ctx.model = model
     ctx.n_persons = ri.n_persons
-    ctx.n_requests = ri.n_requests
     ctx.req_person = ri.person
     # cell of a request in slot 0; its slot adds slot * N_ESTABLISHMENTS.
     # int16 holds every cell (N_CELLS - 1 = 287) and sorts by radix
     ctx.req_cell = (
         ri.day.astype(np.int64) * CELLS_PER_DAY + ri.establishment.astype(np.int64)
     ).astype(np.int16)
-    ctx.window_base = ri.window_base.astype(np.int64)
-    ctx.window_width = ri.window_width.astype(np.int64)
     ctx.person_id = ri.person_id.tolist()
     ctx.age_idx = ri.age_index.tolist()
     ctx.health = ri.health.tolist()
@@ -123,18 +122,31 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
 
 
 def bound_array(raw_vector) -> np.ndarray:
-    """allocation.bound_vector over an array: fold into (0,1), 0 -> 0.0001."""
-    v = np.abs(np.asarray(raw_vector, dtype=np.float64)) % 1.0
+    """Fold a printed vector into (0,1) by dropping sign and integer part.
+
+    An exact integer would fold to 0.0, which is outside the open interval,
+    so it is nudged to 0.0001.  A NaN or an infinity raises ValueError.
+    """
+    v = np.asarray(raw_vector, dtype=np.float64)
+    # checked before the fold, which would warn on them
+    if not np.isfinite(v).all():
+        raise ValueError("cannot bound a non-finite value")
+    v = np.abs(v) % 1.0
     v[v <= 0.0] = 0.0001
     return v
 
 
-def decode_slots(ctx: SimContext, bounded_vector) -> np.ndarray:
-    """allocation.decode over arrays: one slot per request, cycling the vector."""
+def decode_slots(ri: RequestIndex, bounded_vector) -> np.ndarray:
+    """One slot per request, cycling the vector over requests in order.
+
+    A value v for a window of width W starting at slot b lands on
+    b + min(floor(v*W), W-1); the min guard only matters at v == 1.0, which
+    bounded vectors exclude anyway.
+    """
     v = np.asarray(bounded_vector, dtype=np.float64)
-    w = ctx.window_width
-    picks = v[np.arange(ctx.n_requests) % v.shape[0]]
-    return ctx.window_base + np.minimum((picks * w).astype(np.int64), w - 1)
+    w = ri.window_width
+    picks = v[np.arange(ri.n_requests) % v.shape[0]]
+    return ri.window_base + np.minimum((picks * w).astype(np.int64), w - 1)
 
 
 def _min_group(probs) -> int:

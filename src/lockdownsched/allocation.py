@@ -1,15 +1,16 @@
-"""Turning real-valued vectors and round-robin policies into visit plans.
+"""Visit plans: checking, the round-robin baselines and the plan CSV.
 
 A plan fixes one time slot for every visit request in the dataset.  Vectors
-coming out of the evolved programs are first folded into (0,1) and then read
-cyclically, one value per request, in the canonical dataset order; the three
-round-robin builders provide uninformed baselines to beat.
+coming out of the evolved programs are folded into (0,1) and then read
+cyclically, one value per request, in the canonical dataset order; that rule
+lives in _simcore.bound_array and _simcore.decode_slots, and decode wraps
+the second for callers that hold a Dataset.  The three round-robin builders
+provide uninformed baselines to beat.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,26 +39,6 @@ CELL_LABELS = tuple(
 _WHERE_LABELS = tuple(f"{est}, {hours}" for est, hours in CELL_LABELS)
 
 
-def bound_value(x: float) -> float:
-    """Fold any finite real into (0,1) by dropping sign and integer part.
-
-    An exact integer would fold to 0.0, which is outside the open interval,
-    so it is nudged to 0.0001.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"cannot bound non-finite value {x!r}")
-    v = abs(x) % 1.0
-    return v if v > 0.0 else 0.0001
-
-
-def bound_vector(values) -> tuple:
-    if len(values) == 0:
-        raise ValueError("vector must not be empty")
-    if len(values) > MAX_VECTOR_LEN:
-        raise ValueError(f"vector longer than {MAX_VECTOR_LEN}")
-    return tuple(bound_value(v) for v in values)
-
-
 @dataclass(frozen=True)
 class AllocationPlan:
     """One slot per visit request, in canonical dataset order."""
@@ -65,17 +46,6 @@ class AllocationPlan:
 
     def __len__(self) -> int:
         return len(self.slots)
-
-    def as_map(self, ds: Dataset) -> dict:
-        """Map (person id, day, request ordinal) -> slot."""
-        out = {}
-        ordinal = {}
-        for slot, (pi, day, _) in zip(self.slots, ds.requests(), strict=True):
-            key = (ds.persons[pi].id, day)
-            k = ordinal.get(key, 0)
-            ordinal[key] = k + 1
-            out[(*key, k)] = slot
-        return out
 
 
 def validate_plan(plan: AllocationPlan, ds: Dataset) -> None:
@@ -98,20 +68,13 @@ def validate_plan(plan: AllocationPlan, ds: Dataset) -> None:
 
 
 def decode(vector, ds: Dataset) -> AllocationPlan:
-    """Assign slots by cycling the bounded vector over requests in order.
+    """The plan a bounded vector decodes to (see _simcore.decode_slots)."""
+    # imported here: _simcore imports simulator, which imports this module
+    from ._simcore import decode_slots
 
-    A value v for a window of width W starting at slot b lands on
-    b + min(floor(v*W), W-1); the min guard only matters at v == 1.0, which
-    bounded vectors exclude anyway.
-    """
     if len(vector) == 0:
         raise ValueError("vector must not be empty")
-    slots = []
-    for pos, (_, _, req) in enumerate(ds.requests()):
-        v = vector[pos % len(vector)]
-        base, width = WINDOWS[req.window]
-        slots.append(base + min(int(v * width), width - 1))
-    return AllocationPlan(tuple(slots))
+    return AllocationPlan(tuple(decode_slots(request_index(ds), vector).tolist()))
 
 
 # comp1 pins each window class to one slot, comp2 alternates between two,
@@ -159,23 +122,3 @@ def write_plan_csv(plan: AllocationPlan, ds: Dataset, path) -> None:
             plan.slots,
             [_WHERE_LABELS[c] for c in cell.tolist()],
         ))
-
-
-def read_plan_csv(ds: Dataset, path) -> AllocationPlan:
-    ri = request_index(ds)
-    expected = list(zip(ri.person_id[ri.person].tolist(), ri.day.tolist(), ri.key))
-    slots = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != PLAN_CSV_HEADER:
-            raise ValueError(f"bad plan header in {path}")
-        for row in reader:
-            pid, day, key, slot = int(row[0]), int(row[1]), row[2], int(row[3])
-            pos = len(slots)
-            if pos >= len(expected) or expected[pos] != (pid, day, key):
-                raise ValueError(f"plan row {pos + 2} does not match the dataset")
-            slots.append(slot)
-    plan = AllocationPlan(tuple(slots))
-    validate_plan(plan, ds)
-    return plan

@@ -343,6 +343,14 @@ def generate_dataset(seed: int) -> Dataset:
     return Dataset(tuple(persons))
 
 
+def check_apriori_fractions(fraction_infected: float, fraction_immune: float) -> None:
+    """Reject a-priori fractions outside [0, 1] or summing above 1."""
+    if not (0.0 <= fraction_infected <= 1.0 and 0.0 <= fraction_immune <= 1.0):
+        raise ValueError("fractions must lie in [0, 1]")
+    if fraction_infected + fraction_immune > 1.0:
+        raise ValueError("fractions sum above 1")
+
+
 def mark_apriori_infection(ds: Dataset, fraction_infected: float, fraction_immune: float,
                            seed: int) -> Dataset:
     """Flag the healthiest people as already infected, the next as immune.
@@ -350,10 +358,7 @@ def mark_apriori_infection(ds: Dataset, fraction_infected: float, fraction_immun
     Counts are the nearest integers to fraction x population.  Ties in health
     are broken by a seeded shuffle.  Returns a new dataset.
     """
-    if not (0.0 <= fraction_infected <= 1.0 and 0.0 <= fraction_immune <= 1.0):
-        raise ValueError("fractions must lie in [0, 1]")
-    if fraction_infected + fraction_immune > 1.0:
-        raise ValueError("fractions sum above 1")
+    check_apriori_fractions(fraction_infected, fraction_immune)
     n = len(ds.persons)
     n_infected = int(fraction_infected * n + 0.5)
     n_immune = int(fraction_immune * n + 0.5)
@@ -425,8 +430,8 @@ def _build_request_index(ds: Dataset) -> RequestIndex:
         n_requests=len(person),
         person=np.asarray(person, dtype=np.int32),
         day=np.asarray(day, dtype=np.int8),
-        window_base=np.asarray(base, dtype=np.int8),
-        window_width=np.asarray(width, dtype=np.int8),
+        window_base=np.asarray(base, dtype=np.int64),
+        window_width=np.asarray(width, dtype=np.int64),
         establishment=np.asarray(est, dtype=np.int8),
         key=tuple(key),
         person_id=np.asarray([p.id for p in ds.persons], dtype=np.int32),

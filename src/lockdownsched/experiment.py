@@ -22,6 +22,7 @@ from .dataset import (
     AGE_GROUPS,
     N_SLOTS,
     Dataset,
+    check_apriori_fractions,
     generate_dataset,
     load_dataset,
     mark_apriori_infection,
@@ -68,6 +69,7 @@ class ExperimentSpec:
         if (self.dataset_path is None) == (self.generate_seed is None):
             raise ValueError("exactly one dataset source must be given")
         self.gp_config()
+        check_apriori_fractions(self.apriori_infected, self.apriori_immune)
         for variant in self.baselines:
             if variant not in BASELINE_VARIANTS:
                 raise ValueError(f"unknown baseline {variant!r}")

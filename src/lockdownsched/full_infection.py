@@ -75,6 +75,8 @@ def build_pn_table(q: int, iterations: int = 100_000, seed: int = 0) -> PnTable:
     """Estimate p_1..p_20 by simulating the 21-person venue visits."""
     if q < 1:
         raise ValueError("q must be at least 1")
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1")
     rng = np.random.default_rng(seed)
     met_counts = np.zeros(MAX_TABLE_N, dtype=np.int64)
     batch = max(1, min(iterations, 4_000_000 // (q * (MAX_TABLE_N + 1))))

@@ -18,9 +18,10 @@ count against the budget.  The fitness phase then scores the population
 and breeds on.  Every strict improvement of the best fitness is emitted as
 a solution record, so a run's trajectory can be archived and replayed.
 
-Programs whose raw output vector contains a non-finite value are assigned
-negative-infinite fitness instead of raising; the bounding used for real
-candidates stays strict.
+A tree's printed vector becomes a plan through _simcore.bound_array and
+_simcore.decode_slots, the package's one bounding and decoding rule.
+bound_array refuses a NaN or an infinity; a program whose vector holds one
+is assigned negative-infinite fitness instead of raising.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from ._simcore import (
     counts_for_slots,
     decode_slots,
 )
-from .dataset import Dataset
+from .dataset import Dataset, request_index
 from .full_infection import PnTable, build_pn_table
 from .gp_tree import GpNode, crossover, eval_tree, mutate, ramped_population
 from .simulator import MODEL_FULL, MODEL_PARTIAL, fitness_value
@@ -89,6 +90,8 @@ class GpConfig:
             raise ValueError("w_c outside [0, 1]")
         if self.seed_len is not None and self.seed_len < 1:
             raise ValueError("seed_len must be positive when set")
+        if self.pn_iterations < 1:
+            raise ValueError("pn_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -177,21 +180,24 @@ class _Evaluator:
             s=config.s if config.model == MODEL_PARTIAL else None,
             table=table,
         )
+        self.ri = request_index(ds)
         # plan_digest's dataset half, hashed once
         self.ds_hash = hashlib.sha256(ds.digest().encode())
         self.memo = {}
 
     def evaluate(self, tree: GpNode) -> tuple:
         raw = eval_tree(tree)
-        if not all(map(math.isfinite, raw)):
-            return (-math.inf, -1, -1)
         vkey = None
-        if 8 * len(raw) < self.ctx.n_requests:
+        if 8 * len(raw) < self.ri.n_requests:
             vkey = array("d", raw).tobytes()
             scored = self.memo.get(vkey)
             if scored is not None:
                 return scored
-        slots = decode_slots(self.ctx, bound_array(raw))
+        try:
+            bounded = bound_array(raw)
+        except ValueError:  # a NaN or an infinity, which never enters the memo
+            return (-math.inf, -1, -1)
+        slots = decode_slots(self.ri, bounded)
         # every slot index is below N_SLOTS, so one byte per request is a key
         key = slots.astype(np.uint8).tobytes()
         scored = self.memo.get(key)
@@ -212,7 +218,7 @@ class _Evaluator:
         # called for finite-fitness trees only, so the vector is finite
         fitness, n_h, n_d = scored
         bounded = bound_array(eval_tree(tree))
-        slots = decode_slots(self.ctx, bounded)
+        slots = decode_slots(self.ri, bounded)
         return SolutionRecord(
             vector=tuple(float(v) for v in bounded),
             fitness=fitness,

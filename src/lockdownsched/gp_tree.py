@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .allocation import MAX_VECTOR_LEN, bound_vector
+from ._simcore import bound_array
+from .allocation import MAX_VECTOR_LEN
 
 TREE_CAP = 2_000
 
@@ -75,9 +76,6 @@ class GpNode:
     @property
     def kind(self) -> str:
         return KIND_NAMES[self.code]
-
-    def is_terminal(self) -> bool:
-        return self.left is None
 
     def __repr__(self) -> str:
         parts = []
@@ -233,7 +231,7 @@ def eval_tree(root: GpNode) -> list:
 
 def genotype_to_vector(root: GpNode) -> tuple:
     """Evaluate and fold every element into (0,1)."""
-    return bound_vector(eval_tree(root))
+    return tuple(bound_array(eval_tree(root)).tolist())
 
 
 # --- random construction and variation --------------------------------------

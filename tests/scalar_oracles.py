@@ -1,0 +1,79 @@
+"""The scalar loops that bounding, decoding and plan reading were written as
+before the array core in lockdownsched._simcore took them over.  They are
+kept here, outside the package, as the oracles the tests compare against."""
+
+import csv
+import math
+
+from lockdownsched.allocation import (
+    MAX_VECTOR_LEN,
+    PLAN_CSV_HEADER,
+    AllocationPlan,
+    validate_plan,
+)
+from lockdownsched.dataset import WINDOWS, request_index
+
+
+def bound_value(x: float) -> float:
+    """Fold any finite real into (0,1) by dropping sign and integer part.
+
+    An exact integer would fold to 0.0, which is outside the open interval,
+    so it is nudged to 0.0001.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"cannot bound non-finite value {x!r}")
+    v = abs(x) % 1.0
+    return v if v > 0.0 else 0.0001
+
+
+def bound_vector(values) -> tuple:
+    if len(values) == 0:
+        raise ValueError("vector must not be empty")
+    if len(values) > MAX_VECTOR_LEN:
+        raise ValueError(f"vector longer than {MAX_VECTOR_LEN}")
+    return tuple(bound_value(v) for v in values)
+
+
+def decode_loop(vector, ds) -> tuple:
+    """Slots from cycling the bounded vector over requests in order."""
+    if len(vector) == 0:
+        raise ValueError("vector must not be empty")
+    slots = []
+    for pos, (_, _, req) in enumerate(ds.requests()):
+        v = vector[pos % len(vector)]
+        base, width = WINDOWS[req.window]
+        slots.append(base + min(int(v * width), width - 1))
+    return tuple(slots)
+
+
+def plan_map(plan, ds) -> dict:
+    """Map (person id, day, request ordinal) -> slot."""
+    out = {}
+    ordinal = {}
+    for slot, (pi, day, _) in zip(plan.slots, ds.requests(), strict=True):
+        key = (ds.persons[pi].id, day)
+        k = ordinal.get(key, 0)
+        ordinal[key] = k + 1
+        out[(*key, k)] = slot
+    return out
+
+
+def read_plan_csv(ds, path) -> AllocationPlan:
+    """The plan an allocations.csv holds, checked against the dataset."""
+    ri = request_index(ds)
+    expected = list(zip(ri.person_id[ri.person].tolist(), ri.day.tolist(), ri.key))
+    slots = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != PLAN_CSV_HEADER:
+            raise ValueError(f"bad plan header in {path}")
+        for row in reader:
+            pid, day, key, slot = int(row[0]), int(row[1]), row[2], int(row[3])
+            pos = len(slots)
+            if pos >= len(expected) or expected[pos] != (pid, day, key):
+                raise ValueError(f"plan row {pos + 2} does not match the dataset")
+            slots.append(slot)
+    plan = AllocationPlan(tuple(slots))
+    validate_plan(plan, ds)
+    return plan

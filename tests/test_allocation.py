@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lockdownsched._simcore import bound_array
 from lockdownsched.allocation import (
     AllocationPlan,
-    bound_value,
-    bound_vector,
     decode,
-    read_plan_csv,
     round_robin,
     validate_plan,
     write_plan_csv,
@@ -24,6 +22,8 @@ from lockdownsched.dataset import (
     parse_dataset,
     slot_label,
 )
+
+from scalar_oracles import bound_value, decode_loop, plan_map, read_plan_csv
 
 TEXT = """
 1 20 9.5 0 MF1:AD2 | NF1 | PC1:MS2
@@ -38,29 +38,33 @@ def ds():
 
 
 def test_bound_value_examples():
-    assert bound_value(-21.27625) == pytest.approx(0.27625)
-    assert bound_value(29.00000) == pytest.approx(0.0001)
-    assert bound_value(0.5) == 0.5
-    assert bound_value(-0.25) == 0.25
-    assert bound_value(0.0) == 0.0001
-    with pytest.raises(ValueError):
-        bound_value(math.inf)
-    with pytest.raises(ValueError):
-        bound_value(math.nan)
+    # bound_array is the package's rule; the scalar oracle must agree
+    for bound in (bound_value, lambda x: bound_array([x])[0]):
+        assert bound(-21.27625) == pytest.approx(0.27625)
+        assert bound(29.00000) == pytest.approx(0.0001)
+        assert bound(0.5) == 0.5
+        assert bound(-0.25) == 0.25
+        assert bound(0.0) == 0.0001
+        with pytest.raises(ValueError):
+            bound(math.inf)
+        with pytest.raises(ValueError):
+            bound(math.nan)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
 def test_bound_value_always_open_interval(x):
-    v = bound_value(x)
+    v = bound_array([x])[0]
     assert 0.0 < v < 1.0
+    assert v == bound_value(x)
 
 
-def test_bound_vector_limits():
-    assert bound_vector([1.5, -2.25]) == (0.5, 0.25)
+def test_bound_vector_limits(ds):
+    assert bound_array([1.5, -2.25]).tolist() == [0.5, 0.25]
+    # one non-finite value anywhere refuses the whole vector
     with pytest.raises(ValueError):
-        bound_vector([])
+        bound_array([0.5] * 9 + [-math.inf])
     with pytest.raises(ValueError):
-        bound_vector([0.5] * 10_001)
+        decode([], ds)
 
 
 def test_decode_window_examples(ds):
@@ -101,7 +105,7 @@ def test_round_robin_comp1(ds):
 
 def test_round_robin_comp2_alternates_per_day(ds):
     plan = round_robin(ds, "comp2")
-    m = plan.as_map(ds)
+    m = plan_map(plan, ds)
     # Monday M-class order: person 1 MF1, person 1 AD2, person 2 PF2(P),
     # person 3 MP1 -> M-class sees MF1, AD2, MP1 -> 0, 1, 0
     assert m[(1, 0, 0)] == 0
@@ -115,7 +119,7 @@ def test_round_robin_comp2_alternates_per_day(ds):
 
 def test_round_robin_comp3_cycles(ds):
     plan = round_robin(ds, "comp3")
-    m = plan.as_map(ds)
+    m = plan_map(plan, ds)
     # Monday M-class: MF1, AD2, MP1 -> 0, 1, 0 (two thirds to the first slot)
     assert (m[(1, 0, 0)], m[(1, 0, 1)], m[(3, 0, 0)]) == (0, 1, 0)
     # night requests cycle 5, 6, 7 across days independently
@@ -254,6 +258,7 @@ def test_write_plan_csv_checks_before_creating_the_file(tmp_path, ds):
 def test_round_robin_and_plan_csv_match_the_loops(tmp_path, seed):
     ds = generate_dataset(seed)
     plans = [decode([0.1, 0.7, 0.45], ds)]
+    assert plans[0].slots == decode_loop([0.1, 0.7, 0.45], ds)
     for variant in ("comp1", "comp2", "comp3"):
         plan = round_robin(ds, variant)
         assert plan.slots == _round_robin_loop(ds, variant)

@@ -90,6 +90,31 @@ class TestRun:
         assert not out.exists() or not any(out.iterdir())
 
 
+    @pytest.mark.parametrize("iterations", ["0", "-5"])
+    def test_pn_iterations_below_one_write_nothing(self, tmp_path, capsys, iterations):
+        out = tmp_path / "r"
+        args = ["run", "--generate", "1", "--model", "full", "--q", "4",
+                "--pn-iterations", iterations, "--baselines", "comp1",
+                "--out", str(out)]
+        assert main(args) == 1
+        assert "pn_iterations" in capsys.readouterr().err
+        assert not out.exists()
+        assert not list(tmp_path.iterdir())  # no staging directory either
+
+    @pytest.mark.parametrize("model", ["partial", "full"])
+    @pytest.mark.parametrize(
+        "fractions", [("7", "0"), ("0", "-0.1"), ("0.6", "0.5"), ("nan", "0")]
+    )
+    def test_bad_apriori_fractions_write_nothing(self, tmp_path, capsys, model, fractions):
+        out = tmp_path / "r"
+        args = ["run", "--generate", "1", "--model", model, "--q", "4",
+                "--apriori-infected", fractions[0], "--apriori-immune", fractions[1],
+                "--baselines", "comp1", "--out", str(out)]
+        assert main(args) == 1
+        assert "fractions" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 class TestReplayAndCompare:
     def test_round_trip(self, tmp_path, capsys):
         assert main(run_args(tmp_path / "a")) == 0

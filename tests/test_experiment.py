@@ -1,6 +1,7 @@
 """Report generation: file shapes, replay determinism, comparisons."""
 
 import csv
+import hashlib
 import json
 import os
 import stat
@@ -318,3 +319,144 @@ class TestCompare:
         result = compare(a, b)
         assert result["ratio_b_over_a"] == pytest.approx(3.94, abs=0.01)
         assert result["dominance"]["a_dominates_b"] == 1
+
+
+# sha256 of every file of two small reports, taken on Python 3.11 with numpy
+# 2.4: the criterion-7 fractional run with GP, and a standard-model run with
+# GP and a-priori marking.  The CI legs on the other Python versions check
+# that report bytes do not depend on the interpreter.
+PINNED_FRACTIONAL = {
+    "archive.csv":
+        "6da9f957ba1bb07d5401582a7bea81d6cc6e36c25944586ad633184f900e6215",
+    "baselines.csv":
+        "b32a48185c4457f6110817f83e527ab787cb87f779610fe0ff03f3dadc926160",
+    "dataset.txt":
+        "38d8195872ac02b1332593702a29472b15c82f2ead71878f6a95ad5a918b2584",
+    "manifest.json":
+        "d58d100a18935a29f7f819e117468f75647aa775f78339e502317c0c61f84619",
+    "pareto.csv":
+        "e16fe30cfd728efc0a71579e57a54590ad0a15ffce9287c263b4ccb54741e7cf",
+    "solutions/comp1/allocations.csv":
+        "23f943e92022b10e782f342da59db77cc9de42432456a282fb246e7ab4fd40ad",
+    "solutions/comp1/occupancy.csv":
+        "973a23bf4cde58ea94493305e5296e7ff3bd5080b3fc4e891f612ecf5662833b",
+    "solutions/comp1/rosters.csv":
+        "fa4ba4b8068af2e58e9e2e20f0232e9618f21a62fabd5f71ecf814e5a2ea7a54",
+    "solutions/comp1/trajectory.csv":
+        "b21668f3a400197bf2ccb8c88adc864e3118bd26d6b04f274b5791d2a70080dd",
+    "solutions/comp2/allocations.csv":
+        "e89e4ceb168e67151a741090559498d687734b199fa1c735d1f80602e852da77",
+    "solutions/comp2/occupancy.csv":
+        "265a5065873710602853107d9d052e29abfda8aa412ea128500dda6b52d9fa88",
+    "solutions/comp2/rosters.csv":
+        "77a584ef8f0456727366832dc9f58ec610b868b90dd62c16dfeed5faea9068c4",
+    "solutions/comp2/trajectory.csv":
+        "8284b8442de473c095f45d88b206528dfeb3fc4e87bb87f1b02e2b55a1d4be89",
+    "solutions/comp3/allocations.csv":
+        "1fb38b2926f1168edd700e137211a909c1a8d747907346b6cde5bf6f4fdd2ed3",
+    "solutions/comp3/occupancy.csv":
+        "2e6b330991603a766a8bb942fcc0be90e1e7262c725cfa7c16a3d3f858cf9258",
+    "solutions/comp3/rosters.csv":
+        "c0f1889e1846abe7e2f5873a0c8cfc37b6db997fa3abee4cd973624f4244530e",
+    "solutions/comp3/trajectory.csv":
+        "cf26a2678aa300dfc920daea277bf15680247453cfbf32f53be86f7aec76d8b8",
+    "solutions/pareto_01/allocations.csv":
+        "55afff3187f67f10adf26e9156bf4b75ee9fca94dafb3fc47835ae15948e3d4d",
+    "solutions/pareto_01/occupancy.csv":
+        "e42540c5280c0fda73d6ea8629b10093deceaedc992c1ef9af6292987ad77eed",
+    "solutions/pareto_01/rosters.csv":
+        "3b77c8797dc62e332d30052e448d6d07c268605ef8a60f47ead7b920b144875b",
+    "solutions/pareto_01/trajectory.csv":
+        "3d24f1ead701371f6f9cb2245c5597adf67c7eae9eb89b5643685c8c50d2f714",
+    "solutions/pareto_01/vector.txt":
+        "0e4cf2b294a97acd0d6b19f5c708d541e56abcc547c5e1f412cdbebdf543de72",
+    "summary.json":
+        "eb392f95f3053cd1cb249ed655825d1eaf2f5c2d404ea629bce8ec10e6b8b34d",
+}
+PINNED_STANDARD = {
+    "archive.csv":
+        "91cd8ea565636edb7b6b8569aa4d6558325621c20347a52f1a9a80925cf74941",
+    "baselines.csv":
+        "e321eea2d8462d65412b97c697981ac9634be3f05834e79b767b9be7b2304381",
+    "dataset.txt":
+        "6ae6a206d04d9cf126982f2490bc2e52f05824d1db75d11e172c9d27e617a2b7",
+    "manifest.json":
+        "e45e30c5be52d69610e1695f97483f006e0e4b4f27326d4dea69a59bcdf68c9a",
+    "pareto.csv":
+        "22eac77ab0010a1b690e197de9a0482076432aca8e12a585fc8e29e8d03b1c78",
+    "solutions/comp1/allocations.csv":
+        "8748a25b2f65a27bb8ea14c4e6858f7c70eeeb68dcbfd54c1223c40dae409ed9",
+    "solutions/comp1/occupancy.csv":
+        "fde5027d071ec372cd2ef262bf62a7e118865b3e8b5723d8bf69374d9642d95f",
+    "solutions/comp1/rosters.csv":
+        "ec9220f4ec2e89bfdae908d2cda088878d961d67f446a2d7ac5c024daf6a227a",
+    "solutions/comp2/allocations.csv":
+        "3b55e1481dc7c2c58e5d1e29b582f4838ea478f6439af5d8160b77b21dc205a8",
+    "solutions/comp2/occupancy.csv":
+        "5e1757a27add47e3b9a1fed7a782ad95a8ba8dd02d6373ccf2b61d40a2ef7e46",
+    "solutions/comp2/rosters.csv":
+        "a54e6f6539d2f81669a531c12a76097f11c985357419ce4e8a7339f49e7c35bc",
+    "solutions/comp3/allocations.csv":
+        "64eff0d857875692b88e6b8d73ea9fab71d070a3549984df22dd16751e20096e",
+    "solutions/comp3/occupancy.csv":
+        "08fd16ddf3909db2a7c43ebd9a702d60561f1dfcd8847582c9eeb60b90ddc6fd",
+    "solutions/comp3/rosters.csv":
+        "b0de6f2767e78bbd8b0ff39e0b918dc42059b80e76f52bde16e40a1a3e198f61",
+    "solutions/pareto_01/allocations.csv":
+        "575efadb4034ff3c1780fe91b1dee841f2b026487f6974c29176753a5e536a18",
+    "solutions/pareto_01/occupancy.csv":
+        "0be0ef445052bba7d218db59e22f6f8efc4c2d2212edd88635859827b16bc4ae",
+    "solutions/pareto_01/rosters.csv":
+        "833be34b242385b7129cfc44ad2d6b802bfb2e744f492c8f8973deafdfc044b5",
+    "solutions/pareto_01/vector.txt":
+        "d2daa3e91da3cd8559080bbd45c953cd41563fab4270729aacd52f9901bf43fa",
+    "solutions/pareto_02/allocations.csv":
+        "11f48edd340994d74b6eca2640d92d63bf3f9eabc013f1e9605d9ee9fae48c98",
+    "solutions/pareto_02/occupancy.csv":
+        "af4863533bb9e0a6e6e8dbe6657c4540aac939d60caeeee1437bb3c950246884",
+    "solutions/pareto_02/rosters.csv":
+        "e9453ab04a667ecc001aa765c1a29bc0f0088e99ad4f6a9fe1b58ff078ce199d",
+    "solutions/pareto_02/vector.txt":
+        "617f91e014989a02f717fba50392ecdd5df5ab9a76208048d2cc81aefc26f0bd",
+    "solutions/pareto_03/allocations.csv":
+        "4e9dad63406de67a7e9ad10c761fa11cb65f4cf050e1a5ae58a18104622c1fd0",
+    "solutions/pareto_03/occupancy.csv":
+        "37065b4ea8295c22fa1fc09bb8f97064342ea0058f80cc2165a7b06693ae3be0",
+    "solutions/pareto_03/rosters.csv":
+        "041a7094273e485e850699c62ee13773c0eb6d0d4b64f86df8c20e37997ded9d",
+    "solutions/pareto_03/vector.txt":
+        "0cbab47510653653beb6251939682e54e7faf9e489100f197d8ce96385694dbd",
+    "summary.json":
+        "772fedbe2a0100f1d00989e88f7bd22b9947964cc77aa615e5e239f75175a282",
+}
+
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (
+            dict(
+                model="partial", generate_seed=12345, s=4, priors=dict(PRIORS),
+                pir_seeds=(1, 2), population=60, budget=2_000,
+            ),
+            PINNED_FRACTIONAL,
+        ),
+        (
+            dict(
+                model="full", generate_seed=777, s=None, q=10,
+                apriori_infected=0.3, apriori_immune=0.021, apriori_seed=777,
+                pir_seeds=(1, 2), population=30, budget=200, pn_iterations=20_000,
+            ),
+            PINNED_STANDARD,
+        ),
+    ],
+    ids=["fractional", "standard"],
+)
+def test_report_bytes_are_pinned(tmp_path, spec, expected):
+    run_experiment(ExperimentSpec(**spec), tmp_path / "r")
+    got = {
+        rel.replace(os.sep, "/"): hashlib.sha256(data).hexdigest()
+        for rel, data in tree_bytes(tmp_path / "r").items()
+    }
+    assert got == expected

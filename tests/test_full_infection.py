@@ -71,6 +71,13 @@ def test_p_for_out_of_range():
         build_pn_table(0, iterations=10, seed=1)
 
 
+@pytest.mark.parametrize("iterations", [0, -5])
+def test_build_table_needs_an_iteration(iterations):
+    # zero iterations divided 0 by 0; a negative count gave a table of -0.0
+    with pytest.raises(ValueError, match="iterations"):
+        build_pn_table(4, iterations)
+
+
 def infected(pid, days=0):
     return (pid, InfectionStatus(Status.I, days))
 

@@ -5,12 +5,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lockdownsched import gp_engine
 from lockdownsched._simcore import bound_array, counts_for_slots, decode_slots
 from lockdownsched.allocation import AllocationPlan, decode
-from lockdownsched.dataset import generate_dataset, mark_apriori_infection
-from lockdownsched.full_infection import build_pn_table
+from lockdownsched.dataset import generate_dataset, mark_apriori_infection, parse_dataset
+from lockdownsched.full_infection import PnTable, build_pn_table
 from lockdownsched.gp_engine import (
     Archive,
     GpConfig,
@@ -21,6 +23,7 @@ from lockdownsched.gp_engine import (
     run_pirs,
 )
 from lockdownsched.gp_tree import (
+    FUNCTION_CODES,
     GpNode,
     constant,
     eval_tree,
@@ -35,6 +38,8 @@ from lockdownsched.simulator import (
     fitness_value,
     simulate,
 )
+
+from scalar_oracles import bound_vector, decode_loop
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +77,8 @@ class TestConfig:
             GpConfig(model=MODEL_PARTIAL, s=1)
         with pytest.raises(ValueError):
             GpConfig(model=MODEL_FULL, q=None)
+        with pytest.raises(ValueError, match="pn_iterations"):
+            GpConfig(pn_iterations=0)
 
 
 class TestEvolvePir:
@@ -140,8 +147,8 @@ class TestFitnessMemo:
         decoded, simulated = set(), []
         decode_slots, counts_for_slots = gp_engine.decode_slots, gp_engine.counts_for_slots
 
-        def decode_spy(ctx, bounded):
-            slots = decode_slots(ctx, bounded)
+        def decode_spy(ri, bounded):
+            slots = decode_slots(ri, bounded)
             decoded.add(slots.tobytes())
             return slots
 
@@ -429,7 +436,7 @@ class TestScoringPath:
         raw = np.asarray(eval_tree(tree), dtype=np.float64)
         if not np.isfinite(raw).all():
             return (-math.inf, -1, -1)
-        slots = decode_slots(evaluator.ctx, bound_array(raw))
+        slots = decode_slots(evaluator.ri, bound_array(raw))
         n_h, n_d = counts_for_slots(evaluator.ctx, slots)
         return (fitness_value(n_h, n_d, evaluator.config.w_c), n_h, n_d)
 
@@ -444,13 +451,13 @@ class TestScoringPath:
         for tree in trees + trees[:40]:  # the repeats are memo hits
             assert evaluator.evaluate(tree) == self.old_score(evaluator, tree)
         # both kinds of key: printed vectors, shorter than a plan, and plans
-        n = evaluator.ctx.n_requests
+        n = evaluator.ri.n_requests
         assert {len(k) < n for k in evaluator.memo} == {True, False}
 
     def test_edge_vectors(self, world):
         ds, cfg, table = world
         evaluator = gp_engine._Evaluator(ds, cfg, table)
-        n = evaluator.ctx.n_requests
+        n = evaluator.ri.n_requests
         big = constant(128)
         for _ in range(8):
             big = node("MultiplyNumber", big, big)  # 128 ** 256 = inf
@@ -486,9 +493,9 @@ class TestScoringPath:
         decoded, simulated = [], []
         decode_real, counts_real = gp_engine.decode_slots, gp_engine.counts_for_slots
 
-        def decode_spy(ctx, bounded):
+        def decode_spy(ri, bounded):
             decoded.append(1)
-            return decode_real(ctx, bounded)
+            return decode_real(ri, bounded)
 
         def counts_spy(ctx, slots):
             simulated.append(1)
@@ -507,6 +514,70 @@ class TestScoringPath:
         c = printing([6, sconstant(40)], tail=constant(1))
         assert evaluator.evaluate(c) == evaluator.evaluate(a)
         assert (len(decoded), len(simulated)) == (2, 1)
+
+
+# trees of every node kind over both kinds of constant, for Hypothesis to shrink
+_trees = st.recursive(
+    st.one_of(st.integers(-127, 128).map(constant), st.integers(0, 255).map(sconstant)),
+    lambda sub: st.builds(GpNode, st.sampled_from(FUNCTION_CODES), st.just(0.0), sub, sub),
+    max_leaves=40,
+)
+_HUGE = constant(128)
+for _ in range(8):
+    _HUGE = node("MultiplyNumber", _HUGE, _HUGE)  # 128 ** 256 = inf
+
+
+# 11 requests whose persons share establishments in wide windows, so the
+# plan decides who meets whom
+ELEVEN_REQUESTS = """
+1 20 9.5 0 AF1:MD1 | AF1 | PF1
+2 40 6.0 1 AF1 | AF1:ND1 | AF1
+3 70 4.5 0 AF1:MD1 | | AF1
+4 30 7.0 0 | |
+"""
+
+
+@pytest.fixture(scope="module")
+def eleven_requests():
+    """The 11-request dataset with one evaluator and simulate() keywords per
+    model.  The priors and a table that infects every exposed susceptible
+    make the counts depend on the plan in a world of four persons."""
+    ds = parse_dataset(ELEVEN_REQUESTS).with_taxonomy({20: 0.1, 40: 0.5, 70: 0.6})
+    assert ds.n_requests() == 11
+    table = PnTable(q=5, iterations=1, seed=0, probs=(1.0,) * 20)
+    return ds, [
+        (gp_engine._Evaluator(ds, quick_config(), None), MODEL_PARTIAL, {"s": 4}),
+        (
+            gp_engine._Evaluator(ds, GpConfig(model=MODEL_FULL, q=5), table),
+            MODEL_FULL,
+            {"table": table},
+        ),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_trees)
+@example(tree=printing([3, _HUGE]))
+@example(tree=printing([node("SubtractNumber", _HUGE, _HUGE)]))  # NaN
+def test_evaluate_matches_the_scalar_pipeline(eleven_requests, tree):
+    """evaluate() and record() against eval_tree, the scalar bounding and
+    decoding loops and the reference simulator, memo and all."""
+    ds, evaluators = eleven_requests
+    raw = eval_tree(tree)
+    for evaluator, model, kwargs in evaluators:
+        got = evaluator.evaluate(tree)
+        if not all(map(math.isfinite, raw)):
+            assert got == (-math.inf, -1, -1)
+            with pytest.raises(ValueError):
+                bound_array(raw)
+            continue
+        bounded = bound_vector(raw)
+        plan = AllocationPlan(decode_loop(bounded, ds))
+        n_h, n_d = simulate(ds, plan, model, engine="reference", **kwargs).counts()
+        assert got == (fitness_value(n_h, n_d, evaluator.config.w_c), n_h, n_d)
+        rec = evaluator.record(tree, got, 0, 0)
+        assert rec.vector == bounded
+        assert rec.plan_digest == plan_digest(ds, plan.slots)
 
 
 class TestArchive:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lockdownsched import gp_tree as gt
+from lockdownsched.allocation import MAX_VECTOR_LEN
 from lockdownsched.gp_tree import (
     GpNode,
     compile_postfix,
@@ -300,7 +301,7 @@ class TestDeepTrees:
                 assert len(trace) == effects
 
                 bottom = node_at(tree, index)
-                assert bottom.is_terminal() and bottom.payload == 3.0
+                assert bottom.left is None and bottom.payload == 3.0
                 sub = node("AddRecord", constant(1), constant(2))
                 swapped = replace_at(tree, index, sub)
                 assert swapped.size == tree.size + 2
@@ -319,6 +320,20 @@ class TestDeepTrees:
                         assert len(eval_tree(child)) >= 1
         finally:
             sys.setrecursionlimit(old)
+
+    def test_printed_vector_stops_at_the_cap(self):
+        # the machine clamps p_z, so a tree prints at most MAX_VECTOR_LEN
+        # values however many records it adds; nothing downstream checks it
+        tree = constant(0)
+        for i in range(MAX_VECTOR_LEN + 50):
+            tree = node("AddRecord", constant(i % 200 - 90), tree)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            printed = eval_tree(tree)
+        finally:
+            sys.setrecursionlimit(old)
+        assert len(printed) == MAX_VECTOR_LEN == 10_000
 
     def test_import_leaves_the_recursion_limit_alone(self):
         src = os.path.dirname(os.path.dirname(gt.__file__))
@@ -342,7 +357,7 @@ class TestConstruction:
     def test_sizes_cached(self):
         t = build_golden_tree()
         def count(n):
-            if n.is_terminal():
+            if n.left is None:
                 return 1
             return 1 + count(n.left) + count(n.right)
         assert t.size == count(t)
@@ -351,7 +366,7 @@ class TestConstruction:
         rng = random.Random(3)
         t = random_tree(rng, 4, "full")
         def depth(n):
-            if n.is_terminal():
+            if n.left is None:
                 return 0
             return 1 + max(depth(n.left), depth(n.right))
         assert depth(t) == 4
@@ -361,7 +376,7 @@ class TestConstruction:
         for _ in range(50):
             t = random_tree(rng, 5, "grow")
             def depth(n):
-                if n.is_terminal():
+                if n.left is None:
                     return 0
                 return 1 + max(depth(n.left), depth(n.right))
             assert depth(t) <= 5

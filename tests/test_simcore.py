@@ -1,5 +1,5 @@
 """Array bounding, decoding and the week loop agree exactly with the scalar
-allocation code and the reference simulator."""
+oracles and the reference simulator."""
 
 import random
 
@@ -15,15 +15,18 @@ from lockdownsched._simcore import (
     counts_for_slots,
     decode_slots,
 )
-from lockdownsched.allocation import bound_vector, decode, round_robin
+from lockdownsched.allocation import decode, round_robin
 from lockdownsched.dataset import (
     INFECTED,
     generate_dataset,
     mark_apriori_infection,
     parse_dataset,
+    request_index,
 )
 from lockdownsched.full_infection import build_pn_table
 from lockdownsched.simulator import MODEL_FULL, simulate
+
+from scalar_oracles import bound_vector, decode_loop
 
 TEXT = """
 1 20 9.5 0 MF1:AD2 | NF1 | PC1:MS2
@@ -51,11 +54,6 @@ def ds():
     return ds
 
 
-@pytest.fixture(scope="module")
-def ctx(ds):
-    return build_context(ds, "partial", s=4)
-
-
 @settings(max_examples=300, deadline=None)
 @given(raw_vector)
 @example([3.0, -7.0, 0.0, -0.0, 1e16, -1e16, 2.0**60, 1e308])
@@ -78,11 +76,12 @@ def test_bound_array_folds_integers_and_zeros():
 @example([0.5])
 @example([0.9999999999999999])
 @example([0.0001 * k for k in range(1, 3 * N_REQUESTS + 1)])
-def test_decode_slots_matches_decode(ds, ctx, values):
+def test_decode_slots_matches_decode(ds, values):
     bounded = bound_vector(values)
-    slots = decode_slots(ctx, np.array(bounded))
+    slots = decode_slots(request_index(ds), np.array(bounded))
     assert slots.dtype == np.int64
-    assert slots.tolist() == list(decode(bounded, ds).slots)
+    assert slots.tolist() == list(decode_loop(bounded, ds))
+    assert decode(bounded, ds).slots == decode_loop(bounded, ds)
 
 
 def test_counts_match_reference_at_benchmark_scale():
