@@ -6,6 +6,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
 
 from .dataset import parse_priors
 from .experiment import (
@@ -30,9 +31,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run baselines and optional evolution")
     source = run.add_mutually_exclusive_group(required=True)
-    source.add_argument("--dataset", help="visit-request dataset file")
     source.add_argument(
-        "--generate", type=int, metavar="SEED", help="generate a dataset"
+        "--dataset",
+        dest="dataset_path",
+        metavar="DATASET",
+        help="visit-request dataset file",
+    )
+    source.add_argument(
+        "--generate",
+        type=int,
+        dest="generate_seed",
+        metavar="SEED",
+        help="generate a dataset",
     )
     run.add_argument("--model", choices=("partial", "full"), required=True)
     run.add_argument("--s", type=int, default=4, help="encounter group size")
@@ -44,25 +54,39 @@ def build_parser() -> argparse.ArgumentParser:
         "--apriori-infected",
         type=float,
         default=0.0,
-        help="fraction of persons infected before day one (0..1)",
+        help="fraction of persons infected before day one (0..1; full model only)",
     )
     run.add_argument(
         "--apriori-immune",
         type=float,
         default=0.0,
-        help="fraction of persons immune before day one (0..1)",
+        help="fraction of persons immune before day one (0..1; full model only)",
     )
     run.add_argument(
         "--apriori-seed", type=int, default=0, help="seed for the a-priori marking"
     )
-    run.add_argument("--wc", type=float, default=0.65, help="death weight in the cost")
+    run.add_argument(
+        "--wc",
+        type=float,
+        default=0.65,
+        dest="w_c",
+        metavar="WC",
+        help="death weight in the cost",
+    )
     run.add_argument(
         "--baselines",
         default=",".join(BASELINE_VARIANTS),
         help="comma list of round-robin variants (empty to skip)",
     )
     run.add_argument("--pirs", type=int, default=0, help="independent runs to evolve")
-    run.add_argument("--pop", type=int, default=500, help="population per run")
+    run.add_argument(
+        "--pop",
+        type=int,
+        default=500,
+        dest="population",
+        metavar="POP",
+        help="population per run",
+    )
     run.add_argument("--budget", type=int, default=20_000, help="offspring per run")
     run.add_argument(
         "--seed-list", default="", help="comma list of run seeds (overrides --pirs)"
@@ -92,32 +116,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
+    """The spec of a ``run``: every flag is stored under its field's name."""
+    # the fractional model never marks persons, so these would only be recorded
+    if args.model == "partial" and (args.apriori_infected or args.apriori_immune):
+        raise ValueError("a-priori fractions apply to the full model only")
     if args.seed_list:
         pir_seeds = tuple(int(tok) for tok in args.seed_list.split(",") if tok.strip())
     else:
         pir_seeds = tuple(range(1, args.pirs + 1))
-    baselines = tuple(tok for tok in args.baselines.split(",") if tok.strip())
-    return ExperimentSpec(
-        model=args.model,
-        dataset_path=args.dataset,
-        generate_seed=args.generate,
-        s=args.s,
-        q=args.q,
-        priors=parse_priors(args.priors),
-        apriori_infected=args.apriori_infected,
-        apriori_immune=args.apriori_immune,
-        apriori_seed=args.apriori_seed,
-        w_c=args.wc,
-        baselines=baselines,
-        pir_seeds=pir_seeds,
-        population=args.pop,
-        budget=args.budget,
-        seed_len=args.seed_len,
-        target_fitness=args.target_fitness,
-        target_nd=args.target_nd,
-        pn_iterations=args.pn_iterations,
-        pn_seed=args.pn_seed,
-    )
+    names = {f.name for f in fields(ExperimentSpec)}
+    settings = {name: value for name, value in vars(args).items() if name in names}
+    settings["priors"] = parse_priors(args.priors)
+    settings["baselines"] = tuple(tok for tok in args.baselines.split(",") if tok.strip())
+    return ExperimentSpec(**settings, pir_seeds=pir_seeds)
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .allocation import CELL_LABELS, decode, round_robin, write_plan_csv
 from .dataset import (
@@ -39,55 +39,36 @@ AGE_BANDS = (("young", (20, 30)), ("middle", (40, 50, 60)), ("elderly", (70, 80)
 MANIFEST_FORMAT = 1
 
 
-@dataclass
-class ExperimentSpec:
-    """Everything needed to reproduce one run, seeds included."""
+@dataclass(frozen=True)
+class ExperimentSpec(GpConfig):
+    """Everything needed to reproduce one run, seeds included: the evolution
+    settings of GpConfig plus the dataset, baseline and p_n table settings.
+    Checked on construction, so a bad spec is refused before anything is
+    written."""
 
-    model: str
+    # required here; a bare annotation would keep GpConfig's default
+    model: str = field()
     dataset_path: str | None = None
     generate_seed: int | None = None
-    s: int | None = 4
-    q: int | None = None
     priors: dict = field(default_factory=dict)
     apriori_infected: float = 0.0
     apriori_immune: float = 0.0
     apriori_seed: int = 0
-    w_c: float = 0.65
     baselines: tuple = BASELINE_VARIANTS
     pir_seeds: tuple = ()
-    population: int = 500
-    budget: int = 20_000
-    seed_len: int | None = None
-    target_fitness: float | None = None
-    target_nd: int | None = None
     pn_iterations: int = 100_000
     pn_seed: int = 0
 
-    def validate(self) -> None:
-        """Reject a bad spec before anything is written; GpConfig checks the
-        model, its parameter, w_c and the evolution settings."""
+    def __post_init__(self):
+        super().__post_init__()
         if (self.dataset_path is None) == (self.generate_seed is None):
             raise ValueError("exactly one dataset source must be given")
-        self.gp_config()
         check_apriori_fractions(self.apriori_infected, self.apriori_immune)
         for variant in self.baselines:
             if variant not in BASELINE_VARIANTS:
                 raise ValueError(f"unknown baseline {variant!r}")
-
-    def gp_config(self) -> GpConfig:
-        return GpConfig(
-            model=self.model,
-            s=self.s,
-            q=self.q,
-            w_c=self.w_c,
-            population=self.population,
-            budget=self.budget,
-            seed_len=self.seed_len,
-            target_fitness=self.target_fitness,
-            target_nd=self.target_nd,
-            pn_iterations=self.pn_iterations,
-            pn_seed=self.pn_seed,
-        )
+        if self.pn_iterations < 1:
+            raise ValueError("pn_iterations must be at least 1")
 
 
 def spec_to_json(spec: ExperimentSpec) -> dict:
@@ -99,6 +80,11 @@ def spec_to_json(spec: ExperimentSpec) -> dict:
 
 
 def spec_from_json(doc: dict) -> ExperimentSpec:
+    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentSpec)})
+    if unknown:
+        raise ValueError(f"unknown spec key {unknown[0]!r}")
+    if "model" not in doc:
+        raise ValueError("spec lacks the key 'model'")
     doc = dict(doc)
     doc["priors"] = {int(age): float(p) for age, p in doc.get("priors", [])}
     doc["baselines"] = tuple(doc.get("baselines", ()))
@@ -110,7 +96,7 @@ def _cost(fitness: float) -> float:
     return round(-fitness, 10) + 0.0
 
 
-def _prepare_dataset(spec: ExperimentSpec, override: Dataset | None) -> tuple:
+def _prepare_dataset(spec: ExperimentSpec, override: Dataset | None = None) -> tuple:
     """Returns (raw dataset as loaded, working dataset with priors applied)."""
     if override is not None:
         raw = override
@@ -213,17 +199,18 @@ def _write_solution_detail(dirpath, ds, plan, outcome: SimOutcome) -> None:
     )
 
 
-def run_experiment(
-    spec: ExperimentSpec, out_dir, *, dataset_override: Dataset | None = None
-) -> dict:
+def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     """Execute the run and write the report directory; returns the summary.
 
     The report is written into a hidden sibling of ``out_dir`` and renamed
     into place once the manifest is written, so an interrupted or failed run
     leaves ``out_dir`` as it was.
     """
-    spec.validate()
-    raw_ds, ds = _prepare_dataset(spec, dataset_override)
+    return _write_run(spec, *_prepare_dataset(spec), out_dir)
+
+
+def _write_run(spec: ExperimentSpec, raw_ds, ds, out_dir) -> dict:
+    """run_experiment on prepared datasets: raw as loaded, and working."""
     # Stale files from an earlier run would sit beside a fresh manifest and
     # make the tree lie about what was computed, so never write into one.
     if os.path.isdir(out_dir) and os.listdir(out_dir):
@@ -272,7 +259,7 @@ def _write_report(spec: ExperimentSpec, raw_ds, ds, out_dir) -> dict:
 
     archive = None
     if spec.pir_seeds:
-        archive = run_pirs(ds, spec.gp_config(), spec.pir_seeds, table=table)
+        archive = run_pirs(ds, spec, spec.pir_seeds, table=table)
         _write_archive(out_dir, archive)
         for rank, rec in enumerate(archive.pareto, start=1):
             plan = decode(rec.vector, ds)
@@ -377,17 +364,21 @@ def run_from_manifest(manifest_path, out_dir) -> dict:
     """Replay a recorded run; output is byte-identical to the original."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError("unsupported manifest format")
+    for key in ("spec", "dataset_file", "dataset_digest"):
+        if key not in manifest:
+            raise ValueError(f"manifest lacks the key {key!r}")
     spec = spec_from_json(manifest["spec"])
     dataset_file = os.path.join(
         os.path.dirname(os.path.abspath(manifest_path)), manifest["dataset_file"]
     )
     override = load_dataset(dataset_file) if os.path.exists(dataset_file) else None
-    summary = run_experiment(spec, out_dir, dataset_override=override)
-    if summary["dataset_digest"] != manifest["dataset_digest"]:
+    raw_ds, ds = _prepare_dataset(spec, override)
+    # checked before anything is staged, so a mismatch leaves no report
+    if ds.digest() != manifest["dataset_digest"]:
         raise ValueError("replayed dataset digest does not match the manifest")
-    return summary
+    return _write_run(spec, raw_ds, ds, out_dir)
 
 
 def compare(report_a, report_b) -> dict:

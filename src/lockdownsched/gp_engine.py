@@ -41,7 +41,7 @@ from ._simcore import (
     decode_slots,
 )
 from .dataset import Dataset, request_index
-from .full_infection import PnTable, build_pn_table
+from .full_infection import PnTable
 from .gp_tree import GpNode, crossover, eval_tree, mutate, ramped_population
 from .simulator import MODEL_FULL, MODEL_PARTIAL, fitness_value
 
@@ -70,8 +70,6 @@ class GpConfig:
     seed_len: int | None = None
     target_fitness: float | None = None
     target_nd: int | None = None
-    pn_iterations: int = 100_000
-    pn_seed: int = 0
 
     def __post_init__(self):
         if self.model not in (MODEL_PARTIAL, MODEL_FULL):
@@ -90,8 +88,6 @@ class GpConfig:
             raise ValueError("w_c outside [0, 1]")
         if self.seed_len is not None and self.seed_len < 1:
             raise ValueError("seed_len must be positive when set")
-        if self.pn_iterations < 1:
-            raise ValueError("pn_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -170,10 +166,10 @@ class _Evaluator:
     starts over when it would hold more than ``MEMO_ENTRIES`` entries.
     """
 
-    def __init__(self, ds, config, table: PnTable | None = None):
+    def __init__(self, ds, config, table: PnTable | None):
         self.config = config
-        if config.model == MODEL_FULL and table is None:
-            table = build_pn_table(config.q, config.pn_iterations, seed=config.pn_seed)
+        if config.model == MODEL_FULL and (table is None or table.q != config.q):
+            raise ValueError(f"the full model needs the p_n table for q={config.q}")
         self.ctx = build_context(
             ds,
             config.model,
@@ -282,15 +278,14 @@ def evolve_pir(
     *,
     pir_id: int = 0,
     table: PnTable | None = None,
-    evaluator: _Evaluator | None = None,
 ) -> SolutionRecord:
     """Run one independent evolution; returns the best record found.
 
     ``sink``, when given, receives every strict improvement (the first
-    finite-fitness best included) in the order they appear.
+    finite-fitness best included) in the order they appear.  The full model
+    needs ``table``, the p_n table for ``config.q``.
     """
-    if evaluator is None:
-        evaluator = _Evaluator(ds, config, table)
+    evaluator = _Evaluator(ds, config, table)
     rng = random.Random(seed)
     population = ramped_population(rng, config.population)
     sizes = [t.size for t in population]
@@ -352,19 +347,12 @@ def run_pirs(
     The ranked list is sorted by a total key so that the merge order of the
     runs can never change the result; the Pareto front minimises deaths and
     hospitalisations jointly.  Later PIRs are skipped once a run has already
-    met the configured early-stop target.
+    met the configured early-stop target.  Each PIR scores its trees with a
+    memo of its own; PIRs share under 1% of their plans.
     """
-    evaluator = _Evaluator(ds, config, table)
     records = []
     for pir_id, seed in enumerate(seeds):
-        best = evolve_pir(
-            ds,
-            config,
-            seed,
-            records.append,
-            pir_id=pir_id,
-            evaluator=evaluator,
-        )
+        best = evolve_pir(ds, config, seed, records.append, pir_id=pir_id, table=table)
         if _target_met(config, best.fitness, best.n_d):
             break
     ranked = tuple(sorted(records, key=SolutionRecord.sort_key))

@@ -1,10 +1,12 @@
 """Command-line behaviour: flags, exit codes, report wiring."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from lockdownsched.cli import main
+from lockdownsched.cli import build_parser, main
+from lockdownsched.experiment import ExperimentSpec
 
 
 def run_args(out, extra=()):
@@ -23,6 +25,16 @@ def run_args(out, extra=()):
 
 
 class TestRun:
+    def test_every_flag_is_a_spec_field(self):
+        # _spec_from_args passes parsed values on by name, so a flag whose
+        # dest is not a field would be dropped silently
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        run = sub.choices["run"]
+        dests = {a.dest for a in run._actions if a.dest != "help"}
+        names = {f.name for f in fields(ExperimentSpec)}
+        assert dests - names == {"out", "pirs", "seed_list"}
+        assert names - dests == {"pir_seeds"}
+
     def test_exit_zero_and_report(self, tmp_path, capsys):
         assert main(run_args(tmp_path / "r")) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -101,6 +113,16 @@ class TestRun:
         assert not out.exists()
         assert not list(tmp_path.iterdir())  # no staging directory either
 
+    @pytest.mark.parametrize("flag", ["--apriori-infected", "--apriori-immune"])
+    def test_apriori_fractions_need_the_full_model(self, tmp_path, capsys, flag):
+        # the fractional model never marks persons
+        out = tmp_path / "r"
+        args = ["run", "--generate", "1", "--model", "partial", flag, "0.5",
+                "--baselines", "comp1", "--out", str(out)]
+        assert main(args) == 1
+        assert "fractions" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("model", ["partial", "full"])
     @pytest.mark.parametrize(
         "fractions", [("7", "0"), ("0", "-0.1"), ("0.6", "0.5"), ("nan", "0")]
@@ -134,6 +156,29 @@ class TestReplayAndCompare:
         capsys.readouterr()
         assert main(["compare", str(tmp_path / "a"), str(tmp_path / "c")]) == 1
         assert "different datasets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda m: {k: v for k, v in m.items() if k != "spec"}, "'spec'"),
+            (lambda m: {k: v for k, v in m.items() if k != "dataset_digest"},
+             "'dataset_digest'"),
+            (lambda m: {**m, "spec": {k: v for k, v in m["spec"].items() if k != "model"}},
+             "'model'"),
+            (lambda m: {**m, "spec": {**m["spec"], "colour": "red"}}, "'colour'"),
+            (lambda m: [m], "format"),
+        ],
+        ids=["no-spec", "no-digest", "no-model", "unknown-key", "not-an-object"],
+    )
+    def test_malformed_manifest_exit_one(self, tmp_path, capsys, damage, named):
+        assert main(run_args(tmp_path / "a", ["--pirs", "0"])) == 0
+        path = tmp_path / "a" / "manifest.json"
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert main(["replay", str(path), "--out", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
 
     def test_missing_manifest_exit_one(self, tmp_path, capsys):
         assert main(["replay", str(tmp_path / "nope.json"),

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import stat
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from lockdownsched.experiment import (
     spec_from_json,
     spec_to_json,
 )
+from lockdownsched.gp_engine import GpConfig
 from lockdownsched.simulator import SimOutcome, simulate
 
 PRIORS = {20: 0.01, 40: 0.03, 50: 0.02}
@@ -64,19 +66,27 @@ def report(tmp_path_factory):
 class TestSpec:
     def test_exactly_one_source(self):
         with pytest.raises(ValueError):
-            partial_spec(dataset_path="x.txt").validate()
+            partial_spec(dataset_path="x.txt")
         with pytest.raises(ValueError):
-            partial_spec(generate_seed=None).validate()
+            partial_spec(generate_seed=None)
 
     def test_model_params(self):
         with pytest.raises(ValueError):
-            partial_spec(s=1).validate()
+            partial_spec(s=1)
         with pytest.raises(ValueError):
-            ExperimentSpec(model="full", generate_seed=1, q=None).validate()
+            ExperimentSpec(model="full", generate_seed=1, q=None)
         with pytest.raises(ValueError):
-            partial_spec(baselines=("comp9",)).validate()
+            partial_spec(baselines=("comp9",))
         with pytest.raises(ValueError, match="population"):
-            partial_spec(population=2).validate()
+            partial_spec(population=2)
+
+    def test_one_declaration_per_setting(self):
+        assert issubclass(ExperimentSpec, GpConfig)
+        # the spec redeclares only model, which it requires
+        own = set(ExperimentSpec.__annotations__)
+        assert own & {f.name for f in fields(GpConfig)} == {"model"}
+        with pytest.raises(TypeError):
+            ExperimentSpec(generate_seed=1)
 
     def test_json_round_trip(self):
         spec = partial_spec(pir_seeds=(3, 4), seed_len=10)
@@ -286,6 +296,21 @@ class TestReplay:
         assert summary["dataset_digest"] == json.loads(
             (out / "summary.json").read_text()
         )["dataset_digest"]
+
+    def test_changed_dataset_writes_nothing(self, report, tmp_path):
+        _, out, _ = report
+        moved = tmp_path / "moved"
+        moved.mkdir()
+        (moved / "manifest.json").write_bytes((out / "manifest.json").read_bytes())
+        # person 0 gets another health level; the file still parses
+        first, rest = (out / "dataset.txt").read_text().split("\n", 1)
+        pid, age, health, tail = first.split(" ", 3)
+        first = " ".join((pid, age, repr(float(health) - 1.0), tail))
+        (moved / "dataset.txt").write_text(first + "\n" + rest)
+        with pytest.raises(ValueError, match="digest"):
+            run_from_manifest(moved / "manifest.json", tmp_path / "b")
+        # neither the report nor a hidden staging sibling
+        assert os.listdir(tmp_path) == ["moved"]
 
 
 class TestCompare:

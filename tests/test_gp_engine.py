@@ -12,6 +12,7 @@ from lockdownsched import gp_engine
 from lockdownsched._simcore import bound_array, counts_for_slots, decode_slots
 from lockdownsched.allocation import AllocationPlan, decode
 from lockdownsched.dataset import generate_dataset, mark_apriori_infection, parse_dataset
+from lockdownsched.experiment import ExperimentSpec
 from lockdownsched.full_infection import PnTable, build_pn_table
 from lockdownsched.gp_engine import (
     Archive,
@@ -78,7 +79,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             GpConfig(model=MODEL_FULL, q=None)
         with pytest.raises(ValueError, match="pn_iterations"):
-            GpConfig(pn_iterations=0)
+            ExperimentSpec(model=MODEL_FULL, q=4, generate_seed=1, pn_iterations=0)
 
 
 class TestEvolvePir:
@@ -135,6 +136,19 @@ class TestEvolvePir:
         outcome = simulate(small_full_ds, plan, MODEL_FULL, table=tiny_table)
         assert outcome.counts() == (best.n_h, best.n_d)
 
+    @pytest.mark.parametrize("table_q", [None, 4])
+    def test_full_model_needs_a_matching_table(
+        self, small_full_ds, monkeypatch, table_q
+    ):
+        calls = counting_evaluations(monkeypatch)
+        table = None if table_q is None else build_pn_table(table_q, 10, seed=0)
+        cfg = GpConfig(model=MODEL_FULL, q=5, population=20, budget=150)
+        with pytest.raises(ValueError, match="q=5"):
+            evolve_pir(small_full_ds, cfg, seed=2, table=table)
+        with pytest.raises(ValueError, match="q=5"):
+            run_pirs(small_full_ds, cfg, (1, 2), table=table)
+        assert calls[0] == 0
+
     def test_seeding_phase_reaches_length(self, small_ds):
         cfg = quick_config(budget=4000, seed_len=12)
         best = evolve_pir(small_ds, cfg, seed=1)
@@ -165,11 +179,20 @@ class TestFitnessMemo:
         assert len(simulated) < cfg.population + cfg.budget
 
     def test_full_memo_starts_over(self, small_ds, monkeypatch):
+        expected = evolve_pir(small_ds, quick_config(), seed=5)
+        evaluators = []
+        real_init = gp_engine._Evaluator.__init__
+
+        def init(self, *args):
+            real_init(self, *args)
+            evaluators.append(self)
+
+        monkeypatch.setattr(gp_engine._Evaluator, "__init__", init)
         monkeypatch.setattr(gp_engine, "MEMO_ENTRIES", 3)
-        evaluator = gp_engine._Evaluator(small_ds, quick_config(), None)
-        best = evolve_pir(small_ds, quick_config(), seed=5, evaluator=evaluator)
+        best = evolve_pir(small_ds, quick_config(), seed=5)
+        [evaluator] = evaluators
         assert 1 <= len(evaluator.memo) <= 3
-        assert best == evolve_pir(small_ds, quick_config(), seed=5)
+        assert best == expected
 
     # improvement streams recorded before the fitness memo and the list-based
     # week loops existed: (fitness, N_H, N_D, plan digest prefix) per record
