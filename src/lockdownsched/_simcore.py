@@ -2,15 +2,16 @@
 
 The plain-Python engine in simulator.py is the readable reference; the loops
 here replay the exact same arithmetic, in the exact same order, over plain
-Python lists prepared once per dataset and model by build_context.  Each run
-buckets the requests by (day, slot, establishment) cell with one stable
-int16 sort (_buckets) and walks the week in cell order, so its outputs are
-bit-identical to the reference's.  The standard-model loop visits only cells
-with at least ctx.min_group distinct members, the smallest group in which
-the table can infect anyone; smaller cells change nothing but occupancy,
-which simulate_outcome derives after the week from the buckets and the
-isolation days.  Evolution scores every plan it has not met before through
-counts_for_slots, so this is the hot path.
+Python lists prepared once per dataset and model by build_context, which
+also picks the model's loop, ctx.week.  _buckets sorts a plan's requests
+into (day, slot, establishment) cells once, with one stable int16 sort; the
+loop walks those buckets in cell order, and simulate() counts occupancy from
+them.  A loop returns (levels or status, snapshots or infection days, iso_day
+(the day a person isolated at the end of, or -1), outcome codes, N_H, N_D).
+The standard loop visits only cells of at least ctx.min_group distinct
+members, the smallest group in which the table can infect anyone, and reads
+p_n as ctx.probs[n], PnTable.p_for's values.  Evolution scores every plan it
+has not met before through counts_for_slots, so this is the hot path.
 
 bound_array and decode_slots are the package's one rule for turning a
 printed vector into a plan.  Evolution scores and records with both, and
@@ -34,14 +35,13 @@ from .dataset import (
     RequestIndex,
     request_index,
 )
-from .full_infection import Status
+from .full_infection import MAX_TABLE_N, Status
 from .partial_infection import _g_prefix
 from .simulator import (
     FULL_RULES,
     MODEL_PARTIAL,
     OUTCOME_LABELS,
     PARTIAL_RULES,
-    SimOutcome,
     _group_averages,
 )
 
@@ -53,7 +53,7 @@ class SimContext:
     """Per dataset + model inputs of the week loops, converted once."""
 
     __slots__ = (
-        "model",
+        "week",
         "n_persons",
         "req_person",
         "req_cell",
@@ -66,13 +66,13 @@ class SimContext:
         "probs",
         "min_group",
         "rules",
+        "bands",
     )
 
 
 def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
     ri = request_index(ds)
     ctx = SimContext()
-    ctx.model = model
     ctx.n_persons = ri.n_persons
     ctx.req_person = ri.person
     # cell of a request in slot 0; its slot adds slot * N_ESTABLISHMENTS.
@@ -85,7 +85,15 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
     ctx.health = ri.health.tolist()
 
     # callers check the model, s and table first: simulate and GpConfig
-    if model == MODEL_PARTIAL:
+    partial = model == MODEL_PARTIAL
+    rules = [(PARTIAL_RULES if partial else FULL_RULES)[a] for a in AGE_GROUPS]
+    # both models band an ill person's outcome by health alike
+    ctx.bands = (
+        [math.inf if r.immune_above is None else r.immune_above for r in rules],
+        [r.recover_above for r in rules],
+    )
+    if partial:
+        ctx.week = _partial_week
         ctx.levels0 = [
             float(ds.taxonomy_infection.get(p.age_group, 0.0)) for p in ds.persons
         ]
@@ -94,30 +102,26 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
         ctx.gcoef = _g_prefix(s, ctx.n_persons + 1)
         ctx.probs = None
         ctx.min_group = None
-        rules = [PARTIAL_RULES[a] for a in AGE_GROUPS]
         ctx.rules = (
             [r.iso_high for r in rules],
             [r.iso_low for r in rules],
             [r.out_threshold for r in rules],
-            [math.inf if r.immune_above is None else r.immune_above for r in rules],
-            [r.recover_above for r in rules],
             simulator.ISOLATION_HEALTH_CAP,
         )
     else:
         # the dataset's immunity flags 0/1/2 are the codes of Status.S/I/R;
         # the loop keeps them as plain ints, which it compares faster
+        ctx.week = _full_week
         ctx.status0 = [p.immunity_flag for p in ds.persons]
         ctx.levels0 = None
         ctx.gcoef = None
-        ctx.probs = list(table.probs)
+        # p_n by n infected; a group holds at most n_persons, and _min_group
+        # reads up to MAX_TABLE_N + 1, the first n with p = 1.0
+        ctx.probs = [
+            table.p_for(n) for n in range(max(ctx.n_persons, MAX_TABLE_N) + 2)
+        ]
         ctx.min_group = _min_group(ctx.probs)
-        rules = [FULL_RULES[a] for a in AGE_GROUPS]
-        ctx.rules = (
-            [r.day1_health for r in rules],
-            [r.day2_health for r in rules],
-            [math.inf if r.immune_above is None else r.immune_above for r in rules],
-            [r.recover_above for r in rules],
-        )
+        ctx.rules = ([r.day1_health for r in rules], [r.day2_health for r in rules])
     return ctx
 
 
@@ -151,15 +155,13 @@ def decode_slots(ri: RequestIndex, bounded_vector) -> np.ndarray:
 
 def _min_group(probs) -> int:
     """Fewest distinct visitors (n_inf + n_sus, both >= 1) that can infect."""
-    max_n = len(probs)
     total = 2
     while True:
         for n_inf in range(1, total):
             # the standard loop's own expression, so the bits agree
-            p = 1.0 if n_inf > max_n else probs[n_inf - 1]
-            if int(p * (total - n_inf)) >= 1:
+            if int(probs[n_inf] * (total - n_inf)) >= 1:
                 return total
-        total += 1  # ends by max_n + 2, where p = 1.0 infects one
+        total += 1  # ends by MAX_TABLE_N + 2, where p = 1.0 infects one
 
 
 def _buckets(ctx: SimContext, slots):
@@ -183,12 +185,32 @@ def _buckets(ctx: SimContext, slots):
     return sizes, bounds, person[first]
 
 
-def _partial_week(ctx: SimContext, slots):
+def _classify(ctx: SimContext, ill):
+    """(codes, N_H, N_D): simulator._health_band of each person in ill, as a
+    code into OUTCOME_LABELS; everyone else keeps 0, "none"."""
+    age_idx, health = ctx.age_idx, ctx.health
+    immune_above, recover_above = ctx.bands
+    codes = [0] * ctx.n_persons
+    n_h = n_d = 0
+    for pi in ill:
+        g = age_idx[pi]
+        if health[pi] > immune_above[g]:
+            codes[pi] = 1
+        elif health[pi] > recover_above[g]:
+            codes[pi] = 2
+            n_h += 1
+        else:
+            codes[pi] = 3
+            n_d += 1
+    return codes, n_h, n_d
+
+
+def _partial_week(ctx: SimContext, buckets):
     n = ctx.n_persons
-    _, bounds, members = _buckets(ctx, slots)
+    _, bounds, members = buckets
     bounds, members = bounds.tolist(), members.tolist()
     age_idx, health, gcoef = ctx.age_idx, ctx.health, ctx.gcoef
-    iso_high, iso_low, out_thr, immune_above, recover_above, health_cap = ctx.rules
+    iso_high, iso_low, out_thr, health_cap = ctx.rules
 
     levels = list(ctx.levels0)
     isolated = [False] * n
@@ -244,26 +266,14 @@ def _partial_week(ctx: SimContext, slots):
                 isolated[pi] = True
                 iso_day[pi] = day
 
-    class_code = [0] * n
-    n_h = n_d = 0
-    for pi in range(n):
-        g = age_idx[pi]
-        if levels[pi] > out_thr[g]:
-            if health[pi] > immune_above[g]:
-                class_code[pi] = 1
-            elif health[pi] > recover_above[g]:
-                class_code[pi] = 2
-                n_h += 1
-            else:
-                class_code[pi] = 3
-                n_d += 1
-    return levels, snapshots, iso_day, class_code, n_h, n_d
+    ill = [pi for pi in range(n) if levels[pi] > out_thr[age_idx[pi]]]
+    return (levels, snapshots, iso_day, *_classify(ctx, ill))
 
 
-def _full_week(ctx: SimContext, slots):
+def _full_week(ctx: SimContext, buckets):
     n = ctx.n_persons
     min_group = ctx.min_group
-    sizes, bounds, members = _buckets(ctx, slots)
+    sizes, bounds, members = buckets
     # a group is a subset of its cell, so a smaller cell cannot infect anyone
     busy = np.flatnonzero(sizes >= min_group)
     spans = [[] for _ in range(N_DAYS)]  # member ranges of each day's cells
@@ -272,8 +282,7 @@ def _full_week(ctx: SimContext, slots):
         spans[cell // CELLS_PER_DAY].append((lo, hi))
     members = members.tolist()
     age_idx, health, person_id, probs = ctx.age_idx, ctx.health, ctx.person_id, ctx.probs
-    day1_health, day2_health, immune_above, recover_above = ctx.rules
-    max_n = len(probs)
+    day1_health, day2_health = ctx.rules
 
     status = list(ctx.status0)
     infected = [pi for pi, st in enumerate(status) if st == 1]
@@ -296,8 +305,7 @@ def _full_week(ctx: SimContext, slots):
                     sus.append(pi)
             if n_inf == 0 or not sus:
                 continue
-            p = 1.0 if n_inf > max_n else probs[n_inf - 1]
-            k = int(p * len(sus))
+            k = int(probs[n_inf] * len(sus))
             if k <= 0:
                 continue
             # infect the k susceptibles with the lowest person ids
@@ -318,79 +326,46 @@ def _full_week(ctx: SimContext, slots):
                 isolated[pi] = True
                 iso_day[pi] = day
 
-    class_code = [0] * n
-    n_h = n_d = 0
-    for pi in infected:
-        g = age_idx[pi]
-        if health[pi] > immune_above[g]:
-            class_code[pi] = 1
-        elif health[pi] > recover_above[g]:
-            class_code[pi] = 2
-            n_h += 1
-        else:
-            class_code[pi] = 3
-            n_d += 1
-    return status, days, iso_day, class_code, n_h, n_d
-
-
-def run_slots(ctx: SimContext, slots):
-    """Raw week-loop outputs for a slot assignment (one entry per request).
-
-    Fractional model: (levels, snapshots, iso_day, class_code, n_h, n_d);
-    standard model: (status, days, iso_day, class_code, n_h, n_d).  iso_day
-    is the day a person isolated at the end of, or -1.  The standard loop
-    visits only cells of at least ctx.min_group distinct members; occupancy
-    is left to simulate_outcome.
-    """
-    if ctx.model == MODEL_PARTIAL:
-        return _partial_week(ctx, slots)
-    return _full_week(ctx, slots)
+    return (status, days, iso_day, *_classify(ctx, infected))
 
 
 def counts_for_slots(ctx: SimContext, slots: np.ndarray) -> tuple:
     """(N_H, N_D) fast path used by the evolutionary loop."""
-    out = run_slots(ctx, slots)
+    out = ctx.week(ctx, _buckets(ctx, slots))
     return out[-2], out[-1]
 
 
-def simulate_outcome(ds: Dataset, plan, model: str, *, s=None, table=None):
-    """Week-loop equivalent of simulator.simulate(engine="reference")."""
+def outcome_fields(ds: Dataset, slots, model: str, *, s=None, table=None) -> dict:
+    """simulate()'s kernel path: SimOutcome's fields but the two counts."""
     ctx = build_context(ds, model, s=s, table=table)
-    state, extra, iso_day, codes, n_h, n_d = run_slots(ctx, plan.slots)
+    buckets = sizes, _, members = _buckets(ctx, slots)
+    state, extra, iso_day, codes, _, _ = ctx.week(ctx, buckets)
     by_day = [set() for _ in range(N_DAYS)]
     for pi, d in enumerate(iso_day):
         if d >= 0:
             by_day[d].add(ds.persons[pi].id)
     # a member attends cell c of day d unless they isolated before day d
-    sizes, _, members = _buckets(ctx, plan.slots)
     cell = np.repeat(np.arange(N_CELLS), sizes)
     iso = np.asarray(iso_day, dtype=np.int64)[members]
     present = (iso < 0) | (iso >= cell // CELLS_PER_DAY)
-    occupancy = np.bincount(cell[present], minlength=N_CELLS).tolist()
-    rows = [
-        tuple(occupancy[c : c + N_ESTABLISHMENTS])
-        for c in range(0, N_CELLS, N_ESTABLISHMENTS)
-    ]
-    common = dict(
-        model=model,
-        n_hospitalized=n_h,
-        n_dead=n_d,
+    occupancy = np.bincount(cell[present], minlength=N_CELLS).reshape(
+        N_DAYS, N_SLOTS, N_ESTABLISHMENTS
+    )
+    fields = dict(
         isolated_by_day=tuple(frozenset(ids) for ids in by_day),
         classifications=tuple(OUTCOME_LABELS[c] for c in codes),
-        occupancy=tuple(
-            tuple(rows[d * N_SLOTS : (d + 1) * N_SLOTS]) for d in range(N_DAYS)
-        ),
+        occupancy=tuple(tuple(map(tuple, day)) for day in occupancy.tolist()),
     )
     if model == MODEL_PARTIAL:
-        return SimOutcome(
+        return dict(
+            fields,
             final_levels=tuple(state),
             final_status=None,
             trajectory=tuple(_group_averages(ds, levels) for levels in extra),
-            **common,
         )
-    return SimOutcome(
+    return dict(
+        fields,
         final_levels=None,
         final_status=tuple((Status(st).name, d) for st, d in zip(state, extra)),
         trajectory=None,
-        **common,
     )

@@ -79,12 +79,37 @@ def spec_to_json(spec: ExperimentSpec) -> dict:
     return doc
 
 
+def _json_fits(value, kind: str) -> bool:
+    """Whether a JSON value fits a spec field of kind "int", "float" or "str".
+    A JSON int fits a float field; true and false fit none."""
+    allowed = {"int": int, "float": (int, float), "str": str}[kind]
+    return isinstance(value, allowed) and not isinstance(value, bool)
+
+
+def _spec_value_fits(key: str, annotation: str, value) -> bool:
+    if key == "priors":  # [age, prior] pairs
+        return isinstance(value, list) and all(
+            isinstance(pair, list) and len(pair) == 2
+            and _json_fits(pair[0], "int") and _json_fits(pair[1], "float")
+            for pair in value
+        )
+    if key in ("baselines", "pir_seeds"):
+        item = "str" if key == "baselines" else "int"
+        return isinstance(value, list) and all(_json_fits(v, item) for v in value)
+    kind, _, optional = annotation.partition(" | ")
+    return (optional and value is None) or _json_fits(value, kind)
+
+
 def spec_from_json(doc: dict) -> ExperimentSpec:
-    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentSpec)})
+    annotations = {f.name: f.type for f in fields(ExperimentSpec)}
+    unknown = sorted(set(doc) - set(annotations))
     if unknown:
         raise ValueError(f"unknown spec key {unknown[0]!r}")
     if "model" not in doc:
         raise ValueError("spec lacks the key 'model'")
+    for key, value in doc.items():
+        if not _spec_value_fits(key, annotations[key], value):
+            raise ValueError(f"spec key {key!r} has a value of the wrong type")
     doc = dict(doc)
     doc["priors"] = {int(age): float(p) for age, p in doc.get("priors", [])}
     doc["baselines"] = tuple(doc.get("baselines", ()))

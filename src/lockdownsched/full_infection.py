@@ -5,6 +5,8 @@ A 7200-second stay in a venue of 400 cells (300 quick 2 s passages, 50 slow
 and 20 infected visitors.  p_n is the chance the susceptible shared a cell
 with at least one of the first n infected in at least one of the q trials.
 Transmission per encounter then truncates p_n times the susceptible count.
+cell_of is the one dwell-cell map, read by the sampler and the exact cell
+distribution alike; PnTable.p_for is the one p_n lookup.
 """
 
 from __future__ import annotations
@@ -41,12 +43,15 @@ def cell_of(i: int) -> int:
 
 
 @lru_cache(maxsize=1)
+def _raw_cells() -> np.ndarray:
+    """cell_of of every raw draw, indexed by the draw; index 0 is never drawn.
+    Built on first use, so importing the package does not pay for it."""
+    return np.array([cell_of(i) for i in range(RAW_RANGE + 1)], dtype=np.int16)
+
+
 def cell_probabilities() -> np.ndarray:
     """Exact cell distribution implied by cell_of over the 7200 raw values."""
-    counts = np.zeros(max(cell_of(i) for i in range(1, RAW_RANGE + 1)) + 1)
-    for i in range(1, RAW_RANGE + 1):
-        counts[cell_of(i)] += 1
-    return counts / RAW_RANGE
+    return np.bincount(_raw_cells()[1:]) / RAW_RANGE
 
 
 def analytic_pn(n: int, q: int) -> float:
@@ -84,10 +89,7 @@ def build_pn_table(q: int, iterations: int = 100_000, seed: int = 0) -> PnTable:
     while done < iterations:
         m = min(batch, iterations - done)
         raw = rng.integers(1, RAW_RANGE + 1, size=(m, q, MAX_TABLE_N + 1), dtype=np.int32)
-        cells = np.where(
-            raw <= 600, raw // 2,
-            np.where(raw <= 2100, 300 + (raw - 600) // 30, 350 + (raw - 2100) // 102),
-        )
+        cells = _raw_cells()[raw]
         # met[iter, trial, k]: infected k shared a cell with the susceptible
         met = cells[:, :, 1:] == cells[:, :, :1]
         met_any_trial = met.any(axis=1)

@@ -6,6 +6,9 @@ a cell shares one encounter.  At the end of each day people who look too ill
 go into self-isolation and skip all remaining visits.  After Wednesday the
 outcome rules classify each person and the hospitalized/death counts are
 folded into a single fitness value.
+
+simulate() runs _simcore's week loops or the readable reference here, whose
+one walker, _walk_week, serves both models.
 """
 
 from __future__ import annotations
@@ -157,24 +160,13 @@ def fitness(outcome: SimOutcome, w_c: float = 0.65) -> float:
 
 
 def _request_cells(ds: Dataset, plan: AllocationPlan):
-    """Person indices per (day, slot, establishment), in request order."""
+    """Distinct person indices per (day, slot, establishment), in order of
+    their first request there (dict keys, kept in insertion order)."""
     cells = {}
     for slot, (pi, day, req) in zip(plan.slots, ds.requests()):
         est = establishment_id(req.kind, req.index)
-        cells.setdefault((day, slot, est), []).append(pi)
+        cells.setdefault((day, slot, est), {})[pi] = None
     return cells
-
-
-def _gather(bucket, isolated):
-    """Deduplicated non-isolated attendees, keeping first-appearance order."""
-    group = []
-    seen = set()
-    for pi in bucket:
-        if isolated[pi] or pi in seen:
-            continue
-        seen.add(pi)
-        group.append(pi)
-    return group
 
 
 def _group_averages(ds: Dataset, levels) -> tuple:
@@ -188,91 +180,101 @@ def _group_averages(ds: Dataset, levels) -> tuple:
     )
 
 
-def _simulate_partial(ds: Dataset, plan: AllocationPlan, s: int):
-    persons = ds.persons
-    levels = [float(ds.taxonomy_infection.get(p.age_group, 0.0)) for p in persons]
-    isolated = [False] * len(persons)
+def _walk_week(ds: Dataset, plan: AllocationPlan, meet, isolates, end_of_slot=None):
+    """The reference week of both models: isolated_by_day and occupancy.
+
+    meet(group) runs for each cell's gathered group of two or more, and
+    end_of_slot(slot) after each slot.  At the end of each day isolates(pi)
+    is asked of every person, isolated or not, so a model may tick a clock
+    in it; only a yes from someone not yet isolated isolates them.
+    """
     cells = _request_cells(ds, plan)
-    occupancy = [
-        [[0] * N_ESTABLISHMENTS for _ in range(N_SLOTS)] for _ in range(N_DAYS)
-    ]
-    trajectory = []
+    isolated = [False] * len(ds.persons)
     isolated_by_day = []
+    occupancy = []
     for day in range(N_DAYS):
+        day_rows = []
         for slot in range(N_SLOTS):
+            row = [0] * N_ESTABLISHMENTS
             for est in range(N_ESTABLISHMENTS):
-                bucket = cells.get((day, slot, est))
-                if not bucket:
-                    continue
-                group = _gather(bucket, isolated)
-                occupancy[day][slot][est] = len(group)
-                if len(group) < 2:
-                    continue
-                enc = EncounterGroup(
-                    tuple((persons[pi].id, levels[pi]) for pi in group), s
-                )
-                pressure = encounter_pressure(enc)
-                if pressure == 0.0:
-                    continue
-                for pi in group:
-                    levels[pi] = pressure * (1.0 - levels[pi]) + levels[pi]
-            if slot % 2 == 1:
-                trajectory.append(_group_averages(ds, levels))
+                bucket = cells.get((day, slot, est), ())
+                group = [pi for pi in bucket if not isolated[pi]]
+                row[est] = len(group)
+                if len(group) >= 2:
+                    meet(group)
+            day_rows.append(tuple(row))
+            if end_of_slot is not None:
+                end_of_slot(slot)
         newly = set()
-        for pi, person in enumerate(persons):
-            if not isolated[pi] and partial_isolation(
-                person.age_group, levels[pi], person.health
-            ):
+        for pi, person in enumerate(ds.persons):
+            if isolates(pi) and not isolated[pi]:
                 isolated[pi] = True
                 newly.add(person.id)
         isolated_by_day.append(frozenset(newly))
-    return levels, isolated_by_day, trajectory, occupancy
+        occupancy.append(tuple(day_rows))
+    return dict(isolated_by_day=tuple(isolated_by_day), occupancy=tuple(occupancy))
 
 
-def _simulate_full(ds: Dataset, plan: AllocationPlan, table: PnTable):
+def _simulate_partial(ds: Dataset, plan: AllocationPlan, s: int) -> dict:
+    persons = ds.persons
+    levels = [float(ds.taxonomy_infection.get(p.age_group, 0.0)) for p in persons]
+    trajectory = []
+
+    def meet(group):
+        enc = EncounterGroup(tuple((persons[pi].id, levels[pi]) for pi in group), s)
+        pressure = encounter_pressure(enc)
+        if pressure != 0.0:
+            for pi in group:
+                levels[pi] = pressure * (1.0 - levels[pi]) + levels[pi]
+
+    def isolates(pi):
+        return partial_isolation(persons[pi].age_group, levels[pi], persons[pi].health)
+
+    def end_of_slot(slot):
+        if slot % 2 == 1:
+            trajectory.append(_group_averages(ds, levels))
+
+    walked = _walk_week(ds, plan, meet, isolates, end_of_slot)
+    return dict(
+        walked,
+        classifications=tuple(
+            partial_outcome(p.age_group, lvl, p.health) for p, lvl in zip(persons, levels)
+        ),
+        final_levels=tuple(levels),
+        final_status=None,
+        trajectory=tuple(trajectory),
+    )
+
+
+def _simulate_full(ds: Dataset, plan: AllocationPlan, table: PnTable) -> dict:
     persons = ds.persons
     # the dataset's immunity flags 0/1/2 are the codes of Status.S/I/R
     states = [InfectionStatus(Status(p.immunity_flag), 0) for p in persons]
-    isolated = [False] * len(persons)
     id_to_index = {p.id: i for i, p in enumerate(persons)}
-    cells = _request_cells(ds, plan)
-    occupancy = [
-        [[0] * N_ESTABLISHMENTS for _ in range(N_SLOTS)] for _ in range(N_DAYS)
-    ]
-    isolated_by_day = []
-    for day in range(N_DAYS):
-        for slot in range(N_SLOTS):
-            for est in range(N_ESTABLISHMENTS):
-                bucket = cells.get((day, slot, est))
-                if not bucket:
-                    continue
-                group = _gather(bucket, isolated)
-                occupancy[day][slot][est] = len(group)
-                if len(group) < 2:
-                    continue
-                encounter = [(persons[pi].id, states[pi]) for pi in group]
-                for pid in transmit(encounter, table):
-                    states[id_to_index[pid]] = InfectionStatus(Status.I, 0)
-        newly = set()
-        for pi, person in enumerate(persons):
-            # the infection clock keeps counting even in isolation
-            if states[pi].status == Status.I:
-                states[pi] = InfectionStatus(Status.I, states[pi].days_infected + 1)
-            if (
-                not isolated[pi]
-                and states[pi].status == Status.I
-                and full_isolation(
-                    person.age_group, states[pi].days_infected, person.health
-                )
-            ):
-                isolated[pi] = True
-                newly.add(person.id)
-        isolated_by_day.append(frozenset(newly))
-    return states, isolated_by_day, occupancy
 
+    def meet(group):
+        encounter = [(persons[pi].id, states[pi]) for pi in group]
+        for pid in transmit(encounter, table):
+            states[id_to_index[pid]] = InfectionStatus(Status.I, 0)
 
-def _freeze_occupancy(occupancy) -> tuple:
-    return tuple(tuple(tuple(slot) for slot in day) for day in occupancy)
+    def isolates(pi):
+        if states[pi].status != Status.I:
+            return False
+        # the infection clock keeps counting even in isolation
+        states[pi] = InfectionStatus(Status.I, states[pi].days_infected + 1)
+        person = persons[pi]
+        return full_isolation(person.age_group, states[pi].days_infected, person.health)
+
+    walked = _walk_week(ds, plan, meet, isolates)
+    return dict(
+        walked,
+        classifications=tuple(
+            full_outcome(p.age_group, st.status, p.health) for p, st in zip(persons, states)
+        ),
+        final_levels=None,
+        final_status=tuple((st.status.name, st.days_infected) for st in states),
+        trajectory=None,
+    )
 
 
 def simulate(
@@ -289,7 +291,7 @@ def simulate(
     The fractional model needs the sub-location count s; the standard model
     needs a meeting-probability table.  engine picks the implementation:
     "kernel" (the default) is the week loop that evolution scores with,
-    "reference" the readable one below.  Both produce identical outcomes.
+    "reference" the readable one above.  Both produce identical outcomes.
     """
     validate_plan(plan, ds)
     if model == MODEL_PARTIAL:
@@ -306,43 +308,14 @@ def simulate(
     if engine == "kernel":
         from . import _simcore
 
-        return _simcore.simulate_outcome(ds, plan, model, s=s, table=table)
-
-    if model == MODEL_PARTIAL:
-        levels, isolated_by_day, trajectory, occupancy = _simulate_partial(ds, plan, s)
-        classifications = tuple(
-            partial_outcome(p.age_group, lvl, p.health)
-            for p, lvl in zip(ds.persons, levels)
-        )
-        n_h = sum(1 for c in classifications if c == OUTCOME_ICU_RECOVERED)
-        n_d = sum(1 for c in classifications if c == OUTCOME_ICU_DEATH)
-        return SimOutcome(
-            model=model,
-            n_hospitalized=n_h,
-            n_dead=n_d,
-            isolated_by_day=tuple(isolated_by_day),
-            classifications=classifications,
-            final_levels=tuple(levels),
-            final_status=None,
-            trajectory=tuple(trajectory),
-            occupancy=_freeze_occupancy(occupancy),
-        )
-
-    states, isolated_by_day, occupancy = _simulate_full(ds, plan, table)
-    classifications = tuple(
-        full_outcome(p.age_group, st.status, p.health)
-        for p, st in zip(ds.persons, states)
-    )
-    n_h = sum(1 for c in classifications if c == OUTCOME_ICU_RECOVERED)
-    n_d = sum(1 for c in classifications if c == OUTCOME_ICU_DEATH)
+        fields = _simcore.outcome_fields(ds, plan.slots, model, s=s, table=table)
+    elif model == MODEL_PARTIAL:
+        fields = _simulate_partial(ds, plan, s)
+    else:
+        fields = _simulate_full(ds, plan, table)
     return SimOutcome(
         model=model,
-        n_hospitalized=n_h,
-        n_dead=n_d,
-        isolated_by_day=tuple(isolated_by_day),
-        classifications=classifications,
-        final_levels=None,
-        final_status=tuple((st.status.name, st.days_infected) for st in states),
-        trajectory=None,
-        occupancy=_freeze_occupancy(occupancy),
+        n_hospitalized=fields["classifications"].count(OUTCOME_ICU_RECOVERED),
+        n_dead=fields["classifications"].count(OUTCOME_ICU_DEATH),
+        **fields,
     )

@@ -167,8 +167,14 @@ class TestReplayAndCompare:
              "'model'"),
             (lambda m: {**m, "spec": {**m["spec"], "colour": "red"}}, "'colour'"),
             (lambda m: [m], "format"),
+            (lambda m: {**m, "spec": {**m["spec"], "population": "500"}},
+             "'population'"),
+            (lambda m: {**m, "spec": {**m["spec"], "priors": 5}}, "'priors'"),
+            (lambda m: {**m, "spec": {**m["spec"], "pir_seeds": [1.5]}},
+             "'pir_seeds'"),
         ],
-        ids=["no-spec", "no-digest", "no-model", "unknown-key", "not-an-object"],
+        ids=["no-spec", "no-digest", "no-model", "unknown-key", "not-an-object",
+             "string-count", "priors-not-pairs", "float-seed"],
     )
     def test_malformed_manifest_exit_one(self, tmp_path, capsys, damage, named):
         assert main(run_args(tmp_path / "a", ["--pirs", "0"])) == 0

@@ -93,6 +93,32 @@ class TestSpec:
         again = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
         assert again == spec
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("population", "500"),
+            ("s", True),
+            ("model", 5),
+            ("w_c", "0.65"),
+            ("generate_seed", 7.5),
+            ("priors", 5),
+            ("priors", [[20, "0.01"]]),
+            ("priors", [[20, 0.01, 1]]),
+            ("baselines", "comp1"),
+            ("pir_seeds", [1.5]),
+        ],
+    )
+    def test_json_value_of_the_wrong_type(self, key, value):
+        doc = {**json.loads(json.dumps(spec_to_json(partial_spec()))), key: value}
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            spec_from_json(doc)
+
+    def test_json_int_fits_a_float_field(self):
+        doc = {**json.loads(json.dumps(spec_to_json(partial_spec()))), "w_c": 1}
+        doc["priors"] = [[20, 0]]
+        spec = spec_from_json(doc)
+        assert spec.w_c == 1 and spec.priors == {20: 0.0}
+
 
 class TestRunExperiment:
     def test_nonempty_out_dir_refused(self, tmp_path):
@@ -296,6 +322,15 @@ class TestReplay:
         assert summary["dataset_digest"] == json.loads(
             (out / "summary.json").read_text()
         )["dataset_digest"]
+
+    def test_replay_from_the_manifest_alone(self, report, tmp_path):
+        # a generated dataset is generated again from its recorded seed
+        _, out, _ = report
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / "manifest.json").write_bytes((out / "manifest.json").read_bytes())
+        run_from_manifest(alone / "manifest.json", tmp_path / "re")
+        assert tree_bytes(tmp_path / "re") == tree_bytes(out)
 
     def test_changed_dataset_writes_nothing(self, report, tmp_path):
         _, out, _ = report

@@ -2,15 +2,43 @@ import numpy as np
 import pytest
 
 from lockdownsched.full_infection import (
+    MAX_TABLE_N,
+    RAW_RANGE,
     InfectionStatus,
     PnTable,
     Status,
+    _raw_cells,
     analytic_pn,
     build_pn_table,
     cell_of,
     cell_probabilities,
     transmit,
 )
+
+
+def where_cells(raw):
+    """The nested np.where the sampler used before it read _raw_cells: the
+    oracle for the table's bits."""
+    return np.where(
+        raw <= 600, raw // 2,
+        np.where(raw <= 2100, 300 + (raw - 600) // 30, 350 + (raw - 2100) // 102),
+    )
+
+
+def where_table_probs(q, iterations, seed):
+    """build_pn_table's p_1..p_20 as built with where_cells."""
+    rng = np.random.default_rng(seed)
+    met_counts = np.zeros(MAX_TABLE_N, dtype=np.int64)
+    batch = max(1, min(iterations, 4_000_000 // (q * (MAX_TABLE_N + 1))))
+    done = 0
+    while done < iterations:
+        m = min(batch, iterations - done)
+        raw = rng.integers(1, RAW_RANGE + 1, size=(m, q, MAX_TABLE_N + 1), dtype=np.int32)
+        cells = where_cells(raw)
+        met = cells[:, :, 1:] == cells[:, :, :1]
+        met_counts += np.logical_or.accumulate(met.any(axis=1), axis=1).sum(axis=0)
+        done += m
+    return tuple(met_counts / iterations)
 
 
 def test_cell_mapping_boundaries():
@@ -24,6 +52,34 @@ def test_cell_mapping_boundaries():
     assert cell_of(2100) == 350
     assert cell_of(2101) == 350
     assert cell_of(7199) == 399
+
+
+def test_cell_table_is_cell_of():
+    raw = np.arange(1, RAW_RANGE + 1)
+    table = _raw_cells()
+    assert table.shape == (RAW_RANGE + 1,)
+    assert table[raw].tolist() == [cell_of(i) for i in range(1, RAW_RANGE + 1)]
+    assert table[raw].tolist() == where_cells(raw).tolist()
+
+
+def test_cell_probabilities_match_the_counting_loop():
+    counts = np.zeros(max(cell_of(i) for i in range(1, RAW_RANGE + 1)) + 1)
+    for i in range(1, RAW_RANGE + 1):
+        counts[cell_of(i)] += 1
+    expected = counts / RAW_RANGE
+    got = cell_probabilities()
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tolist() == expected.tolist()
+
+
+# iteration counts just past one batch of q * 21 draws, so every build takes
+# two batches
+@pytest.mark.parametrize("q, iterations", [(1, 200_000), (4, 50_000), (40, 5_000)])
+def test_table_bits_match_the_where_sampler(q, iterations):
+    assert 4_000_000 // (q * (MAX_TABLE_N + 1)) < iterations
+    for seed in (0, 7):
+        expected = where_table_probs(q, iterations, seed)
+        assert build_pn_table(q, iterations, seed).probs == expected
 
 
 def test_cell_distribution_structure():

@@ -15,6 +15,7 @@ from lockdownsched.dataset import (
     parse_dataset,
 )
 from lockdownsched.full_infection import (
+    MAX_TABLE_N,
     PnTable,
     Status,
     build_pn_table,
@@ -462,6 +463,19 @@ class TestCellFilter:
         ds = parse_dataset("1 20 9.0 0 MF1 | |\n")
         assert build_context(ds, MODEL_FULL, table=table).min_group == brute
         assert brute == expected
+
+    @pytest.mark.parametrize("n_persons", [1, 40])
+    @pytest.mark.parametrize("name", sorted(STANDARD_TABLES))
+    def test_probs_list_p_for(self, name, n_persons):
+        # the loop reads p_n as probs[n] for any n a group can hold, and
+        # min_group reads up to MAX_TABLE_N + 1 even with fewer persons
+        table = standard_table(name)
+        ds = parse_dataset(
+            "".join(f"{pid} 20 9.0 0 MF1 | |\n" for pid in range(1, n_persons + 1))
+        )
+        probs = build_context(ds, MODEL_FULL, table=table).probs
+        top = max(n_persons, MAX_TABLE_N + 1)
+        assert probs[: top + 1] == [table.p_for(n) for n in range(top + 1)]
 
     @settings(max_examples=150, deadline=None)
     @given(
