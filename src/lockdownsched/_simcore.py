@@ -17,6 +17,9 @@ bound_array and decode_slots are the package's one rule for turning a
 printed vector into a plan.  Evolution scores and records with both, and
 allocation.decode, which rebuilds the reports' plans from the recorded
 bounded vectors, wraps decode_slots.
+
+This module imports only dataset and the two model modules, which own their
+rules, and owns the model names, outcome labels and _group_averages.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 
 import numpy as np
 
-from . import simulator
+from . import partial_infection
 from .dataset import (
     AGE_GROUPS,
     N_DAYS,
@@ -35,15 +38,17 @@ from .dataset import (
     RequestIndex,
     request_index,
 )
-from .full_infection import MAX_TABLE_N, Status
-from .partial_infection import _g_prefix
-from .simulator import (
-    FULL_RULES,
-    MODEL_PARTIAL,
-    OUTCOME_LABELS,
-    PARTIAL_RULES,
-    _group_averages,
-)
+from .full_infection import FULL_RULES, MAX_TABLE_N, Status
+from .partial_infection import PARTIAL_RULES, _g_prefix
+
+MODEL_PARTIAL = "partial"
+MODEL_FULL = "full"
+
+OUTCOME_NONE = "none"
+OUTCOME_IMMUNE = "immune"
+OUTCOME_ICU_RECOVERED = "icu_recovered"
+OUTCOME_ICU_DEATH = "icu_death"
+OUTCOME_LABELS = (OUTCOME_NONE, OUTCOME_IMMUNE, OUTCOME_ICU_RECOVERED, OUTCOME_ICU_DEATH)
 
 CELLS_PER_DAY = N_SLOTS * N_ESTABLISHMENTS
 N_CELLS = N_DAYS * CELLS_PER_DAY
@@ -106,7 +111,7 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
             [r.iso_high for r in rules],
             [r.iso_low for r in rules],
             [r.out_threshold for r in rules],
-            simulator.ISOLATION_HEALTH_CAP,
+            partial_infection.ISOLATION_HEALTH_CAP,
         )
     else:
         # the dataset's immunity flags 0/1/2 are the codes of Status.S/I/R;
@@ -327,6 +332,17 @@ def _full_week(ctx: SimContext, buckets):
                 iso_day[pi] = day
 
     return (status, days, iso_day, *_classify(ctx, infected))
+
+
+def _group_averages(ds: Dataset, levels) -> tuple:
+    """Mean level of each age group (0.0 if empty) as Python floats; bincount
+    adds a group's levels in person order, as a left-to-right += loop does."""
+    ri = request_index(ds)
+    sums = np.bincount(ri.age_index, weights=levels, minlength=len(AGE_GROUPS))
+    return tuple(
+        total / count if count else 0.0
+        for total, count in zip(sums.tolist(), ri.age_count)
+    )
 
 
 def counts_for_slots(ctx: SimContext, slots: np.ndarray) -> tuple:

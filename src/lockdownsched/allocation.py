@@ -3,9 +3,9 @@
 A plan fixes one time slot for every visit request in the dataset.  Vectors
 coming out of the evolved programs are folded into (0,1) and then read
 cyclically, one value per request, in the canonical dataset order; that rule
-lives in _simcore.bound_array and _simcore.decode_slots, and decode wraps
-the second for callers that hold a Dataset.  The three round-robin builders
-provide uninformed baselines to beat.
+lives in _simcore.bound_array and _simcore.decode_slots, below this module,
+and decode wraps the second for callers that hold a Dataset.  The three
+round-robin builders provide uninformed baselines to beat.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._simcore import decode_slots
 from .dataset import (
     N_DAYS,
     N_ESTABLISHMENTS,
@@ -26,15 +27,13 @@ from .dataset import (
     slot_label,
 )
 
-# the longest vector a plan is decoded from, and the tree machine's pointer cap
-MAX_VECTOR_LEN = 10_000
-
 # (establishment label, hours label) of every cell of a day, and the plan
-# CSV's "where" column built from them; est * N_SLOTS + slot indexes both
+# CSV's "where" column built from them; slot * N_ESTABLISHMENTS + est, the
+# week loops' cell order within a day, indexes both
 CELL_LABELS = tuple(
     (establishment_label(est), slot_label(slot))
-    for est in range(N_ESTABLISHMENTS)
     for slot in range(N_SLOTS)
+    for est in range(N_ESTABLISHMENTS)
 )
 _WHERE_LABELS = tuple(f"{est}, {hours}" for est, hours in CELL_LABELS)
 
@@ -69,9 +68,6 @@ def validate_plan(plan: AllocationPlan, ds: Dataset) -> None:
 
 def decode(vector, ds: Dataset) -> AllocationPlan:
     """The plan a bounded vector decodes to (see _simcore.decode_slots)."""
-    # imported here: _simcore imports simulator, which imports this module
-    from ._simcore import decode_slots
-
     if len(vector) == 0:
         raise ValueError("vector must not be empty")
     return AllocationPlan(tuple(decode_slots(request_index(ds), vector).tolist()))
@@ -111,7 +107,7 @@ PLAN_CSV_HEADER = ("person", "day", "request", "slot", "where")
 def write_plan_csv(plan: AllocationPlan, ds: Dataset, path) -> None:
     validate_plan(plan, ds)
     ri = request_index(ds)
-    cell = ri.establishment * N_SLOTS + np.asarray(plan.slots)
+    cell = np.asarray(plan.slots) * N_ESTABLISHMENTS + ri.establishment
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PLAN_CSV_HEADER)

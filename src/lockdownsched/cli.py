@@ -29,7 +29,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run baselines and optional evolution")
+    # a flag left out stays out of the namespace, so ExperimentSpec's own
+    # default applies: each run default is declared once, on the spec
+    run = sub.add_parser(
+        "run",
+        help="run baselines and optional evolution",
+        argument_default=argparse.SUPPRESS,
+    )
     source = run.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--dataset",
@@ -45,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a dataset",
     )
     run.add_argument("--model", choices=("partial", "full"), required=True)
-    run.add_argument("--s", type=int, default=4, help="encounter group size")
+    run.add_argument("--s", type=int, help="encounter group size")
     run.add_argument("--q", type=int, help="exposure trials per encounter")
     run.add_argument(
         "--priors", default="", help='a-priori infection by age, e.g. "20=0.03;30=0.01"'
@@ -53,25 +59,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--apriori-infected",
         type=float,
-        default=0.0,
         help="fraction of persons infected before day one (0..1; full model only)",
     )
     run.add_argument(
         "--apriori-immune",
         type=float,
-        default=0.0,
         help="fraction of persons immune before day one (0..1; full model only)",
     )
+    run.add_argument("--apriori-seed", type=int, help="seed for the a-priori marking")
     run.add_argument(
-        "--apriori-seed", type=int, default=0, help="seed for the a-priori marking"
-    )
-    run.add_argument(
-        "--wc",
-        type=float,
-        default=0.65,
-        dest="w_c",
-        metavar="WC",
-        help="death weight in the cost",
+        "--wc", type=float, dest="w_c", metavar="WC", help="death weight in the cost"
     )
     run.add_argument(
         "--baselines",
@@ -80,14 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--pirs", type=int, default=0, help="independent runs to evolve")
     run.add_argument(
-        "--pop",
-        type=int,
-        default=500,
-        dest="population",
-        metavar="POP",
-        help="population per run",
+        "--pop", type=int, dest="population", metavar="POP", help="population per run"
     )
-    run.add_argument("--budget", type=int, default=20_000, help="offspring per run")
+    run.add_argument("--budget", type=int, help="offspring per run")
     run.add_argument(
         "--seed-list", default="", help="comma list of run seeds (overrides --pirs)"
     )
@@ -97,12 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--pn-iterations",
         type=int,
-        default=100_000,
         help="samples per infection-probability estimate (full model)",
     )
-    run.add_argument(
-        "--pn-seed", type=int, default=0, help="seed for the estimate (full model)"
-    )
+    run.add_argument("--pn-seed", type=int, help="seed for the estimate (full model)")
     run.add_argument("--out", required=True, help="report directory")
 
     replay = sub.add_parser("replay", help="re-run a recorded experiment")
@@ -116,16 +105,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    """The spec of a ``run``: every flag is stored under its field's name."""
+    """The spec of a ``run``: every flag given is stored under its field's name."""
+    names = {f.name for f in fields(ExperimentSpec)}
+    settings = {name: value for name, value in vars(args).items() if name in names}
     # the fractional model never marks persons, so these would only be recorded
-    if args.model == "partial" and (args.apriori_infected or args.apriori_immune):
+    apriori = settings.get("apriori_infected") or settings.get("apriori_immune")
+    if args.model == "partial" and apriori:
         raise ValueError("a-priori fractions apply to the full model only")
     if args.seed_list:
         pir_seeds = tuple(int(tok) for tok in args.seed_list.split(",") if tok.strip())
     else:
         pir_seeds = tuple(range(1, args.pirs + 1))
-    names = {f.name for f in fields(ExperimentSpec)}
-    settings = {name: value for name, value in vars(args).items() if name in names}
     settings["priors"] = parse_priors(args.priors)
     settings["baselines"] = tuple(tok for tok in args.baselines.split(",") if tok.strip())
     return ExperimentSpec(**settings, pir_seeds=pir_seeds)

@@ -230,10 +230,8 @@ def parse_priors(text: str) -> dict:
             raise ValueError(
                 f"bad priors entry {pair!r}, expected AGE=FRACTION"
             ) from None
-        if age not in AGE_GROUPS:
-            raise ValueError(f"age {age} not one of {AGE_GROUPS}")
-        if not 0.0 <= prob <= 1.0:
-            raise ValueError(f"prior {prob} outside [0, 1]")
+        # checked as parsed, so a later entry for the same age hides no bad one
+        check_priors({age: prob})
         priors[age] = prob
     return priors
 
@@ -341,6 +339,15 @@ def generate_dataset(seed: int) -> Dataset:
         days = tuple(tuple(_random_request(rng) for _ in range(counts[i, d])) for d in range(N_DAYS))
         persons.append(Person(i, ages[i], healths[i], SUSCEPTIBLE, days))
     return Dataset(tuple(persons))
+
+
+def check_priors(priors: dict) -> None:
+    """Reject a prior for an age outside AGE_GROUPS or a level outside [0, 1]."""
+    for age, prob in priors.items():
+        if age not in AGE_GROUPS:
+            raise ValueError(f"age {age} not one of {AGE_GROUPS}")
+        if not 0.0 <= prob <= 1.0:
+            raise ValueError(f"prior {prob} outside [0, 1]")
 
 
 def check_apriori_fractions(fraction_infected: float, fraction_immune: float) -> None:

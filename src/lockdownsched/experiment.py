@@ -20,9 +20,10 @@ from dataclasses import asdict, dataclass, field, fields
 from .allocation import CELL_LABELS, decode, round_robin, write_plan_csv
 from .dataset import (
     AGE_GROUPS,
-    N_SLOTS,
+    N_ESTABLISHMENTS,
     Dataset,
     check_apriori_fractions,
+    check_priors,
     generate_dataset,
     load_dataset,
     mark_apriori_infection,
@@ -63,6 +64,7 @@ class ExperimentSpec(GpConfig):
         super().__post_init__()
         if (self.dataset_path is None) == (self.generate_seed is None):
             raise ValueError("exactly one dataset source must be given")
+        check_priors(self.priors)
         check_apriori_fractions(self.apriori_infected, self.apriori_immune)
         for variant in self.baselines:
             if variant not in BASELINE_VARIANTS:
@@ -175,7 +177,7 @@ def _write_solution_detail(dirpath, ds, plan, outcome: SimOutcome) -> None:
     for day, day_grid in enumerate(outcome.occupancy):
         for slot, counts in enumerate(day_grid):
             for est, count in enumerate(counts):
-                est_label, hours = CELL_LABELS[est * N_SLOTS + slot]
+                est_label, hours = CELL_LABELS[slot * N_ESTABLISHMENTS + est]
                 occupancy_rows.append((DAY_LABELS[day], hours, est_label, count))
     _write_rows(
         os.path.join(dirpath, "occupancy.csv"),

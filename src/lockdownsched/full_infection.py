@@ -6,7 +6,8 @@ and 20 infected visitors.  p_n is the chance the susceptible shared a cell
 with at least one of the first n infected in at least one of the q trials.
 Transmission per encounter then truncates p_n times the susceptible count.
 cell_of is the one dwell-cell map, read by the sampler and the exact cell
-distribution alike; PnTable.p_for is the one p_n lookup.
+distribution alike; PnTable.p_for is the one p_n lookup.  Both simulation
+engines read the model's age-banded rules, FULL_RULES, from here.
 """
 
 from __future__ import annotations
@@ -31,6 +32,31 @@ class Status(IntEnum):
 class InfectionStatus:
     status: Status
     days_infected: int = 0
+
+
+@dataclass(frozen=True)
+class FullRule:
+    """Per-age-group thresholds of the standard (all-or-nothing) model.
+
+    Isolation (infected only): after one full day when health is below
+    day1_health, after two when below day2_health.  Outcomes apply to every
+    infected person, banded by health like the fractional rules.
+    """
+    day1_health: float
+    day2_health: float
+    immune_above: float | None
+    recover_above: float
+
+
+FULL_RULES = {
+    20: FullRule(5.0, 5.5, 7.0, 3.0),
+    30: FullRule(6.0, 6.5, 8.0, 3.5),
+    40: FullRule(6.5, 7.0, 8.0, 4.0),
+    50: FullRule(7.0, 8.0, 8.0, 4.0),
+    60: FullRule(7.0, 8.0, 8.5, 4.5),
+    70: FullRule(7.0, 8.0, 9.5, 7.0),
+    80: FullRule(7.0, 8.0, None, 8.5),
+}
 
 
 def cell_of(i: int) -> int:

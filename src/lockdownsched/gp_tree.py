@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._simcore import bound_array
-from .allocation import MAX_VECTOR_LEN
+
+# the longest vector a plan is decoded from, and the tree machine's pointer cap
+MAX_VECTOR_LEN = 10_000
 
 TREE_CAP = 2_000
 

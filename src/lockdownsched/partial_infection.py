@@ -6,6 +6,7 @@ that the most susceptible participant bumps into the j-th most infected one,
 and nobody more infected, is g_j = (1/s)((s-1)/s)^(j-1).  The encounter's
 infection pressure weighs those geometric factors by infection levels; the
 pressure then bumps every participant's level for the next encounter.
+Both simulation engines read the model's age-banded rules from here.
 """
 
 from __future__ import annotations
@@ -13,6 +14,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+
+# each isolation band also requires poor health; both engines read it at call time
+ISOLATION_HEALTH_CAP = 7.0
+
+
+@dataclass(frozen=True)
+class PartialRule:
+    """Per-age-group thresholds of the fractional infection model.
+
+    Isolation: I above iso_high, or inside (iso_low, iso_high] while health
+    is at most ISOLATION_HEALTH_CAP.  Outcomes apply when I ends above
+    out_threshold: health above immune_above escapes unharmed, above
+    recover_above survives the ICU, anything lower dies.  Bands are
+    lower-exclusive, upper-inclusive.
+    """
+    iso_high: float
+    iso_low: float
+    out_threshold: float
+    immune_above: float | None
+    recover_above: float
+
+
+PARTIAL_RULES = {
+    20: PartialRule(0.97, 0.95, 0.95, 7.0, 3.0),
+    30: PartialRule(0.95, 0.92, 0.90, 8.0, 4.0),
+    40: PartialRule(0.92, 0.87, 0.85, 8.0, 4.0),
+    50: PartialRule(0.85, 0.80, 0.80, 8.0, 4.0),
+    60: PartialRule(0.75, 0.70, 0.75, 9.0, 5.0),
+    70: PartialRule(0.65, 0.60, 0.70, 9.5, 7.5),
+    80: PartialRule(0.65, 0.60, 0.65, None, 8.5),
+}
 
 
 def g_factor(s: int, j: int) -> float:

@@ -8,98 +8,37 @@ outcome rules classify each person and the hospitalized/death counts are
 folded into a single fitness value.
 
 simulate() runs _simcore's week loops or the readable reference here, whose
-one walker, _walk_week, serves both models.
+one walker, _walk_week, serves both models.  Each model's module owns its
+rule table; the predicates here are the readable form of those tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .allocation import AllocationPlan, validate_plan
-from .dataset import (
-    AGE_GROUPS,
-    N_DAYS,
-    N_ESTABLISHMENTS,
-    N_SLOTS,
-    Dataset,
-    establishment_id,
-    request_index,
+from . import partial_infection
+from ._simcore import (
+    MODEL_FULL,
+    MODEL_PARTIAL,
+    OUTCOME_ICU_DEATH,
+    OUTCOME_ICU_RECOVERED,
+    OUTCOME_IMMUNE,
+    OUTCOME_NONE,
+    _group_averages,
+    outcome_fields,
 )
-from .full_infection import InfectionStatus, PnTable, Status, transmit
-from .partial_infection import EncounterGroup, encounter_pressure
-
-MODEL_PARTIAL = "partial"
-MODEL_FULL = "full"
-
-# each fractional-model isolation band also requires poor health
-ISOLATION_HEALTH_CAP = 7.0
-
-OUTCOME_NONE = "none"
-OUTCOME_IMMUNE = "immune"
-OUTCOME_ICU_RECOVERED = "icu_recovered"
-OUTCOME_ICU_DEATH = "icu_death"
-OUTCOME_LABELS = (OUTCOME_NONE, OUTCOME_IMMUNE, OUTCOME_ICU_RECOVERED, OUTCOME_ICU_DEATH)
-
-
-@dataclass(frozen=True)
-class PartialRule:
-    """Per-age-group thresholds for the fractional infection model.
-
-    Isolation: I above iso_high, or inside (iso_low, iso_high] while health
-    is at most ISOLATION_HEALTH_CAP.  Outcomes apply when I ends above
-    out_threshold: health above immune_above escapes unharmed, above
-    recover_above survives the ICU, anything lower dies.  Bands are
-    lower-exclusive, upper-inclusive.
-    """
-    iso_high: float
-    iso_low: float
-    out_threshold: float
-    immune_above: float | None
-    recover_above: float
-
-
-@dataclass(frozen=True)
-class FullRule:
-    """Per-age-group thresholds for the standard (all-or-nothing) model.
-
-    Isolation (infected only): after one full day when health is below
-    day1_health, after two when below day2_health.  Outcomes apply to every
-    infected person, banded by health like the fractional rules.
-    """
-    day1_health: float
-    day2_health: float
-    immune_above: float | None
-    recover_above: float
-
-
-PARTIAL_RULES = {
-    20: PartialRule(0.97, 0.95, 0.95, 7.0, 3.0),
-    30: PartialRule(0.95, 0.92, 0.90, 8.0, 4.0),
-    40: PartialRule(0.92, 0.87, 0.85, 8.0, 4.0),
-    50: PartialRule(0.85, 0.80, 0.80, 8.0, 4.0),
-    60: PartialRule(0.75, 0.70, 0.75, 9.0, 5.0),
-    70: PartialRule(0.65, 0.60, 0.70, 9.5, 7.5),
-    80: PartialRule(0.65, 0.60, 0.65, None, 8.5),
-}
-
-FULL_RULES = {
-    20: FullRule(5.0, 5.5, 7.0, 3.0),
-    30: FullRule(6.0, 6.5, 8.0, 3.5),
-    40: FullRule(6.5, 7.0, 8.0, 4.0),
-    50: FullRule(7.0, 8.0, 8.0, 4.0),
-    60: FullRule(7.0, 8.0, 8.5, 4.5),
-    70: FullRule(7.0, 8.0, 9.5, 7.0),
-    80: FullRule(7.0, 8.0, None, 8.5),
-}
+from .allocation import AllocationPlan, validate_plan
+from .dataset import N_DAYS, N_ESTABLISHMENTS, N_SLOTS, Dataset, establishment_id
+from .full_infection import FULL_RULES, InfectionStatus, PnTable, Status, transmit
+from .partial_infection import PARTIAL_RULES, EncounterGroup, encounter_pressure
 
 
 def partial_isolation(age_group: int, level: float, health: float) -> bool:
     rule = PARTIAL_RULES[age_group]
     if level > rule.iso_high:
         return True
-    return rule.iso_low < level <= rule.iso_high and health <= ISOLATION_HEALTH_CAP
+    cap = partial_infection.ISOLATION_HEALTH_CAP
+    return rule.iso_low < level <= rule.iso_high and health <= cap
 
 
 def full_isolation(age_group: int, days_infected: int, health: float) -> bool:
@@ -167,17 +106,6 @@ def _request_cells(ds: Dataset, plan: AllocationPlan):
         est = establishment_id(req.kind, req.index)
         cells.setdefault((day, slot, est), {})[pi] = None
     return cells
-
-
-def _group_averages(ds: Dataset, levels) -> tuple:
-    """Mean level of each age group (0.0 if empty) as Python floats; bincount
-    adds a group's levels in person order, as a left-to-right += loop does."""
-    ri = request_index(ds)
-    sums = np.bincount(ri.age_index, weights=levels, minlength=len(AGE_GROUPS))
-    return tuple(
-        total / count if count else 0.0
-        for total, count in zip(sums.tolist(), ri.age_count)
-    )
 
 
 def _walk_week(ds: Dataset, plan: AllocationPlan, meet, isolates, end_of_slot=None):
@@ -306,9 +234,7 @@ def simulate(
         raise ValueError(f"unknown engine {engine!r}")
 
     if engine == "kernel":
-        from . import _simcore
-
-        fields = _simcore.outcome_fields(ds, plan.slots, model, s=s, table=table)
+        fields = outcome_fields(ds, plan.slots, model, s=s, table=table)
     elif model == MODEL_PARTIAL:
         fields = _simulate_partial(ds, plan, s)
     else:

@@ -5,13 +5,9 @@ kept here, outside the package, as the oracles the tests compare against."""
 import csv
 import math
 
-from lockdownsched.allocation import (
-    MAX_VECTOR_LEN,
-    PLAN_CSV_HEADER,
-    AllocationPlan,
-    validate_plan,
-)
+from lockdownsched.allocation import PLAN_CSV_HEADER, AllocationPlan, validate_plan
 from lockdownsched.dataset import WINDOWS, request_index
+from lockdownsched.gp_tree import MAX_VECTOR_LEN
 
 
 def bound_value(x: float) -> float:

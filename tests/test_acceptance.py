@@ -12,10 +12,11 @@ import pytest
 from lockdownsched.allocation import decode, round_robin
 from lockdownsched.dataset import generate_dataset, mark_apriori_infection, parse_dataset
 from lockdownsched.experiment import ExperimentSpec, run_experiment, run_from_manifest
-from lockdownsched.full_infection import analytic_pn, build_pn_table
+from lockdownsched.full_infection import FULL_RULES, analytic_pn, build_pn_table
 from lockdownsched.gp_engine import GpConfig, run_pirs
 from lockdownsched.gp_tree import genotype_to_vector, run_machine
 from lockdownsched.partial_infection import (
+    PARTIAL_RULES,
     EncounterGroup,
     apply_update,
     brute_force_pressure,
@@ -24,8 +25,6 @@ from lockdownsched.partial_infection import (
     labeling_term,
 )
 from lockdownsched.simulator import (
-    FULL_RULES,
-    PARTIAL_RULES,
     fitness_value,
     full_isolation,
     full_outcome,

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from lockdownsched.cli import build_parser, main
+from lockdownsched.cli import _spec_from_args, build_parser, main
 from lockdownsched.experiment import ExperimentSpec
 
 
@@ -34,6 +34,19 @@ class TestRun:
         names = {f.name for f in fields(ExperimentSpec)}
         assert dests - names == {"out", "pirs", "seed_list"}
         assert names - dests == {"pir_seeds"}
+
+    @pytest.mark.parametrize(
+        "flags, spec",
+        [
+            (["--model", "partial"], ExperimentSpec(model="partial", generate_seed=5)),
+            (["--model", "full", "--q", "4"],
+             ExperimentSpec(model="full", q=4, generate_seed=5)),
+        ],
+        ids=["partial", "full"],
+    )
+    def test_defaults_are_the_spec_defaults(self, flags, spec):
+        args = build_parser().parse_args(["run", "--generate", "5", *flags, "--out", "r"])
+        assert _spec_from_args(args) == spec
 
     def test_exit_zero_and_report(self, tmp_path, capsys):
         assert main(run_args(tmp_path / "r")) == 0
@@ -172,9 +185,14 @@ class TestReplayAndCompare:
             (lambda m: {**m, "spec": {**m["spec"], "priors": 5}}, "'priors'"),
             (lambda m: {**m, "spec": {**m["spec"], "pir_seeds": [1.5]}},
              "'pir_seeds'"),
+            (lambda m: {**m, "spec": {**m["spec"], "priors": [[20, 1.5]]}},
+             "prior 1.5 outside"),
+            (lambda m: {**m, "spec": {**m["spec"], "priors": [[25, 0.3]]}},
+             "age 25 not one of"),
         ],
         ids=["no-spec", "no-digest", "no-model", "unknown-key", "not-an-object",
-             "string-count", "priors-not-pairs", "float-seed"],
+             "string-count", "priors-not-pairs", "float-seed", "prior-above-one",
+             "unknown-age"],
     )
     def test_malformed_manifest_exit_one(self, tmp_path, capsys, damage, named):
         assert main(run_args(tmp_path / "a", ["--pirs", "0"])) == 0

@@ -158,6 +158,9 @@ def test_priors_round_trip():
         parse_priors("25=0.03")
     with pytest.raises(ValueError):
         parse_priors("20=1.5")
+    # a later entry for the same age does not hide a bad one
+    with pytest.raises(ValueError):
+        parse_priors("20=1.5;20=0.3")
 
 
 def test_establishment_layout_and_labels():

@@ -80,6 +80,19 @@ class TestSpec:
         with pytest.raises(ValueError, match="population"):
             partial_spec(population=2)
 
+    @pytest.mark.parametrize(
+        "priors, message",
+        [
+            ({20: 1.5, 25: 0.3}, "prior 1.5 outside"),
+            ({25: 0.3}, "age 25 not one of"),
+            ({20: -0.1}, "outside"),
+            ({20: float("nan")}, "outside"),
+        ],
+    )
+    def test_priors_are_checked(self, priors, message):
+        with pytest.raises(ValueError, match=message):
+            partial_spec(priors=priors)
+
     def test_one_declaration_per_setting(self):
         assert issubclass(ExperimentSpec, GpConfig)
         # the spec redeclares only model, which it requires

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from lockdownsched import gp_tree as gt
-from lockdownsched.allocation import MAX_VECTOR_LEN
 from lockdownsched.gp_tree import (
+    MAX_VECTOR_LEN,
     GpNode,
     compile_postfix,
     constant,

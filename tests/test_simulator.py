@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lockdownsched import simulator
+from lockdownsched import _simcore, partial_infection
 from lockdownsched._simcore import build_context
 from lockdownsched.allocation import AllocationPlan, decode, round_robin
 from lockdownsched.dataset import (
@@ -398,12 +398,12 @@ class TestEngineAgreement:
 
 
 def test_kernel_follows_the_isolation_health_cap(monkeypatch):
-    # both engines read simulator.ISOLATION_HEALTH_CAP; raised to 9.0 it lets
-    # the 70-year-old of health 9.0 isolate in the lower band
+    # both engines read partial_infection.ISOLATION_HEALTH_CAP; raised to 9.0
+    # it lets the 70-year-old of health 9.0 isolate in the lower band
     ds = world(ISOLATING, {40: 0.95, 70: 0.5, 20: 0.99})
     plan = decode([0.1], ds)
     before = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="reference")
-    monkeypatch.setattr(simulator, "ISOLATION_HEALTH_CAP", 9.0)
+    monkeypatch.setattr(partial_infection, "ISOLATION_HEALTH_CAP", 9.0)
     ref = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="reference")
     assert 3 in ref.isolated_by_day[0] - before.isolated_by_day[0]
     assert simulate(ds, plan, MODEL_PARTIAL, s=4, engine="kernel") == ref
@@ -534,7 +534,7 @@ def test_group_averages_match_the_dict_loop():
         ds = random_dataset(rng)
         # mixed magnitudes, so a different addition order shows in the bits
         levels = [rng.random() * 10.0 ** rng.randint(-12, 0) for _ in ds.persons]
-        got = simulator._group_averages(ds, levels)
+        got = _simcore._group_averages(ds, levels)
         assert got == _group_averages_loop(ds, levels)
         # Python floats: repr of a numpy float would change trajectory.csv
         assert all(type(x) is float for x in got)
