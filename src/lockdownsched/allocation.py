@@ -10,7 +10,6 @@ round-robin builders provide uninformed baselines to beat.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +27,18 @@ from .dataset import (
 )
 
 # (establishment label, hours label) of every cell of a day, and the plan
-# CSV's "where" column built from them; slot * N_ESTABLISHMENTS + est, the
-# week loops' cell order within a day, indexes both
+# CSV's '{slot},"{where}"' row suffix built from them; slot * N_ESTABLISHMENTS
+# + est, the week loops' cell order within a day, indexes both.  "where"
+# holds a comma, so it is quoted, as csv.writer's default dialect quotes it.
 CELL_LABELS = tuple(
     (establishment_label(est), slot_label(slot))
     for slot in range(N_SLOTS)
     for est in range(N_ESTABLISHMENTS)
 )
-_WHERE_LABELS = tuple(f"{est}, {hours}" for est, hours in CELL_LABELS)
+_ROW_SUFFIXES = tuple(
+    f'{cell // N_ESTABLISHMENTS},"{est}, {hours}"\r\n'
+    for cell, (est, hours) in enumerate(CELL_LABELS)
+)
 
 
 @dataclass(frozen=True)
@@ -105,16 +108,12 @@ PLAN_CSV_HEADER = ("person", "day", "request", "slot", "where")
 
 
 def write_plan_csv(plan: AllocationPlan, ds: Dataset, path) -> None:
+    """allocations.csv: one row per request, in the bytes csv.writer's
+    default dialect would write, joined from the dataset's row prefixes and
+    the cells' row suffixes."""
     validate_plan(plan, ds)
     ri = request_index(ds)
-    cell = np.asarray(plan.slots) * N_ESTABLISHMENTS + ri.establishment
+    cells = (np.asarray(plan.slots) * N_ESTABLISHMENTS + ri.establishment).tolist()
+    rows = [prefix + _ROW_SUFFIXES[cell] for prefix, cell in zip(ri.row_prefix, cells)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PLAN_CSV_HEADER)
-        writer.writerows(zip(
-            ri.person_id[ri.person].tolist(),
-            ri.day.tolist(),
-            ri.key,
-            plan.slots,
-            [_WHERE_LABELS[c] for c in cell.tolist()],
-        ))
+        fh.write(",".join(PLAN_CSV_HEADER) + "\r\n" + "".join(rows))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -135,10 +136,18 @@ def parse_request_key(key: str, lineno: int = 0) -> VisitRequest:
     return VisitRequest(window, kind, int(idx))
 
 
-# every valid request, by key; parse_dataset shares these instances
+# every valid request, by key; parsed and generated datasets share these
+# instances, so a REQUEST_FACTS lookup finds its key by identity
 _REQUESTS = {r.key: r for r in (
     VisitRequest(w, k, i) for w in WINDOWS for k in ESTABLISHMENT_KINDS for i in (1, 2)
 )}
+
+# (window base, window width, establishment id, key) of every valid request;
+# the request index reads these with one lookup per request
+REQUEST_FACTS = {
+    r: (*WINDOWS[r.window], establishment_id(r.kind, r.index), r.key)
+    for r in _REQUESTS.values()
+}
 
 
 def parse_dataset(text: str) -> Dataset:
@@ -290,7 +299,7 @@ CANONICAL_PROFILE = PopulationProfile(
 def _random_request(rng) -> VisitRequest:
     window = "MPNA"[rng.integers(0, 4)]
     kind = ESTABLISHMENT_KINDS[rng.integers(0, 6)]
-    return VisitRequest(window, kind, int(rng.integers(1, 3)))
+    return _REQUESTS[f"{window}{kind}{rng.integers(1, 3)}"]
 
 
 def generate_dataset(seed: int) -> Dataset:
@@ -403,6 +412,18 @@ class RequestIndex:
     age_index: np.ndarray     # AGE_GROUPS position per person position
     age_count: tuple          # persons per age group, in AGE_GROUPS order
 
+    @cached_property
+    def row_prefix(self) -> tuple:
+        """``"{person id},{day},{request key},"`` per request, the start of
+        an allocations.csv row.  Built on first use, so evolution, which
+        writes no plan, never pays for it."""
+        return tuple(
+            f"{pid},{day},{key},"
+            for pid, day, key in zip(
+                self.person_id[self.person].tolist(), self.day.tolist(), self.key
+            )
+        )
+
 
 def request_index(ds: Dataset) -> RequestIndex:
     """The dataset's RequestIndex, built on first use and shared after.
@@ -423,24 +444,19 @@ def request_index(ds: Dataset) -> RequestIndex:
 
 def _build_request_index(ds: Dataset) -> RequestIndex:
     age_index = np.asarray([AGE_GROUPS.index(p.age_group) for p in ds.persons], dtype=np.intp)
-    person, day, base, width, est, key = [], [], [], [], [], []
-    for i, d, r in ds.requests():
-        b, w = WINDOWS[r.window]
-        person.append(i)
-        day.append(d)
-        base.append(b)
-        width.append(w)
-        est.append(establishment_id(r.kind, r.index))
-        key.append(r.key)
+    walk = ds.requests()
+    person, day, requests = zip(*walk) if walk else ((),) * 3
+    facts = map(REQUEST_FACTS.__getitem__, requests)
+    base, width, est, key = zip(*facts) if walk else ((),) * 4
     return RequestIndex(
         n_persons=len(ds.persons),
-        n_requests=len(person),
+        n_requests=len(walk),
         person=np.asarray(person, dtype=np.int32),
         day=np.asarray(day, dtype=np.int8),
         window_base=np.asarray(base, dtype=np.int64),
         window_width=np.asarray(width, dtype=np.int64),
         establishment=np.asarray(est, dtype=np.int8),
-        key=tuple(key),
+        key=key,
         person_id=np.asarray([p.id for p in ds.persons], dtype=np.int32),
         health=np.asarray([p.health for p in ds.persons], dtype=np.float64),
         age_index=age_index,

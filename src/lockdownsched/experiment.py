@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field, fields
 from .allocation import CELL_LABELS, decode, round_robin, write_plan_csv
 from .dataset import (
     AGE_GROUPS,
-    N_ESTABLISHMENTS,
     Dataset,
     check_apriori_fractions,
     check_priors,
@@ -38,6 +37,12 @@ DAY_LABELS = ("MON", "TUE", "WED")
 BASELINE_VARIANTS = ("comp1", "comp2", "comp3")
 AGE_BANDS = (("young", (20, 30)), ("middle", (40, 50, 60)), ("elderly", (70, 80)))
 MANIFEST_FORMAT = 1
+
+# "{day},{hours},{establishment}," of every occupancy.csv row, in the week
+# loops' cell order: day, then CELL_LABELS' slot-major order within the day
+_OCCUPANCY_PREFIXES = tuple(
+    f"{day},{hours},{est}," for day in DAY_LABELS for est, hours in CELL_LABELS
+)
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,11 @@ class ExperimentSpec(GpConfig):
             raise ValueError("exactly one dataset source must be given")
         check_priors(self.priors)
         check_apriori_fractions(self.apriori_infected, self.apriori_immune)
-        for variant in self.baselines:
+        for i, variant in enumerate(self.baselines):
             if variant not in BASELINE_VARIANTS:
                 raise ValueError(f"unknown baseline {variant!r}")
+            if variant in self.baselines[:i]:
+                raise ValueError(f"baseline {variant!r} given twice")
         if self.pn_iterations < 1:
             raise ValueError("pn_iterations must be at least 1")
 
@@ -169,21 +176,22 @@ def _write_rows(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _infection_text(outcome: SimOutcome, pi: int) -> str:
+    """A roster's infection column: the final level, or status and days."""
+    if outcome.final_levels is not None:
+        return repr(outcome.final_levels[pi])
+    status, days = outcome.final_status[pi]
+    return f"{status}{days}"
+
+
 def _write_solution_detail(dirpath, ds, plan, outcome: SimOutcome) -> None:
     os.makedirs(dirpath, exist_ok=True)
     write_plan_csv(plan, ds, os.path.join(dirpath, "allocations.csv"))
 
-    occupancy_rows = []
-    for day, day_grid in enumerate(outcome.occupancy):
-        for slot, counts in enumerate(day_grid):
-            for est, count in enumerate(counts):
-                est_label, hours = CELL_LABELS[slot * N_ESTABLISHMENTS + est]
-                occupancy_rows.append((DAY_LABELS[day], hours, est_label, count))
-    _write_rows(
-        os.path.join(dirpath, "occupancy.csv"),
-        ("day", "hours", "establishment", "attendees"),
-        occupancy_rows,
-    )
+    counts = [c for day_grid in outcome.occupancy for row in day_grid for c in row]
+    rows = [f"{prefix}{c}\r\n" for prefix, c in zip(_OCCUPANCY_PREFIXES, counts, strict=True)]
+    with open(os.path.join(dirpath, "occupancy.csv"), "w", newline="") as fh:
+        fh.write("day,hours,establishment,attendees\r\n" + "".join(rows))
 
     if outcome.trajectory is not None:
         bands = _age_band_weights(ds)
@@ -199,25 +207,20 @@ def _write_solution_detail(dirpath, ds, plan, outcome: SimOutcome) -> None:
             rows,
         )
 
-    persons = {p.id: p for p in ds.persons}
-    infection = {}
-    for pi, person in enumerate(ds.persons):
-        if outcome.final_levels is not None:
-            infection[person.id] = repr(outcome.final_levels[pi])
-        else:
-            status, days = outcome.final_status[pi]
-            infection[person.id] = f"{status}{days}"
+    position = {p.id: pi for pi, p in enumerate(ds.persons)}
     roster_rows = []
     for day, newly in enumerate(outcome.isolated_by_day):
         for pid in sorted(newly):
-            roster_rows.append(
-                ("isolated", pid, persons[pid].age_group, DAY_LABELS[day], infection[pid])
-            )
+            pi = position[pid]
+            roster_rows.append((
+                "isolated", pid, ds.persons[pi].age_group, DAY_LABELS[day],
+                _infection_text(outcome, pi),
+            ))
     for label in ("icu_recovered", "icu_death"):
         for pi, person in enumerate(ds.persons):
             if outcome.classifications[pi] == label:
                 roster_rows.append(
-                    (label, person.id, person.age_group, "", infection[person.id])
+                    (label, person.id, person.age_group, "", _infection_text(outcome, pi))
                 )
     _write_rows(
         os.path.join(dirpath, "rosters.csv"),

@@ -15,6 +15,8 @@ from lockdownsched.allocation import (
     write_plan_csv,
 )
 from lockdownsched.dataset import (
+    N_ESTABLISHMENTS,
+    N_SLOTS,
     WINDOWS,
     establishment_id,
     establishment_label,
@@ -254,6 +256,20 @@ def test_write_plan_csv_checks_before_creating_the_file(tmp_path, ds):
     assert not path.exists()
 
 
+def _random_plan(ds, rng):
+    """A slot drawn uniformly from each request's window."""
+    return AllocationPlan(tuple(
+        rng.randrange(base, base + width)
+        for base, width in (WINDOWS[req.window] for _, _, req in ds.requests())
+    ))
+
+
+def _assert_plan_csv_matches_the_loop(tmp_path, plan, ds):
+    write_plan_csv(plan, ds, tmp_path / "new.csv")
+    _write_plan_csv_loop(plan, ds, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 @pytest.mark.parametrize("seed", [0, 12345])
 def test_round_robin_and_plan_csv_match_the_loops(tmp_path, seed):
     ds = generate_dataset(seed)
@@ -264,7 +280,34 @@ def test_round_robin_and_plan_csv_match_the_loops(tmp_path, seed):
         assert plan.slots == _round_robin_loop(ds, variant)
         assert all(type(slot) is int for slot in plan.slots)
         plans.append(plan)
+    rng = random.Random(seed)
+    plans += [_random_plan(ds, rng) for _ in range(4)]
+    # the random plans put requests in every (slot, establishment) cell
+    reached = {
+        (slot, establishment_id(req.kind, req.index))
+        for plan in plans[4:]
+        for slot, (_, _, req) in zip(plan.slots, ds.requests())
+    }
+    assert len(reached) == N_SLOTS * N_ESTABLISHMENTS
     for plan in plans:
-        write_plan_csv(plan, ds, tmp_path / "new.csv")
-        _write_plan_csv_loop(plan, ds, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        _assert_plan_csv_matches_the_loop(tmp_path, plan, ds)
+
+
+# non-contiguous ids out of order, a person with no requests, empty days
+GAPPY_TEXT = """
+907 30 8.0 0 AF1:NS2 | | PD1
+12 80 3.5 2 | MC2:AC2
+450 50 6.5 1
+3 20 9.9 0 | | AR1:MP2:NF2
+88 60 7.0 0 AS1 | AD1:PR2 |
+"""
+
+
+def test_plan_csv_matches_the_loop_on_parsed_datasets(tmp_path):
+    rng = random.Random(3)
+    for text in (GAPPY_TEXT, "5 20 9.0 0", ""):  # and no requests, no persons
+        ds = parse_dataset(text)
+        plans = [_random_plan(ds, rng) for _ in range(20)]
+        plans += [round_robin(ds, variant) for variant in ("comp1", "comp2", "comp3")]
+        for plan in plans:
+            _assert_plan_csv_matches_the_loop(tmp_path, plan, ds)

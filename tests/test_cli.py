@@ -66,6 +66,14 @@ class TestRun:
         summary = json.loads(capsys.readouterr().out)
         assert set(summary["entries"]) == {"comp3", "gp_best"}
 
+    def test_repeated_baseline_writes_nothing(self, tmp_path, capsys):
+        # a repeated variant would be simulated and listed twice in baselines.csv
+        args = ["run", "--generate", "3", "--model", "partial",
+                "--baselines", "comp1,comp1", "--out", str(tmp_path / "r")]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: baseline 'comp1' given twice")
+        assert not list(tmp_path.iterdir())
+
     def test_source_flags_are_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):
             main(run_args(tmp_path / "r", ["--dataset", "also.txt"]))
@@ -189,10 +197,12 @@ class TestReplayAndCompare:
              "prior 1.5 outside"),
             (lambda m: {**m, "spec": {**m["spec"], "priors": [[25, 0.3]]}},
              "age 25 not one of"),
+            (lambda m: {**m, "spec": {**m["spec"], "baselines": ["comp2", "comp2"]}},
+             "baseline 'comp2' given twice"),
         ],
         ids=["no-spec", "no-digest", "no-model", "unknown-key", "not-an-object",
              "string-count", "priors-not-pairs", "float-seed", "prior-above-one",
-             "unknown-age"],
+             "unknown-age", "repeated-baseline"],
     )
     def test_malformed_manifest_exit_one(self, tmp_path, capsys, damage, named):
         assert main(run_args(tmp_path / "a", ["--pirs", "0"])) == 0

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from lockdownsched.dataset import (
     CANONICAL_PROFILE,
+    ESTABLISHMENT_KINDS,
+    REQUEST_FACTS,
+    WINDOWS,
     Dataset,
     DatasetFormatError,
     IMMUNE,
@@ -199,6 +202,47 @@ def test_request_index_built_once_per_dataset():
     for arr in (idx.person, idx.window_base, idx.health, idx.person_id):
         with pytest.raises(ValueError):
             arr[0] = 1
+
+
+def test_request_facts_cover_every_valid_request():
+    keys = [w + k + i for w in WINDOWS for k in ESTABLISHMENT_KINDS for i in "12"]
+    assert len(REQUEST_FACTS) == len(keys) == 48
+    for key in keys:
+        req = parse_request_key(key)
+        base, width = WINDOWS[req.window]
+        assert REQUEST_FACTS[req] == (base, width, establishment_id(req.kind, req.index), key)
+    # parsed and generated datasets hold the table's own instances
+    shared = {id(req) for req in REQUEST_FACTS}
+    for ds in (generate_dataset(2), parse_dataset("1 20 9.5 0 MF1:AD2 | NS1")):
+        assert {id(req) for _, _, req in ds.requests()} <= shared
+
+
+@pytest.mark.parametrize(
+    "ds",
+    [
+        generate_dataset(11),
+        parse_dataset("907 30 8.0 0 AF1:NS2 | | PD1\n12 80 3.5 2 | MC2\n450 50 6.5 1"),
+        parse_dataset(""),
+    ],
+    ids=["generated", "gappy", "empty"],
+)
+def test_request_index_matches_the_per_request_loop(ds):
+    """The columns read from REQUEST_FACTS equal the WINDOWS,
+    establishment_id and key lookups the index made per request."""
+    idx = request_index(ds)
+    walk = ds.requests()
+    assert idx.person.tolist() == [pi for pi, _, _ in walk]
+    assert idx.day.tolist() == [day for _, day, _ in walk]
+    assert idx.window_base.tolist() == [WINDOWS[r.window][0] for _, _, r in walk]
+    assert idx.window_width.tolist() == [WINDOWS[r.window][1] for _, _, r in walk]
+    assert idx.establishment.tolist() == [establishment_id(r.kind, r.index) for _, _, r in walk]
+    assert idx.key == tuple(r.key for _, _, r in walk)
+    assert idx.row_prefix == tuple(
+        f"{ds.persons[pi].id},{day},{r.key}," for pi, day, r in walk
+    )
+    assert [a.dtype for a in (idx.person, idx.day, idx.window_base, idx.establishment)] == [
+        np.int32, np.int8, np.int64, np.int8
+    ]
 
 
 request_strategy = st.builds(

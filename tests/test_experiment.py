@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import stat
 from dataclasses import fields
 from pathlib import Path
@@ -12,7 +13,17 @@ import pytest
 
 from lockdownsched import experiment
 from lockdownsched.allocation import round_robin
-from lockdownsched.dataset import AGE_GROUPS, generate_dataset, load_dataset, parse_dataset
+from lockdownsched.dataset import (
+    AGE_GROUPS,
+    N_DAYS,
+    N_ESTABLISHMENTS,
+    N_SLOTS,
+    establishment_label,
+    generate_dataset,
+    load_dataset,
+    parse_dataset,
+    slot_label,
+)
 from lockdownsched.experiment import (
     ExperimentSpec,
     compare,
@@ -77,6 +88,8 @@ class TestSpec:
             ExperimentSpec(model="full", generate_seed=1, q=None)
         with pytest.raises(ValueError):
             partial_spec(baselines=("comp9",))
+        with pytest.raises(ValueError, match="baseline 'comp1' given twice"):
+            partial_spec(baselines=("comp1", "comp3", "comp1"))
         with pytest.raises(ValueError, match="population"):
             partial_spec(population=2)
 
@@ -304,6 +317,61 @@ def test_trajectory_bands_add_left_to_right(tmp_path):
     assert expected[1] == "0.0"
     rows = read_csv(tmp_path / "trajectory.csv")
     assert [row[2:] for row in rows[1:]] == [expected] * 12
+
+
+def _write_occupancy_loop(outcome, path):
+    """The csv.writer loop occupancy.csv was written with: the oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("day", "hours", "establishment", "attendees"))
+        for day, day_grid in enumerate(outcome.occupancy):
+            for slot, counts in enumerate(day_grid):
+                for est, count in enumerate(counts):
+                    writer.writerow((
+                        experiment.DAY_LABELS[day], slot_label(slot),
+                        establishment_label(est), count,
+                    ))
+
+
+def _outcome_with_occupancy(ds, occupancy):
+    n = len(ds.persons)
+    return SimOutcome(
+        model="full",
+        n_hospitalized=0,
+        n_dead=0,
+        isolated_by_day=(frozenset(),) * 3,
+        classifications=("none",) * n,
+        final_levels=None,
+        final_status=(("S", 0),) * n,
+        trajectory=None,
+        occupancy=occupancy,
+    )
+
+
+def test_occupancy_csv_matches_the_loop(tmp_path):
+    ds = parse_dataset("4 20 9.0 0 MF1 | AD2 | NS1\n2 70 3.0 0 PC2")
+    plan = round_robin(ds, "comp1")
+    rng = random.Random(5)
+    grids = [
+        tuple(
+            tuple(tuple(draw() for _ in range(N_ESTABLISHMENTS)) for _ in range(N_SLOTS))
+            for _ in range(N_DAYS)
+        )
+        for draw in (
+            lambda: 0,
+            lambda: rng.choice([0, 7, 10, 99, 123, 4567, 10**12]),
+            lambda: rng.randrange(100_000),
+        )
+    ]
+    # counts of 0 and of one to thirteen digits, then a simulated week's grid
+    assert {0, 7, 4567, 10**12} <= {c for day in grids[1] for row in day for c in row}
+    grids.append(simulate(ds, plan, "partial", s=4).occupancy)
+    for grid in grids:
+        outcome = _outcome_with_occupancy(ds, grid)
+        experiment._write_solution_detail(tmp_path / "new", ds, plan, outcome)
+        _write_occupancy_loop(outcome, tmp_path / "old.csv")
+        new = (tmp_path / "new" / "occupancy.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
 
 
 class TestReplay:
