@@ -2,22 +2,21 @@
 
 Walks through the geometric proximity weights, a few worked encounter
 groups, and the level update applied after one encounter, cross-checking
-the closed-form pressure against the exhaustive oracle where tractable.
+the pressure against the closed form for one susceptible among n fully
+infected people.
 """
 
-from lockdownsched import (
-    EncounterGroup,
-    apply_update,
-    brute_force_pressure,
-    encounter_pressure,
-    g_factor,
-)
+from lockdownsched import EncounterGroup, encounter_pressure, g_factor
 
 
 def show(title):
     print()
     print(title)
     print("-" * len(title))
+
+
+def group_of(levels, s):
+    return EncounterGroup(tuple(enumerate(levels)), s)
 
 
 show("Proximity weights for a shop that admits s=4 at a time")
@@ -28,17 +27,16 @@ for n in (1, 2, 3, 20):
     print(f"  n={n:2d}: {sum(g_factor(4, j) for j in range(1, n + 1)):.4f}")
 
 show("A seven-person group, shop admits s=6")
-group = EncounterGroup.of([0.3, 0.6, 1.0, 0.0, 0.0, 0.0, 0.0], s=6)
+group = group_of([0.3, 0.6, 1.0, 0.0, 0.0, 0.0, 0.0], s=6)
 pressure = encounter_pressure(group)
 print(f"  levels {[level for _, level in group.participants]}")
 print(f"  infection pressure on the most susceptible: {pressure:.4f}")
 print("  after the visit every participant moves by p*(1-I):")
-for pid, level in apply_update(group, pressure):
-    print(f"    person {pid}: I' = {level:.4f}")
+for pid, level in group.participants:
+    print(f"    person {pid}: I' = {pressure * (1.0 - level) + level:.4f}")
 
-show("Small groups can be checked exhaustively")
-for levels in ([0.03, 0.04, 0.01], [0.95, 0.98, 0.01], [0.01, 1.0, 0.01]):
-    g = EncounterGroup.of(levels, s=4)
-    fast = encounter_pressure(g)
-    oracle = brute_force_pressure(g)
-    print(f"  levels {levels}: pressure {fast:.6f}, oracle {oracle:.6f}")
+show("One susceptible among n fully infected has the closed form 1-((s-1)/s)^n")
+for s, n in ((4, 1), (4, 3), (6, 5), (4, 20)):
+    fast = encounter_pressure(group_of([0.0] + [1.0] * n, s))
+    exact = 1.0 - ((s - 1) / s) ** n
+    print(f"  s={s} n={n:2d}: pressure {fast:.6f}, closed form {exact:.6f}")

@@ -43,19 +43,12 @@ from .gp_engine import (
     evolve_pir,
     run_pirs,
 )
-from .gp_tree import GpNode, eval_tree, genotype_to_vector, run_machine
-from .partial_infection import (
-    EncounterGroup,
-    apply_update,
-    brute_force_pressure,
-    encounter_pressure,
-    g_factor,
-)
+from .gp_tree import GpNode, eval_tree
+from .partial_infection import EncounterGroup, encounter_pressure, g_factor
 from .simulator import (
     MODEL_FULL,
     MODEL_PARTIAL,
     SimOutcome,
-    fitness,
     fitness_value,
     simulate,
 )
@@ -82,19 +75,15 @@ __all__ = [
     "Status",
     "VisitRequest",
     "analytic_pn",
-    "apply_update",
-    "brute_force_pressure",
     "build_pn_table",
     "compare",
     "decode",
     "encounter_pressure",
     "eval_tree",
     "evolve_pir",
-    "fitness",
     "fitness_value",
     "g_factor",
     "generate_dataset",
-    "genotype_to_vector",
     "load_dataset",
     "mark_apriori_infection",
     "parse_dataset",
@@ -102,7 +91,6 @@ __all__ = [
     "round_robin",
     "run_experiment",
     "run_from_manifest",
-    "run_machine",
     "run_pirs",
     "save_dataset",
     "serialize_dataset",

@@ -46,9 +46,6 @@ class AllocationPlan:
     """One slot per visit request, in canonical dataset order."""
     slots: tuple
 
-    def __len__(self) -> int:
-        return len(self.slots)
-
 
 def validate_plan(plan: AllocationPlan, ds: Dataset) -> None:
     """Check the plan covers the dataset and respects every request window;

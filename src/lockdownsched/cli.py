@@ -112,6 +112,8 @@ def _spec_from_args(args) -> ExperimentSpec:
     apriori = settings.get("apriori_infected") or settings.get("apriori_immune")
     if args.model == "partial" and apriori:
         raise ValueError("a-priori fractions apply to the full model only")
+    if args.pirs < 0:
+        raise ValueError(f"--pirs must not be negative, got {args.pirs}")
     if args.seed_list:
         pir_seeds = tuple(int(tok) for tok in args.seed_list.split(",") if tok.strip())
     else:

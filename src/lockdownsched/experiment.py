@@ -17,6 +17,7 @@ import shutil
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
 
+from ._simcore import OUTCOME_ICU_DEATH, OUTCOME_ICU_RECOVERED
 from .allocation import CELL_LABELS, decode, round_robin, write_plan_csv
 from .dataset import (
     AGE_GROUPS,
@@ -216,7 +217,7 @@ def _write_solution_detail(dirpath, ds, plan, outcome: SimOutcome) -> None:
                 "isolated", pid, ds.persons[pi].age_group, DAY_LABELS[day],
                 _infection_text(outcome, pi),
             ))
-    for label in ("icu_recovered", "icu_death"):
+    for label in (OUTCOME_ICU_RECOVERED, OUTCOME_ICU_DEATH):
         for pi, person in enumerate(ds.persons):
             if outcome.classifications[pi] == label:
                 roster_rows.append(

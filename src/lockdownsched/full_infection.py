@@ -81,7 +81,8 @@ def cell_probabilities() -> np.ndarray:
 
 
 def analytic_pn(n: int, q: int) -> float:
-    """Closed-form meeting probability, the oracle for the sampled table."""
+    """Exact p_n, the model's definition that the sampled table estimates;
+    runs read the table, and the tests check the table against this."""
     p = cell_probabilities()
     miss_one_trial = float(np.sum(p * (1.0 - p) ** n))
     return 1.0 - miss_one_trial ** q

@@ -123,12 +123,9 @@ class Archive:
     pareto: tuple
 
 
-def plan_digest(ds: Dataset, slots) -> str:
-    return _slots_digest(hashlib.sha256(ds.digest().encode()), slots)
-
-
 def _slots_digest(ds_hash, slots) -> str:
-    """plan_digest from the dataset's hash object, which is left as it was."""
+    """A record's plan_digest: the sha256 of the dataset digest, then the
+    slots as int64 bytes.  ds_hash, the dataset half, is left as it was."""
     h = ds_hash.copy()
     h.update(np.asarray(slots, dtype=np.int64).tobytes())
     return h.hexdigest()

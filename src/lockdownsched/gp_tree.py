@@ -11,14 +11,13 @@ There is one evaluator: compile_postfix flattens a tree into its nodes in
 post-order and run_vm runs them on a value stack, optionally recording a
 trace of pointer movements.  Every walk over a tree (evaluation, repr,
 node_at, replace_at) is iterative, so the deepest tree the 2000-node cap
-allows needs no raised recursion limit.
+allows needs no raised recursion limit.  The module imports nothing from the
+package: folding a printed vector into (0,1) is _simcore.bound_array's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from ._simcore import bound_array
 
 # the longest vector a plan is decoded from, and the tree machine's pointer cap
 MAX_VECTOR_LEN = 10_000
@@ -220,20 +219,10 @@ def run_vm(program: list, trace: list | None = None) -> tuple:
     return pop(), EvalState(r, p_r, p_z, m1, m2)
 
 
-def run_machine(root: GpNode, trace: list | None = None) -> tuple:
-    """Evaluate a tree; returns (root value, final EvalState)."""
-    return run_vm(compile_postfix(root), trace)
-
-
 def eval_tree(root: GpNode) -> list:
     """Raw real vector printed by the tree (r[1..p_z])."""
-    _, st = run_machine(root)
+    _, st = run_vm(compile_postfix(root))
     return st.result()
-
-
-def genotype_to_vector(root: GpNode) -> tuple:
-    """Evaluate and fold every element into (0,1)."""
-    return tuple(bound_array(eval_tree(root)).tolist())
 
 
 # --- random construction and variation --------------------------------------

@@ -4,16 +4,16 @@ Every person carries an infection level I in [0,1] (susceptibility S = 1-I).
 When a group shares a venue that is divided into s sub-locations, the chance
 that the most susceptible participant bumps into the j-th most infected one,
 and nobody more infected, is g_j = (1/s)((s-1)/s)^(j-1).  The encounter's
-infection pressure weighs those geometric factors by infection levels; the
-pressure then bumps every participant's level for the next encounter.
-Both simulation engines read the model's age-banded rules from here.
+infection pressure p weighs those geometric factors by infection levels;
+every participant's level then moves to I' = p(1-I) + I, which both
+simulation engines apply inline.  Both engines read the model's age-banded
+rules from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 # each isolation band also requires poor health; both engines read it at call time
 ISOLATION_HEALTH_CAP = 7.0
@@ -65,10 +65,6 @@ class EncounterGroup:
     participants: tuple
     s: int
 
-    @classmethod
-    def of(cls, levels, s: int) -> "EncounterGroup":
-        return cls(tuple(enumerate(levels)), s)
-
 
 def encounter_pressure(group: EncounterGroup) -> float:
     """Infection pressure produced by one encounter.
@@ -100,59 +96,3 @@ def encounter_pressure(group: EncounterGroup) -> float:
     for j, lvl in enumerate(ranked):
         pressure += s_max * lvl * g[j]
     return pressure
-
-
-def apply_update(group: EncounterGroup, pressure: float) -> tuple:
-    """New (person id, i_level) pairs after one encounter: I' = p*S + I."""
-    if not 0.0 <= pressure <= 1.0:
-        raise ValueError("pressure must lie in [0, 1]")
-    return tuple((pid, pressure * (1.0 - lvl) + lvl) for pid, lvl in group.participants)
-
-
-# --- exhaustive enumeration oracle -----------------------------------------
-
-def labeling_term(group: EncounterGroup, roles: str) -> float:
-    """Pressure contribution of one explicit susceptible/infected labeling.
-
-    Walks every one of the s^n_p ways the group can spread over sub-locations.
-    Whenever the reference susceptible (the labeled-S participant with the
-    highest S) shares a sub-location with labeled-I participants, the credit
-    goes to the most infected of them; ties go to the lowest person id.
-    """
-    parts = group.participants
-    n_p = len(parts)
-    if len(roles) != n_p or set(roles) - {"S", "I"}:
-        raise ValueError("roles must be an S/I string matching the group size")
-    if "S" not in roles or "I" not in roles:
-        raise ValueError("labeling needs at least one S and one I")
-    sus = [k for k in range(n_p) if roles[k] == "S"]
-    inf = [k for k in range(n_p) if roles[k] == "I"]
-    ref = min(sus, key=lambda k: (-(1.0 - parts[k][1]), parts[k][0]))
-    s_ref = 1.0 - parts[ref][1]
-
-    credit = {k: 0 for k in inf}
-    for assignment in product(range(group.s), repeat=n_p):
-        here = [k for k in inf if assignment[k] == assignment[ref]]
-        if here:
-            winner = min(here, key=lambda k: (-parts[k][1], parts[k][0]))
-            credit[winner] += 1
-    total = 0.0
-    for k in inf:
-        total += s_ref * parts[k][1] * credit[k]
-    return total / group.s ** n_p
-
-
-def brute_force_pressure(group: EncounterGroup) -> float:
-    """Oracle for encounter_pressure: maximum over all role labelings."""
-    n_p = len(group.participants)
-    if n_p > 5 or group.s > 6:
-        raise ValueError("instance too large to enumerate")
-    if n_p < 2:
-        return 0.0
-    best = 0.0
-    for bits in product("SI", repeat=n_p):
-        roles = "".join(bits)
-        if "S" not in roles or "I" not in roles:
-            continue
-        best = max(best, labeling_term(group, roles))
-    return best

@@ -94,10 +94,6 @@ class SimOutcome:
         return self.n_hospitalized, self.n_dead
 
 
-def fitness(outcome: SimOutcome, w_c: float = 0.65) -> float:
-    return fitness_value(outcome.n_hospitalized, outcome.n_dead, w_c)
-
-
 def _request_cells(ds: Dataset, plan: AllocationPlan):
     """Distinct person indices per (day, slot, establishment), in order of
     their first request there (dict keys, kept in insertion order)."""

@@ -1,13 +1,19 @@
-"""The scalar loops that bounding, decoding and plan reading were written as
-before the array core in lockdownsched._simcore took them over.  They are
-kept here, outside the package, as the oracles the tests compare against."""
+"""Oracles the tests compare the package against; no run executes them.
+
+The scalar loops that bounding, decoding and plan reading were written as
+before the array core in lockdownsched._simcore took them over, and the
+exhaustive enumeration that encounter_pressure's sorted sum must equal.
+They are kept here, outside the package, so src/ holds only what a run
+executes."""
 
 import csv
 import math
+from itertools import product
 
 from lockdownsched.allocation import PLAN_CSV_HEADER, AllocationPlan, validate_plan
 from lockdownsched.dataset import WINDOWS, request_index
 from lockdownsched.gp_tree import MAX_VECTOR_LEN
+from lockdownsched.partial_infection import EncounterGroup
 
 
 def bound_value(x: float) -> float:
@@ -73,3 +79,52 @@ def read_plan_csv(ds, path) -> AllocationPlan:
     plan = AllocationPlan(tuple(slots))
     validate_plan(plan, ds)
     return plan
+
+
+# --- exhaustive enumeration oracle for encounter_pressure -------------------
+
+def labeling_term(group: EncounterGroup, roles: str) -> float:
+    """Pressure contribution of one explicit susceptible/infected labeling.
+
+    Walks every one of the s^n_p ways the group can spread over sub-locations.
+    Whenever the reference susceptible (the labeled-S participant with the
+    highest S) shares a sub-location with labeled-I participants, the credit
+    goes to the most infected of them; ties go to the lowest person id.
+    """
+    parts = group.participants
+    n_p = len(parts)
+    if len(roles) != n_p or set(roles) - {"S", "I"}:
+        raise ValueError("roles must be an S/I string matching the group size")
+    if "S" not in roles or "I" not in roles:
+        raise ValueError("labeling needs at least one S and one I")
+    sus = [k for k in range(n_p) if roles[k] == "S"]
+    inf = [k for k in range(n_p) if roles[k] == "I"]
+    ref = min(sus, key=lambda k: (-(1.0 - parts[k][1]), parts[k][0]))
+    s_ref = 1.0 - parts[ref][1]
+
+    credit = {k: 0 for k in inf}
+    for assignment in product(range(group.s), repeat=n_p):
+        here = [k for k in inf if assignment[k] == assignment[ref]]
+        if here:
+            winner = min(here, key=lambda k: (-parts[k][1], parts[k][0]))
+            credit[winner] += 1
+    total = 0.0
+    for k in inf:
+        total += s_ref * parts[k][1] * credit[k]
+    return total / group.s ** n_p
+
+
+def brute_force_pressure(group: EncounterGroup) -> float:
+    """Oracle for encounter_pressure: maximum over all role labelings."""
+    n_p = len(group.participants)
+    if n_p > 5 or group.s > 6:
+        raise ValueError("instance too large to enumerate")
+    if n_p < 2:
+        return 0.0
+    best = 0.0
+    for bits in product("SI", repeat=n_p):
+        roles = "".join(bits)
+        if "S" not in roles or "I" not in roles:
+            continue
+        best = max(best, labeling_term(group, roles))
+    return best

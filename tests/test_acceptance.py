@@ -9,20 +9,18 @@ import time
 
 import pytest
 
-from lockdownsched.allocation import decode, round_robin
+from lockdownsched._simcore import bound_array
+from lockdownsched.allocation import AllocationPlan, decode, round_robin
 from lockdownsched.dataset import generate_dataset, mark_apriori_infection, parse_dataset
 from lockdownsched.experiment import ExperimentSpec, run_experiment, run_from_manifest
 from lockdownsched.full_infection import FULL_RULES, analytic_pn, build_pn_table
 from lockdownsched.gp_engine import GpConfig, run_pirs
-from lockdownsched.gp_tree import genotype_to_vector, run_machine
+from lockdownsched.gp_tree import compile_postfix, eval_tree, run_vm
 from lockdownsched.partial_infection import (
     PARTIAL_RULES,
     EncounterGroup,
-    apply_update,
-    brute_force_pressure,
     encounter_pressure,
     g_factor,
-    labeling_term,
 )
 from lockdownsched.simulator import (
     fitness_value,
@@ -34,11 +32,13 @@ from lockdownsched.simulator import (
 )
 from lockdownsched.full_infection import Status
 
+from scalar_oracles import brute_force_pressure, labeling_term
 from test_gp_tree import GOLDEN_TRACE, build_golden_tree
+from test_simulator import SEVEN
 
 
 def group_of(levels, s):
-    return EncounterGroup.of(levels, s)
+    return EncounterGroup(tuple(enumerate(levels)), s)
 
 
 def test_criterion_1_closed_form_encounter_probabilities():
@@ -87,12 +87,18 @@ def test_criterion_2_worked_example_suite():
     assert p4 == pytest.approx(0.5620, abs=1e-3)
     assert abs(p4 - 0.5708) > 5e-3
 
-    updated = dict(apply_update(seven, encounter_pressure(seven)))
-    assert updated[2] == 1.0
-    for pid in (3, 4, 5, 6):
-        assert updated[pid] == pytest.approx(0.285, abs=1e-3)
-    assert updated[0] == pytest.approx(0.5, abs=1e-3)
-    assert updated[1] == pytest.approx(0.714, abs=1e-3)
+    # the level update I' = p(1-I) + I, as both engines apply it when the
+    # seven share one supermarket slot
+    world = parse_dataset(SEVEN).with_taxonomy({20: 0.3, 30: 0.6, 40: 1.0})
+    for engine in ("reference", "kernel"):
+        updated = simulate(
+            world, AllocationPlan((0,) * 7), "partial", s=6, engine=engine
+        ).final_levels
+        assert updated[2] == 1.0
+        for pi in (3, 4, 5, 6):
+            assert updated[pi] == pytest.approx(0.285, abs=1e-3)
+        assert updated[0] == pytest.approx(0.5, abs=1e-3)
+        assert updated[1] == pytest.approx(0.714, abs=1e-3)
     assert time.perf_counter() - started < 1.0
 
 
@@ -295,10 +301,11 @@ def test_criterion_7_manifest_replay_determinism(tmp_path):
 
 def test_criterion_8_tree_machine_golden_trace():
     trace = []
-    value, state = run_machine(build_golden_tree(), trace)
+    value, state = run_vm(compile_postfix(build_golden_tree()), trace)
     assert state.result() == [0.0001, 16.0, 0.4]
     assert value == 0.0
     assert (state.p_r, state.p_z) == (3, 3)
     assert (state.m1, state.m2) == (3.0, 2.0)
     assert trace == GOLDEN_TRACE
-    assert genotype_to_vector(build_golden_tree()) == (0.0001, 0.0001, 0.4)
+    bounded = bound_array(eval_tree(build_golden_tree()))
+    assert bounded.tolist() == [0.0001, 0.0001, 0.4]

@@ -122,6 +122,17 @@ class TestRun:
         assert "population" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_negative_pirs_writes_nothing(self, tmp_path, capsys):
+        # a negative count would otherwise give no run seeds, as 0 does, and
+        # a baselines-only report
+        args = ["run", "--generate", "3", "--model", "partial", "--pirs", "-2",
+                "--out", str(tmp_path / "r")]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: --pirs must not be negative")
+        assert not list(tmp_path.iterdir())
+        args[args.index("-2")] = "0"  # no evolution, on purpose
+        assert main(args) == 0
+        assert "gp_best" not in json.loads(capsys.readouterr().out)["entries"]
 
     @pytest.mark.parametrize("iterations", ["0", "-5"])
     def test_pn_iterations_below_one_write_nothing(self, tmp_path, capsys, iterations):

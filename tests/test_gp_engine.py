@@ -1,5 +1,6 @@
 """Evolution loop behaviour: determinism, emission rules, archive merging."""
 
+import hashlib
 import math
 import random
 
@@ -20,7 +21,6 @@ from lockdownsched.gp_engine import (
     SolutionRecord,
     evolve_pir,
     pareto_front,
-    plan_digest,
     run_pirs,
 )
 from lockdownsched.gp_tree import (
@@ -35,12 +35,18 @@ from lockdownsched.gp_tree import (
 from lockdownsched.simulator import (
     MODEL_FULL,
     MODEL_PARTIAL,
-    fitness,
     fitness_value,
     simulate,
 )
 
 from scalar_oracles import bound_vector, decode_loop
+
+
+def sha256_of_plan(ds, slots):
+    """A record's plan_digest, computed as the benchmark's check computes it."""
+    h = hashlib.sha256(ds.digest().encode())
+    h.update(np.asarray(slots, dtype=np.int64).tobytes())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +115,8 @@ class TestEvolvePir:
         plan = decode(best.vector, small_ds)
         outcome = simulate(small_ds, plan, MODEL_PARTIAL, s=4)
         assert outcome.counts() == (best.n_h, best.n_d)
-        assert fitness(outcome) == best.fitness
-        assert best.plan_digest == plan_digest(small_ds, plan.slots)
+        assert fitness_value(*outcome.counts()) == best.fitness
+        assert best.plan_digest == sha256_of_plan(small_ds, plan.slots)
 
     def test_improves_over_initial(self, small_ds):
         got = []
@@ -420,8 +426,8 @@ class TestNonFiniteStart:
         plan = decode(got[0].vector, small_ds)
         outcome = simulate(small_ds, plan, MODEL_PARTIAL, s=4)
         assert outcome.counts() == (got[0].n_h, got[0].n_d)
-        assert fitness(outcome) == got[0].fitness
-        assert got[0].plan_digest == plan_digest(small_ds, plan.slots)
+        assert fitness_value(*outcome.counts()) == got[0].fitness
+        assert got[0].plan_digest == sha256_of_plan(small_ds, plan.slots)
         assert got[-1] == best
 
     def test_never_finite_raises(self, small_ds, monkeypatch):
@@ -600,7 +606,7 @@ def test_evaluate_matches_the_scalar_pipeline(eleven_requests, tree):
         assert got == (fitness_value(n_h, n_d, evaluator.config.w_c), n_h, n_d)
         rec = evaluator.record(tree, got, 0, 0)
         assert rec.vector == bounded
-        assert rec.plan_digest == plan_digest(ds, plan.slots)
+        assert rec.plan_digest == sha256_of_plan(ds, plan.slots)
 
 
 class TestArchive:
@@ -669,9 +675,13 @@ class TestArchive:
 
 class TestPlanDigest:
     def test_digest_covers_dataset_and_slots(self, small_ds):
-        plan = AllocationPlan(tuple([0] * small_ds.n_requests()))
-        d1 = plan_digest(small_ds, plan.slots)
+        slots = (0,) * small_ds.n_requests()
+        ds_hash = hashlib.sha256(small_ds.digest().encode())
+        before = ds_hash.hexdigest()
+        d1 = gp_engine._slots_digest(ds_hash, slots)
+        assert d1 == sha256_of_plan(small_ds, slots)
+        assert ds_hash.hexdigest() == before  # every record reuses the dataset half
         other = small_ds.with_taxonomy({20: 0.5})
-        assert plan_digest(other, plan.slots) != d1
-        slots2 = (1,) + plan.slots[1:]
-        assert plan_digest(small_ds, slots2) != d1
+        other_hash = hashlib.sha256(other.digest().encode())
+        assert gp_engine._slots_digest(other_hash, slots) != d1
+        assert gp_engine._slots_digest(ds_hash, (1,) + slots[1:]) != d1

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lockdownsched import gp_tree as gt
+from lockdownsched._simcore import bound_array
 from lockdownsched.gp_tree import (
     MAX_VECTOR_LEN,
     GpNode,
@@ -18,14 +19,12 @@ from lockdownsched.gp_tree import (
     constant,
     crossover,
     eval_tree,
-    genotype_to_vector,
     mutate,
     node,
     node_at,
     ramped_population,
     random_tree,
     replace_at,
-    run_machine,
     run_vm,
     sconstant,
 )
@@ -88,7 +87,7 @@ class TestGoldenTrace:
         assert eval_tree(build_golden_tree()) == [0.0001, 16.0, 0.4]
 
     def test_root_value_and_state(self):
-        value, st = run_machine(build_golden_tree())
+        value, st = run_vm(compile_postfix(build_golden_tree()))
         assert value == 0.0
         assert st.p_r == 3
         assert st.p_z == 3
@@ -97,23 +96,24 @@ class TestGoldenTrace:
 
     def test_event_trace(self):
         trace = []
-        run_machine(build_golden_tree(), trace)
+        run_vm(compile_postfix(build_golden_tree()), trace)
         assert trace == GOLDEN_TRACE
 
     def test_write_pointer_runs_past_length_pointer(self):
         # events 6 and 10 in the trace pin p_r > p_z
         trace = []
-        run_machine(build_golden_tree(), trace)
+        run_vm(compile_postfix(build_golden_tree()), trace)
         assert ("WriteRecord", 3, 2) in trace
         assert ("ZeroRecord", 4, 3) in trace
 
     def test_bounded_vector(self):
-        assert genotype_to_vector(build_golden_tree()) == (0.0001, 0.0001, 0.4)
+        bounded = bound_array(eval_tree(build_golden_tree()))
+        assert bounded.tolist() == [0.0001, 0.0001, 0.4]
 
     def test_vm_agrees(self):
-        # the two steps run_machine chains, called on their own
+        # eval_tree is the machine's printed vector and nothing else
         value, st = run_vm(compile_postfix(build_golden_tree()))
-        assert (value, st.result()) == (0.0, [0.0001, 16.0, 0.4])
+        assert (value, st.result()) == (0.0, eval_tree(build_golden_tree()))
 
     def test_postfix_length(self):
         tree = build_golden_tree()
@@ -133,29 +133,30 @@ class TestNodeSemantics:
 
     def test_arithmetic_only_tree_prints_seed_cell(self):
         tree = node("AddNumber", constant(2), constant(3))
-        value, st = run_machine(tree)
+        value, st = run_vm(compile_postfix(tree))
         assert value == 5.0
         assert st.result() == [0.0001]
 
     def test_divide_by_near_zero_uses_one(self):
         tree = node("DivideNumber", constant(7), sconstant(0))
-        value, _ = run_machine(tree)
+        value, _ = run_vm(compile_postfix(tree))
         assert value == 7.0
         tree = node("DivideNumber", constant(7), constant(2))
-        assert run_machine(tree)[0] == 3.5
+        assert run_vm(compile_postfix(tree))[0] == 3.5
         # a NaN divisor is not near zero, so the quotient stays NaN
         inf = constant(128)
         for _ in range(8):
             inf = node("MultiplyNumber", inf, inf)  # 128 ** 256 overflows
         tree = node("DivideNumber", constant(7), node("SubtractNumber", inf, inf))
-        assert math.isnan(run_machine(tree)[0])
+        assert math.isnan(run_vm(compile_postfix(tree))[0])
 
     def test_average(self):
-        assert run_machine(node("AverageNumber", constant(3), constant(8)))[0] == 5.5
+        tree = node("AverageNumber", constant(3), constant(8))
+        assert run_vm(compile_postfix(tree))[0] == 5.5
 
     def test_write_record_returns_right_and_writes_left(self):
         tree = node("WriteRecord", constant(5), constant(3))
-        value, st = run_machine(tree)
+        value, st = run_vm(compile_postfix(tree))
         assert value == 3.0
         assert st.p_r == 2
         assert st.p_z == 1
@@ -164,42 +165,42 @@ class TestNodeSemantics:
 
     def test_add_record_grows_vector(self):
         tree = node("AddRecord", constant(5), constant(3))
-        value, st = run_machine(tree)
+        value, st = run_vm(compile_postfix(tree))
         assert value == 5.0
         assert st.result() == [0.0001, 5.0]
         assert st.p_r == st.p_z == 2
 
     def test_sub_record_floors_at_one(self):
         tree = node("SubRecord", constant(5), constant(3))
-        value, st = run_machine(tree)
+        value, st = run_vm(compile_postfix(tree))
         assert value == 5.0
         assert st.p_r == 1
 
     def test_zero_record_writes_small_value(self):
         tree = node("AddRecord", node("ZeroRecord", constant(5), constant(3)), constant(0))
-        _, st = run_machine(tree)
+        _, st = run_vm(compile_postfix(tree))
         # ZeroRecord parked 0.00001 in cell 2, AddRecord then overwrote it
         assert st.result() == [0.0001, 5.0]
         tree = node("ZeroRecord", node("AddRecord", constant(5), constant(3)), constant(0))
-        _, st = run_machine(tree)
+        _, st = run_vm(compile_postfix(tree))
         assert st.result() == [0.0001, 5.0]
         assert st.r[3] == 0.00001
 
     def test_memories(self):
         tree = node("SetMem1", constant(5), constant(3))
-        value, st = run_machine(tree)
+        value, st = run_vm(compile_postfix(tree))
         assert (value, st.m1) == (5.0, 3.0)
         tree = node("SetMem2", constant(5), constant(3))
-        value, st = run_machine(tree)
+        value, st = run_vm(compile_postfix(tree))
         assert (value, st.m2) == (3.0, 2.5)
         tree = node("GetMem1", constant(5), constant(3))
-        assert run_machine(tree)[0] == 0.0
+        assert run_vm(compile_postfix(tree))[0] == 0.0
 
     def test_get_mem_children_still_run(self):
         # the children of a memory read are evaluated for their side effects
         inner = node("AddRecord", constant(9), constant(1))
         tree = node("GetMem1", inner, constant(1))
-        value, st = run_machine(tree)
+        value, st = run_vm(compile_postfix(tree))
         assert value == 0.0
         assert st.result() == [0.0001, 9.0]
 
@@ -295,7 +296,7 @@ class TestDeepTrees:
                 assert len(printed) > 70
 
                 trace = []
-                _, st = run_machine(tree, trace)
+                _, st = run_vm(compile_postfix(tree), trace)
                 assert st.result() == printed
                 effects = sum(n.code >= gt.SUB_RECORD for n in compile_postfix(tree))
                 assert len(trace) == effects

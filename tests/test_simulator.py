@@ -28,7 +28,6 @@ from lockdownsched.simulator import (
     OUTCOME_ICU_RECOVERED,
     OUTCOME_IMMUNE,
     OUTCOME_NONE,
-    fitness,
     fitness_value,
     full_isolation,
     full_outcome,
@@ -63,7 +62,7 @@ def seven_ds():
 
 
 def expected_after_one_encounter(levels, s):
-    p = encounter_pressure(EncounterGroup.of(levels, s))
+    p = encounter_pressure(EncounterGroup(tuple(enumerate(levels)), s))
     return [p * (1.0 - lvl) + lvl for lvl in levels]
 
 
@@ -81,7 +80,7 @@ class TestPartialSimulation:
         assert out.classifications[2] == OUTCOME_ICU_RECOVERED
         assert out.counts() == (1, 0)
         assert out.occupancy[0][0][0] == 7
-        assert fitness(out) == -0.35
+        assert fitness_value(*out.counts()) == -0.35
 
     def test_trajectory_shape_and_monotone(self, seven_ds):
         plan = AllocationPlan((0,) * 7)
@@ -93,13 +92,23 @@ class TestPartialSimulation:
         # age-50 average after the first four hours
         assert out.trajectory[0][3] == pytest.approx(out.final_levels[3])
 
+    def test_three_person_low_levels_update(self):
+        # one supermarket visit each, on Monday: one encounter at s=4
+        text = "1 20 9.0 0 MF1 | |\n2 30 9.0 0 MF1 | |\n3 40 9.0 0 MF1 | |\n"
+        ds = parse_dataset(text).with_taxonomy({20: 0.03, 30: 0.04, 40: 0.01})
+        for engine in ("reference", "kernel"):
+            out = simulate(ds, AllocationPlan((0,) * 3), MODEL_PARTIAL, s=4, engine=engine)
+            assert out.final_levels[0] == pytest.approx(0.0450, abs=1e-3)
+            assert out.final_levels[1] == pytest.approx(0.0549, abs=1e-3)
+            assert out.final_levels[2] == pytest.approx(0.0253, abs=1e-3)
+
     def test_zero_priors_stay_zero(self, seven_ds):
         ds = seven_ds.with_taxonomy({})
         plan = AllocationPlan((0,) * 7)
         out = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="reference")
         assert set(out.final_levels) == {0.0}
         assert out.counts() == (0, 0)
-        assert fitness(out) == 0.0
+        assert fitness_value(*out.counts()) == 0.0
 
     def test_separate_slots_no_spread(self, seven_ds):
         # slots 0 and 1 at distinct moments mean nobody shares a cell
@@ -196,7 +205,7 @@ class TestFullSimulation:
         )
         assert out.classifications == (OUTCOME_ICU_DEATH,)
         assert out.counts() == (0, 1)
-        assert fitness(out) == -0.65
+        assert fitness_value(*out.counts()) == -0.65
 
 
 class TestRules:
@@ -349,6 +358,13 @@ class TestEngineAgreement:
         plan = decode(vector, ds)
         ref_p = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="reference")
         assert simulate(ds, plan, MODEL_PARTIAL, s=4, engine="kernel") == ref_p
+        # I' = p(1-I) + I with p in [0, 1]: no level leaves [start, 1] and no
+        # age group's average falls
+        start = [ds.taxonomy_infection.get(p.age_group, 0.0) for p in ds.persons]
+        for before, after in zip(start, ref_p.final_levels):
+            assert before - 1e-15 <= after <= 1.0 + 1e-15
+        for earlier, later in zip(ref_p.trajectory, ref_p.trajectory[1:]):
+            assert all(x <= y + 1e-15 for x, y in zip(earlier, later))
         ref_f = simulate(ds, plan, MODEL_FULL, table=self.TABLE, engine="reference")
         assert simulate(ds, plan, MODEL_FULL, table=self.TABLE, engine="kernel") == ref_f
 
