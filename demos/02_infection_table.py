@@ -8,7 +8,7 @@ persons of a gathering.
 """
 
 from lockdownsched import analytic_pn, build_pn_table, transmit
-from lockdownsched.full_infection import InfectionStatus, Status
+from lockdownsched.full_infection import Status
 
 print("p_n = probability that n infected co-visitors infect one susceptible")
 print()
@@ -24,10 +24,10 @@ for n in (1, 5, 20):
 
 print()
 print("Transmission inside one cell: 9 infected meet susceptibles (q=30)")
-nine_infected = [(pid, InfectionStatus(Status.I, 1)) for pid in range(9)]
+nine_infected = [(pid, Status.I) for pid in range(9)]
 p = tables[30].p_for(9)
-one = nine_infected + [(9, InfectionStatus(Status.S, 0))]
+one = nine_infected + [(9, Status.S)]
 print(f"  p_9 = {p:.3f}; one susceptible: floor({p:.3f} * 1) = {len(transmit(one, tables[30]))} infected")
-five = nine_infected + [(pid, InfectionStatus(Status.S, 0)) for pid in range(9, 14)]
+five = nine_infected + [(pid, Status.S) for pid in range(9, 14)]
 newly = transmit(five, tables[30])
 print(f"  five susceptible: floor({p:.3f} * 5) = {len(newly)} infected: {sorted(newly)}")

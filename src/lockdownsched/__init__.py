@@ -29,7 +29,6 @@ from .dataset import (
 )
 from .experiment import ExperimentSpec, compare, run_experiment, run_from_manifest
 from .full_infection import (
-    InfectionStatus,
     PnTable,
     Status,
     analytic_pn,
@@ -65,7 +64,6 @@ __all__ = [
     "ExperimentSpec",
     "GpConfig",
     "GpNode",
-    "InfectionStatus",
     "MODEL_FULL",
     "MODEL_PARTIAL",
     "Person",

@@ -218,7 +218,6 @@ def _partial_week(ctx: SimContext, buckets):
     iso_high, iso_low, out_thr, health_cap = ctx.rules
 
     levels = list(ctx.levels0)
-    isolated = [False] * n
     iso_day = [-1] * n
     snapshots = []  # levels every four hours, for the report's trajectory
 
@@ -229,31 +228,24 @@ def _partial_week(ctx: SimContext, buckets):
                 lo, hi = bounds[cell], bounds[cell + 1]
                 if hi - lo < 2:
                     continue
-                group = [pi for pi in members[lo:hi] if not isolated[pi]]
-                m = len(group)
-                if m < 2:
+                group = [pi for pi in members[lo:hi] if iso_day[pi] < 0]
+                if len(group) < 2:
                     continue
-                lv = [levels[pi] for pi in group]
-                n_inf = 0
-                all_full = True
-                for x in lv:
-                    if x > 0.0:
-                        n_inf += 1
-                    if x < 1.0:
-                        all_full = False
-                if n_inf == 0 or all_full:
+                ranked = sorted([levels[pi] for pi in group], reverse=True)
+                # nobody infected, or nobody susceptible
+                if ranked[0] <= 0.0 or ranked[-1] >= 1.0:
                     continue
-                if n_inf == m:
+                if ranked[-1] > 0.0:
                     # the most susceptible scales everyone else's level; which
                     # of several tied owners is dropped leaves the same values
-                    ranked = sorted(lv, reverse=True)
                     s_max = 1.0 - ranked.pop()
                 else:
+                    # the zero levels stay at the end, each adding 0.0
                     s_max = 1.0
-                    ranked = sorted((x for x in lv if x > 0.0), reverse=True)
                 pressure = 0.0
                 for j, x in enumerate(ranked):
                     pressure += s_max * x * gcoef[j]
+                # a pressure that underflows to 0.0 would turn -0.0 into 0.0
                 if pressure == 0.0:
                     continue
                 for pi in group:
@@ -261,14 +253,11 @@ def _partial_week(ctx: SimContext, buckets):
             if slot % 2 == 1:
                 snapshots.append(levels[:])
         for pi in range(n):
-            if isolated[pi]:
+            if iso_day[pi] >= 0:
                 continue
             x = levels[pi]
             g = age_idx[pi]
-            if x > iso_high[g] or (
-                x > iso_low[g] and x <= iso_high[g] and health[pi] <= health_cap
-            ):
-                isolated[pi] = True
+            if x > iso_high[g] or (x > iso_low[g] and health[pi] <= health_cap):
                 iso_day[pi] = day
 
     ill = [pi for pi in range(n) if levels[pi] > out_thr[age_idx[pi]]]
@@ -292,12 +281,11 @@ def _full_week(ctx: SimContext, buckets):
     status = list(ctx.status0)
     infected = [pi for pi, st in enumerate(status) if st == 1]
     days = [0] * n
-    isolated = [False] * n
     iso_day = [-1] * n
 
     for day in range(N_DAYS):
         for lo, hi in spans[day]:
-            group = [pi for pi in members[lo:hi] if not isolated[pi]]
+            group = [pi for pi in members[lo:hi] if iso_day[pi] < 0]
             if len(group) < min_group:
                 continue
             n_inf = 0
@@ -308,27 +296,24 @@ def _full_week(ctx: SimContext, buckets):
                     n_inf += 1
                 elif st == 0:
                     sus.append(pi)
-            if n_inf == 0 or not sus:
-                continue
+            # p_0 is 0.0, so no infected or no susceptible gives k = 0
             k = int(probs[n_inf] * len(sus))
-            if k <= 0:
+            if k == 0:
                 continue
             # infect the k susceptibles with the lowest person ids
             sus.sort(key=person_id.__getitem__)
             for pi in sus[:k]:
                 status[pi] = 1
-                days[pi] = 0
                 infected.append(pi)
         for pi in infected:
             # the infection clock keeps counting even in isolation
             days[pi] += 1
-            if isolated[pi]:
+            if iso_day[pi] >= 0:
                 continue
             g = age_idx[pi]
             if (days[pi] > 1 and health[pi] < day1_health[g]) or (
                 days[pi] > 2 and health[pi] < day2_health[g]
             ):
-                isolated[pi] = True
                 iso_day[pi] = day
 
     return (status, days, iso_day, *_classify(ctx, infected))

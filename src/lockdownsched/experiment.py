@@ -397,9 +397,9 @@ def run_from_manifest(manifest_path, out_dir) -> dict:
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError("unsupported manifest format")
-    for key in ("spec", "dataset_file", "dataset_digest"):
-        if key not in manifest:
-            raise ValueError(f"manifest lacks the key {key!r}")
+    for key, kind in (("spec", dict), ("dataset_file", str), ("dataset_digest", str)):
+        if not isinstance(manifest.get(key), kind):
+            raise ValueError(f"manifest key {key!r} is missing or of the wrong type")
     spec = spec_from_json(manifest["spec"])
     dataset_file = os.path.join(
         os.path.dirname(os.path.abspath(manifest_path)), manifest["dataset_file"]
@@ -419,10 +419,7 @@ def compare(report_a, report_b) -> dict:
     convention is cost_b / cost_a, so values above 1 mean report A found
     cheaper outcomes.
     """
-    with open(os.path.join(report_a, "summary.json")) as fh:
-        a = json.load(fh)
-    with open(os.path.join(report_b, "summary.json")) as fh:
-        b = json.load(fh)
+    a, b = _read_summary(report_a), _read_summary(report_b)
     if a["dataset_digest"] != b["dataset_digest"]:
         raise ValueError("reports describe different datasets")
 
@@ -447,6 +444,16 @@ def compare(report_a, report_b) -> dict:
             "b_dominates_a": _dominance(_points(b), _points(a)),
         },
     }
+
+
+def _read_summary(report) -> dict:
+    path = os.path.join(report, "summary.json")
+    with open(path) as fh:
+        summary = json.load(fh)
+    for key, kind in (("dataset_digest", str), ("entries", dict)):
+        if not isinstance(summary, dict) or not isinstance(summary.get(key), kind):
+            raise ValueError(f"{path} key {key!r} is missing or of the wrong type")
+    return summary
 
 
 def _points(summary: dict) -> list:

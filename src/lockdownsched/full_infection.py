@@ -28,12 +28,6 @@ class Status(IntEnum):
     R = 2
 
 
-@dataclass(frozen=True, slots=True)
-class InfectionStatus:
-    status: Status
-    days_infected: int = 0
-
-
 @dataclass(frozen=True)
 class FullRule:
     """Per-age-group thresholds of the standard (all-or-nothing) model.
@@ -130,15 +124,10 @@ def build_pn_table(q: int, iterations: int = 100_000, seed: int = 0) -> PnTable:
 def transmit(encounter, table: PnTable) -> set:
     """Ids of susceptibles infected by one encounter.
 
-    encounter: sequence of (person id, InfectionStatus).  Nothing happens in
-    gatherings of fewer than two, or without both sides present.
+    encounter: sequence of (person id, Status).  p_0 is 0.0, so a gathering
+    without an infected person, or without a susceptible one, infects nobody.
     """
-    if len(encounter) < 2:
-        return set()
-    infected = [pid for pid, st in encounter if st.status == Status.I]
-    susceptible = sorted(pid for pid, st in encounter if st.status == Status.S)
-    if not infected or not susceptible:
-        return set()
-    p = table.p_for(len(infected))
-    k = int(p * len(susceptible))
+    n_infected = sum(1 for _, st in encounter if st == Status.I)
+    susceptible = sorted(pid for pid, st in encounter if st == Status.S)
+    k = int(table.p_for(n_infected) * len(susceptible))
     return set(susceptible[:k])

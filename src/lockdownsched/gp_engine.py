@@ -7,8 +7,9 @@ tournament winner with probability ``CROSSOVER_RATE``, subtree mutation
 otherwise, and a kill-tournament-of-``KILL_TOURNAMENT_SIZE`` picks the slot
 to reuse (ties kill the bigger tree, the incumbent best is never killed).
 The initial population and the variation operators use the ``gp_tree``
-defaults: ramped depths 2..6, the ``TREE_CAP`` size cap and mutation
-subtrees of depth at most 4.
+constants: ramped depths ``RAMP_MIN_DEPTH``..``RAMP_MAX_DEPTH``, the
+``TREE_CAP`` size cap and mutation subtrees of depth at most
+``MUTATION_DEPTH``.
 
 A run has two phases that share this breeding step and the budget.  When
 ``seed_len`` is set, a warm-up comes first: it scores individuals by printed

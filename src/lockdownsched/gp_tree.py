@@ -23,6 +23,9 @@ from dataclasses import dataclass
 MAX_VECTOR_LEN = 10_000
 
 TREE_CAP = 2_000
+RAMP_MIN_DEPTH = 2
+RAMP_MAX_DEPTH = 6
+MUTATION_DEPTH = 4
 
 CONSTANT = 0
 SCONSTANT = 1
@@ -254,11 +257,11 @@ def random_tree(rng, depth: int, method: str = "grow") -> GpNode:
 KIND_CODES_ALL = tuple(range(len(KIND_NAMES)))
 
 
-def ramped_population(rng, size: int, min_depth: int = 2, max_depth: int = 6) -> list:
+def ramped_population(rng, size: int) -> list:
     """Ramped half-and-half initial population."""
     population = []
     for i in range(size):
-        depth = min_depth + i % (max_depth - min_depth + 1)
+        depth = RAMP_MIN_DEPTH + i % (RAMP_MAX_DEPTH - RAMP_MIN_DEPTH + 1)
         method = "grow" if i % 2 else "full"
         population.append(random_tree(rng, depth, method))
     return population
@@ -317,10 +320,10 @@ def crossover(a: GpNode, b: GpNode, rng, cap: int = TREE_CAP) -> GpNode:
     return replace_at(a, ia, sub_b)
 
 
-def mutate(a: GpNode, rng, cap: int = TREE_CAP, depth: int = 4) -> GpNode:
+def mutate(a: GpNode, rng, cap: int = TREE_CAP) -> GpNode:
     """Replace a random subtree with a freshly grown one."""
     ia = rng.randrange(a.size)
-    sub = random_tree(rng, depth, "grow")
+    sub = random_tree(rng, MUTATION_DEPTH, "grow")
     removed = node_at(a, ia)
     if a.size - removed.size + sub.size > cap:
         return a

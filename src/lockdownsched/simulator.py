@@ -29,7 +29,7 @@ from ._simcore import (
 )
 from .allocation import AllocationPlan, validate_plan
 from .dataset import N_DAYS, N_ESTABLISHMENTS, N_SLOTS, Dataset, establishment_id
-from .full_infection import FULL_RULES, InfectionStatus, PnTable, Status, transmit
+from .full_infection import FULL_RULES, PnTable, Status, transmit
 from .partial_infection import PARTIAL_RULES, EncounterGroup, encounter_pressure
 
 
@@ -173,30 +173,31 @@ def _simulate_partial(ds: Dataset, plan: AllocationPlan, s: int) -> dict:
 def _simulate_full(ds: Dataset, plan: AllocationPlan, table: PnTable) -> dict:
     persons = ds.persons
     # the dataset's immunity flags 0/1/2 are the codes of Status.S/I/R
-    states = [InfectionStatus(Status(p.immunity_flag), 0) for p in persons]
+    status = [Status(p.immunity_flag) for p in persons]
+    days_infected = [0] * len(persons)
     id_to_index = {p.id: i for i, p in enumerate(persons)}
 
     def meet(group):
-        encounter = [(persons[pi].id, states[pi]) for pi in group]
+        encounter = [(persons[pi].id, status[pi]) for pi in group]
         for pid in transmit(encounter, table):
-            states[id_to_index[pid]] = InfectionStatus(Status.I, 0)
+            status[id_to_index[pid]] = Status.I
 
     def isolates(pi):
-        if states[pi].status != Status.I:
+        if status[pi] != Status.I:
             return False
         # the infection clock keeps counting even in isolation
-        states[pi] = InfectionStatus(Status.I, states[pi].days_infected + 1)
+        days_infected[pi] += 1
         person = persons[pi]
-        return full_isolation(person.age_group, states[pi].days_infected, person.health)
+        return full_isolation(person.age_group, days_infected[pi], person.health)
 
     walked = _walk_week(ds, plan, meet, isolates)
     return dict(
         walked,
         classifications=tuple(
-            full_outcome(p.age_group, st.status, p.health) for p, st in zip(persons, states)
+            full_outcome(p.age_group, st, p.health) for p, st in zip(persons, status)
         ),
         final_levels=None,
-        final_status=tuple((st.status.name, st.days_infected) for st in states),
+        final_status=tuple((st.name, d) for st, d in zip(status, days_infected)),
         trajectory=None,
     )
 

@@ -210,10 +210,13 @@ class TestReplayAndCompare:
              "age 25 not one of"),
             (lambda m: {**m, "spec": {**m["spec"], "baselines": ["comp2", "comp2"]}},
              "baseline 'comp2' given twice"),
+            (lambda m: {**m, "spec": 7}, "'spec'"),
+            (lambda m: {**m, "dataset_file": 5}, "'dataset_file'"),
         ],
         ids=["no-spec", "no-digest", "no-model", "unknown-key", "not-an-object",
              "string-count", "priors-not-pairs", "float-seed", "prior-above-one",
-             "unknown-age", "repeated-baseline"],
+             "unknown-age", "repeated-baseline", "spec-not-an-object",
+             "dataset-file-not-a-string"],
     )
     def test_malformed_manifest_exit_one(self, tmp_path, capsys, damage, named):
         assert main(run_args(tmp_path / "a", ["--pirs", "0"])) == 0
@@ -224,6 +227,27 @@ class TestReplayAndCompare:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
         assert [p.name for p in tmp_path.iterdir()] == ["a"]
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda s: {k: v for k, v in s.items() if k != "entries"}, "'entries'"),
+            (lambda s: {k: v for k, v in s.items() if k != "dataset_digest"},
+             "'dataset_digest'"),
+            (lambda s: {**s, "entries": [1]}, "'entries'"),
+            (lambda s: [s], "'dataset_digest'"),
+        ],
+        ids=["no-entries", "no-digest", "entries-not-an-object", "not-an-object"],
+    )
+    def test_malformed_summary_exit_one(self, tmp_path, capsys, damage, named):
+        assert main(run_args(tmp_path / "a", ["--pirs", "0"])) == 0
+        assert main(run_args(tmp_path / "b", ["--pirs", "0"])) == 0
+        path = tmp_path / "b" / "summary.json"
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and named in err
 
     def test_missing_manifest_exit_one(self, tmp_path, capsys):
         assert main(["replay", str(tmp_path / "nope.json"),

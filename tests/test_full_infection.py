@@ -4,7 +4,6 @@ import pytest
 from lockdownsched.full_infection import (
     MAX_TABLE_N,
     RAW_RANGE,
-    InfectionStatus,
     PnTable,
     Status,
     _raw_cells,
@@ -134,16 +133,16 @@ def test_build_table_needs_an_iteration(iterations):
         build_pn_table(4, iterations)
 
 
-def infected(pid, days=0):
-    return (pid, InfectionStatus(Status.I, days))
+def infected(pid):
+    return (pid, Status.I)
 
 
 def susceptible(pid):
-    return (pid, InfectionStatus(Status.S))
+    return (pid, Status.S)
 
 
 def immune(pid):
-    return (pid, InfectionStatus(Status.R))
+    return (pid, Status.R)
 
 
 def table_with(probs_by_n):
@@ -160,8 +159,11 @@ def test_transmit_truncation_keeps_lone_susceptible_safe():
 
 
 def test_transmit_no_action_cases():
-    table = table_with({1: 0.9, 2: 0.9})
+    # certain infection once anyone infected meets anyone susceptible
+    table = table_with({1: 1.0, 2: 1.0})
+    assert transmit([], table) == set()
     assert transmit([susceptible(1)], table) == set()
+    assert transmit([infected(1)], table) == set()
     assert transmit([susceptible(1), susceptible(2)], table) == set()
     assert transmit([infected(1), infected(2)], table) == set()
     assert transmit([immune(1), immune(2)], table) == set()

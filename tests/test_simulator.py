@@ -308,7 +308,8 @@ _person = st.tuples(
     st.tuples(*[st.lists(_request, max_size=3).map(":".join)] * 3),
 )
 _priors = st.dictionaries(
-    st.sampled_from(AGE_GROUPS), st.sampled_from((0.2, 0.5, 0.9, 0.95, 0.99, 1.0))
+    st.sampled_from(AGE_GROUPS),
+    st.sampled_from((-0.0, 0.2, 0.5, 0.9, 0.95, 0.99, 1.0)),
 )
 _vector = st.lists(st.floats(0.0001, 0.9999), min_size=1, max_size=6)
 
@@ -341,6 +342,33 @@ ISOLATING = [
 ]
 
 
+# four visitors of one supermarket slot on Monday, under the priors of
+# ONE_CELL_PRIORS; -0.0 passes check_priors and must keep its sign
+ONE_CELL = [(age, 9.0, 0, ("MF1", "", "")) for age in (20, 30, 40, 50)]
+ONE_CELL_PRIORS = {
+    "negative-zero": {20: -0.0, 30: -0.0},
+    "negative-zero-mixed": {20: -0.0, 30: 0.5},
+    # the pressure 5e-324 / 4 rounds to 0.0, which leaves every level alone
+    "underflow": {20: -0.0, 30: 5e-324},
+    "all-full": {age: 1.0 for age in AGE_GROUPS},
+    "tied-minimum": {20: 0.2, 30: 0.2, 40: 0.6, 50: 0.9},
+    "zeros-mixed": {30: 0.5, 40: 0.3},
+}
+# three meet daily; the sick, highly infected first one isolates after Monday
+# (fractional) or Tuesday (standard), which leaves a group of two
+SHRINKING = [
+    (20, 4.0, 1, ("MF1", "MF1", "MF1")),
+    (30, 9.0, 1, ("MF1", "MF1", "MF1")),
+    (40, 9.0, 0, ("MF1", "MF1", "MF1")),
+]
+SHRINKING_PRIORS = {20: 0.99, 30: 0.2, 40: 0.5}
+
+
+def bits(out):
+    """What == on SimOutcome cannot see: the sign of a zero level."""
+    return repr(out.final_levels), repr(out.trajectory), out.classifications
+
+
 class TestEngineAgreement:
     TABLE = make_table({1: 0.31, 2: 0.52, 3: 0.66, 4: 0.74, 5: 0.81})
 
@@ -353,11 +381,19 @@ class TestEngineAgreement:
     @example(ISOLATING, {40: 0.95, 70: 0.5, 20: 0.99}, [0.1])
     @example(ISOLATING, {}, [0.6, 0.1])
     @example([(20, 1.0, 0, ("", "", ""))], {}, [0.5])  # no requests at all
+    @example(ONE_CELL, ONE_CELL_PRIORS["negative-zero"], [0.3])
+    @example(ONE_CELL, ONE_CELL_PRIORS["negative-zero-mixed"], [0.3])
+    @example(ONE_CELL, ONE_CELL_PRIORS["underflow"], [0.3])
+    @example(ONE_CELL, ONE_CELL_PRIORS["all-full"], [0.3])
+    @example(ONE_CELL, ONE_CELL_PRIORS["tied-minimum"], [0.3])
+    @example(ONE_CELL, ONE_CELL_PRIORS["zeros-mixed"], [0.3])
+    @example(SHRINKING, SHRINKING_PRIORS, [0.3])
     def test_kernel_matches_reference_property(self, rows, priors, vector):
         ds = world(rows, priors)
         plan = decode(vector, ds)
         ref_p = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="reference")
-        assert simulate(ds, plan, MODEL_PARTIAL, s=4, engine="kernel") == ref_p
+        ker_p = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="kernel")
+        assert ker_p == ref_p and bits(ker_p) == bits(ref_p)
         # I' = p(1-I) + I with p in [0, 1]: no level leaves [start, 1] and no
         # age group's average falls
         start = [ds.taxonomy_infection.get(p.age_group, 0.0) for p in ds.persons]
@@ -384,6 +420,19 @@ class TestEngineAgreement:
         full = simulate(iso, plan, MODEL_FULL, table=self.TABLE, engine="kernel")
         assert part.isolated_by_day[0] and part.occupancy[1][0][0] < 3
         assert full.isolated_by_day[1] == frozenset({1, 4})
+        for name, priors in ONE_CELL_PRIORS.items():
+            one = world(ONE_CELL, priors)
+            part = simulate(one, decode([0.3], one), MODEL_PARTIAL, s=4, engine="kernel")
+            assert part.occupancy[0][0][0] == 4
+            # the -0.0 visitor keeps the sign unless some pressure reaches them
+            kept = name in ("negative-zero", "underflow")
+            assert (repr(part.final_levels[0]) == "-0.0") == kept
+        shrink = world(SHRINKING, SHRINKING_PRIORS)
+        plan = decode([0.3], shrink)
+        part = simulate(shrink, plan, MODEL_PARTIAL, s=4, engine="kernel")
+        full = simulate(shrink, plan, MODEL_FULL, table=self.TABLE, engine="kernel")
+        assert [day[0][0] for day in part.occupancy] == [3, 2, 2]
+        assert [day[0][0] for day in full.occupancy] == [3, 3, 2]
 
     def test_kernel_matches_reference_partial_and_full(self):
         rng = random.Random(20210621)
