@@ -13,10 +13,11 @@ from lockdownsched import (
     round_robin,
     simulate,
 )
+from lockdownsched.dataset import request_index
 
 SEED = 12345
 ds = generate_dataset(seed=SEED)
-print(f"dataset: {len(ds.persons)} persons, {ds.n_requests()} visit requests")
+print(f"dataset: {len(ds.persons)} persons, {request_index(ds).n_requests} visit requests")
 
 print()
 print("Fractional model, shops admit s=4, a-priori infection by age group:")

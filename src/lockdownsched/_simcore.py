@@ -78,7 +78,7 @@ class SimContext:
 def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
     ri = request_index(ds)
     ctx = SimContext()
-    ctx.n_persons = ri.n_persons
+    ctx.n_persons = len(ds.persons)
     ctx.req_person = ri.person
     # cell of a request in slot 0; its slot adds slot * N_ESTABLISHMENTS.
     # int16 holds every cell (N_CELLS - 1 = 287) and sorts by radix

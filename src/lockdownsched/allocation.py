@@ -48,29 +48,35 @@ class AllocationPlan:
 
 
 def validate_plan(plan: AllocationPlan, ds: Dataset) -> None:
-    """Check the plan covers the dataset and respects every request window;
-    the error names the first request out of its window."""
+    """Check the plan covers the dataset with whole, finite slots that respect
+    every request window; the error names the first bad request."""
     ri = request_index(ds)
     if len(plan.slots) != ri.n_requests:
         raise ValueError(
             f"plan has {len(plan.slots)} slots for {ri.n_requests} requests"
         )
-    offset = np.asarray(plan.slots) - ri.window_base
-    bad = np.flatnonzero((offset < 0) | (offset >= ri.window_width))
+    slots = np.asarray(plan.slots, dtype=np.float64)
+    whole = np.isfinite(slots) & (slots == np.floor(slots))
+    offset = slots - ri.window_base
+    bad = np.flatnonzero(~whole | (offset < 0) | (offset >= ri.window_width))
     if bad.size:
         pos = int(bad[0])
-        pi, day, req = ds.requests()[pos]
+        problem = f"outside window {ri.key[pos][0]}" if whole[pos] else "is not a whole number"
         raise ValueError(
-            f"slot {plan.slots[pos]} outside window {req.window} "
-            f"for person {ds.persons[pi].id} day {day}"
+            f"slot {plan.slots[pos]} {problem} "
+            f"for person {ri.person_id[ri.person[pos]]} day {ri.day[pos]}"
         )
 
 
 def decode(vector, ds: Dataset) -> AllocationPlan:
-    """The plan a bounded vector decodes to (see _simcore.decode_slots)."""
-    if len(vector) == 0:
+    """The plan a bounded vector decodes to (see _simcore.decode_slots).
+    Refuses an empty vector and any value outside [0, 1], NaN included."""
+    v = np.asarray(vector, dtype=np.float64)
+    if v.size == 0:
         raise ValueError("vector must not be empty")
-    return AllocationPlan(tuple(decode_slots(request_index(ds), vector).tolist()))
+    if not ((v >= 0.0) & (v <= 1.0)).all():
+        raise ValueError("vector values must be finite and lie in [0, 1]")
+    return AllocationPlan(tuple(decode_slots(request_index(ds), v).tolist()))
 
 
 # comp1 pins each window class to one slot, comp2 alternates between two,

@@ -127,17 +127,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            summary = run_experiment(_spec_from_args(args), args.out)
-            json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-            print()
+            result = run_experiment(_spec_from_args(args), args.out)
         elif args.command == "replay":
-            summary = run_from_manifest(args.manifest, args.out)
-            json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-            print()
+            result = run_from_manifest(args.manifest, args.out)
         else:
             result = compare(args.report_a, args.report_b)
-            json.dump(result, sys.stdout, indent=2, sort_keys=True)
-            print()
+        json.dump(result, sys.stdout, indent=2, sort_keys=True)
+        print()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

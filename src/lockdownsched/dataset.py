@@ -58,13 +58,14 @@ def slot_label(slot: int) -> str:
 
 @dataclass(frozen=True, slots=True)
 class VisitRequest:
+    """A visit request and its facts; _REQUESTS builds the 48 valid ones."""
     window: str
     kind: str
     index: int
-
-    @property
-    def key(self) -> str:
-        return f"{self.window}{self.kind}{self.index}"
+    key: str            # the three symbols, as the text format writes them
+    window_base: int    # WINDOWS[window]
+    window_width: int
+    establishment: int  # establishment_id(kind, index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,38 +77,95 @@ class Person:
     requests_by_day: tuple  # 3 tuples of VisitRequest
 
 
+# --- flat request table used by allocation decoding and the simulator ------
+
+@dataclass(frozen=True)
+class RequestIndex:
+    """Dataset requests flattened in canonical order (_build_request_index)."""
+    n_requests: int
+    person: np.ndarray        # person position in ds.persons (not id)
+    day: np.ndarray
+    window_base: np.ndarray
+    window_width: np.ndarray
+    establishment: np.ndarray
+    key: tuple                # request key text
+    person_id: np.ndarray     # id field per person position
+    health: np.ndarray
+    age_index: np.ndarray     # AGE_GROUPS position per person position
+    age_count: tuple          # persons per age group, in AGE_GROUPS order
+
+    @cached_property
+    def row_prefix(self) -> tuple:
+        """``"{person id},{day},{request key},"`` per request, the start of
+        an allocations.csv row.  Built on first use, so evolution, which
+        writes no plan, never pays for it."""
+        return tuple(
+            f"{pid},{day},{key},"
+            for pid, day, key in zip(
+                self.person_id[self.person].tolist(), self.day.tolist(), self.key
+            )
+        )
+
+
+def request_index(ds: Dataset) -> RequestIndex:
+    """The dataset's RequestIndex, built on first use and kept: a Dataset and
+    its persons are frozen, so it never goes stale.  Its arrays are read-only
+    because every caller shares them."""
+    return ds._request_index
+
+
+def _build_request_index(ds: Dataset) -> RequestIndex:
+    """Every request in canonical order: person order, then day, then the
+    person's order within the day.  Plans, decoders and both simulators read
+    requests in this order."""
+    rows = [
+        (pi, day, req)
+        for pi, person in enumerate(ds.persons)
+        for day, requests in enumerate(person.requests_by_day)
+        for req in requests
+    ]
+    person, day, requests = zip(*rows) if rows else ((),) * 3
+    age_index = np.asarray([AGE_GROUPS.index(p.age_group) for p in ds.persons], dtype=np.intp)
+    index = RequestIndex(
+        n_requests=len(rows),
+        person=np.asarray(person, dtype=np.int32),
+        day=np.asarray(day, dtype=np.int8),
+        window_base=np.asarray([r.window_base for r in requests], dtype=np.int64),
+        window_width=np.asarray([r.window_width for r in requests], dtype=np.int64),
+        establishment=np.asarray([r.establishment for r in requests], dtype=np.int8),
+        key=tuple(r.key for r in requests),
+        person_id=np.asarray([p.id for p in ds.persons], dtype=np.int32),
+        health=np.asarray([p.health for p in ds.persons], dtype=np.float64),
+        age_index=age_index,
+        age_count=tuple(np.bincount(age_index, minlength=len(AGE_GROUPS)).tolist()),
+    )
+    for value in vars(index).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return index
+
+
 @dataclass(frozen=True)
 class Dataset:
     persons: tuple
     taxonomy_infection: dict = field(default_factory=dict)
 
-    def n_requests(self) -> int:
-        return len(self.requests())
+    @cached_property
+    def _text(self) -> str:
+        """The persons in the text format (see serialize_dataset)."""
+        lines = []
+        for p in self.persons:
+            days = " | ".join(":".join(r.key for r in day) for day in p.requests_by_day)
+            lines.append(f"{p.id} {p.age_group} {p.health!r} {p.immunity_flag} {days}".rstrip())
+        return "\n".join(lines) + "\n"
 
-    def requests(self) -> tuple:
-        """(person position, day, request) for every request, in canonical
-        order: person order, then day, then the person's order within the day.
-        Plans, decoders and the simulators all read requests in this order.
-
-        Built on first use and kept, as request_index is: a Dataset never
-        changes, and walking a flat tuple is cheaper than the nested loops.
-        """
-        walk = self.__dict__.get("_requests")
-        if walk is None:
-            walk = tuple(
-                (pi, day, req)
-                for pi, person in enumerate(self.persons)
-                for day, requests in enumerate(person.requests_by_day)
-                for req in requests
-            )
-            object.__setattr__(self, "_requests", walk)
-        return walk
+    _request_index = cached_property(_build_request_index)
 
     def with_taxonomy(self, priors: dict) -> "Dataset":
-        """The same persons under new priors.  The copy shares this dataset's
-        serialized text, which does not depend on the priors."""
+        """The same persons under new priors.  The copy is handed this
+        dataset's serialized text, which does not depend on the priors."""
         new = replace(self, taxonomy_infection=dict(priors))
-        new.__dict__["_text"] = self.__dict__.setdefault("_text", [])
+        new.__dict__["_text"] = self._text
         return new
 
     def digest(self) -> str:
@@ -133,20 +191,14 @@ def parse_request_key(key: str, lineno: int = 0) -> VisitRequest:
         raise DatasetFormatError(lineno, f"unknown establishment kind {kind!r} in {key!r}")
     if idx not in "12":
         raise DatasetFormatError(lineno, f"establishment index must be 1 or 2 in {key!r}")
-    return VisitRequest(window, kind, int(idx))
+    return _REQUESTS[key]
 
 
-# every valid request, by key; parsed and generated datasets share these
-# instances, so a REQUEST_FACTS lookup finds its key by identity
-_REQUESTS = {r.key: r for r in (
-    VisitRequest(w, k, i) for w in WINDOWS for k in ESTABLISHMENT_KINDS for i in (1, 2)
-)}
-
-# (window base, window width, establishment id, key) of every valid request;
-# the request index reads these with one lookup per request
-REQUEST_FACTS = {
-    r: (*WINDOWS[r.window], establishment_id(r.kind, r.index), r.key)
-    for r in _REQUESTS.values()
+# every valid request, by key, built once with its facts; parsed and
+# generated datasets share these instances
+_REQUESTS = {
+    f"{w}{k}{i}": VisitRequest(w, k, i, f"{w}{k}{i}", *WINDOWS[w], establishment_id(k, i))
+    for w in WINDOWS for k in ESTABLISHMENT_KINDS for i in (1, 2)
 }
 
 
@@ -202,17 +254,9 @@ def parse_dataset(text: str) -> Dataset:
 
 
 def serialize_dataset(ds: Dataset) -> str:
-    """The dataset's persons in the text format, built on first use and kept
-    in a one-item list (the priors are not part of it, so with_taxonomy
-    copies share the list; digest() and save_dataset share the text)."""
-    cell = ds.__dict__.setdefault("_text", [])
-    if not cell:
-        lines = []
-        for p in ds.persons:
-            days = " | ".join(":".join(r.key for r in day) for day in p.requests_by_day)
-            lines.append(f"{p.id} {p.age_group} {p.health!r} {p.immunity_flag} {days}".rstrip())
-        cell.append("\n".join(lines) + "\n")
-    return cell[0]
+    """The persons in the text format, built on first use and kept; it leaves
+    out the priors, so with_taxonomy copies share it."""
+    return ds._text
 
 
 def load_dataset(path) -> Dataset:
@@ -392,73 +436,3 @@ def mark_apriori_infection(ds: Dataset, fraction_infected: float, fraction_immun
         replace(p, immunity_flag=flags.get(i, SUSCEPTIBLE)) for i, p in enumerate(ds.persons)
     )
     return replace(ds, persons=persons)
-
-
-# --- flat request table used by allocation decoding and the simulator ------
-
-@dataclass(frozen=True)
-class RequestIndex:
-    """Dataset requests flattened in canonical order (Dataset.requests)."""
-    n_persons: int
-    n_requests: int
-    person: np.ndarray        # person position in ds.persons (not id)
-    day: np.ndarray
-    window_base: np.ndarray
-    window_width: np.ndarray
-    establishment: np.ndarray
-    key: tuple                # request key text
-    person_id: np.ndarray     # id field per person position
-    health: np.ndarray
-    age_index: np.ndarray     # AGE_GROUPS position per person position
-    age_count: tuple          # persons per age group, in AGE_GROUPS order
-
-    @cached_property
-    def row_prefix(self) -> tuple:
-        """``"{person id},{day},{request key},"`` per request, the start of
-        an allocations.csv row.  Built on first use, so evolution, which
-        writes no plan, never pays for it."""
-        return tuple(
-            f"{pid},{day},{key},"
-            for pid, day, key in zip(
-                self.person_id[self.person].tolist(), self.day.tolist(), self.key
-            )
-        )
-
-
-def request_index(ds: Dataset) -> RequestIndex:
-    """The dataset's RequestIndex, built on first use and shared after.
-
-    A Dataset is frozen and its persons are immutable (replace() and the
-    helpers above return new instances), so the index never goes stale.  Its
-    arrays are read-only because every caller shares them.
-    """
-    index = ds.__dict__.get("_request_index")
-    if index is None:
-        index = _build_request_index(ds)
-        for value in vars(index).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-        object.__setattr__(ds, "_request_index", index)
-    return index
-
-
-def _build_request_index(ds: Dataset) -> RequestIndex:
-    age_index = np.asarray([AGE_GROUPS.index(p.age_group) for p in ds.persons], dtype=np.intp)
-    walk = ds.requests()
-    person, day, requests = zip(*walk) if walk else ((),) * 3
-    facts = map(REQUEST_FACTS.__getitem__, requests)
-    base, width, est, key = zip(*facts) if walk else ((),) * 4
-    return RequestIndex(
-        n_persons=len(ds.persons),
-        n_requests=len(walk),
-        person=np.asarray(person, dtype=np.int32),
-        day=np.asarray(day, dtype=np.int8),
-        window_base=np.asarray(base, dtype=np.int64),
-        window_width=np.asarray(width, dtype=np.int64),
-        establishment=np.asarray(est, dtype=np.int8),
-        key=key,
-        person_id=np.asarray([p.id for p in ds.persons], dtype=np.int32),
-        health=np.asarray([p.health for p in ds.persons], dtype=np.float64),
-        age_index=age_index,
-        age_count=tuple(np.bincount(age_index, minlength=len(AGE_GROUPS)).tolist()),
-    )

@@ -345,15 +345,8 @@ def _write_report(spec: ExperimentSpec, raw_ds, ds, out_dir) -> dict:
 
 def _headline_ratios(entries: dict) -> dict:
     """cost(baseline) / cost(best entry) for each baseline present."""
-    if not entries:
-        return {}
-    best = min(e["cost"] for e in entries.values())
-    ratios = {}
-    for name, entry in entries.items():
-        if name == "gp_best":
-            continue
-        ratios[name] = _ratio(entry["cost"], best)
-    return ratios
+    best = min((e["cost"] for e in entries.values()), default=None)
+    return {name: _ratio(e["cost"], best) for name, e in entries.items() if name != "gp_best"}
 
 
 def _ratio(numer: float, denom: float):
@@ -419,47 +412,59 @@ def compare(report_a, report_b) -> dict:
     convention is cost_b / cost_a, so values above 1 mean report A found
     cheaper outcomes.
     """
-    a, b = _read_summary(report_a), _read_summary(report_b)
-    if a["dataset_digest"] != b["dataset_digest"]:
+    digest, costs_a, points_a = _read_summary(report_a)
+    digest_b, costs_b, points_b = _read_summary(report_b)
+    if digest != digest_b:
         raise ValueError("reports describe different datasets")
 
-    shared = sorted(set(a["entries"]) & set(b["entries"]))
-    per_entry = {}
-    for name in shared:
-        per_entry[name] = _ratio(b["entries"][name]["cost"], a["entries"][name]["cost"])
-    best_a = min((e["cost"] for e in a["entries"].values()), default=None)
-    best_b = min((e["cost"] for e in b["entries"].values()), default=None)
+    shared = sorted(set(costs_a) & set(costs_b))
+    best_a = min(costs_a.values(), default=None)
+    best_b = min(costs_b.values(), default=None)
     headline = None
     if best_a is not None and best_b is not None:
         headline = _ratio(best_b, best_a)
 
     return {
-        "dataset_digest": a["dataset_digest"],
-        "entries": per_entry,
+        "dataset_digest": digest,
+        "entries": {name: _ratio(costs_b[name], costs_a[name]) for name in shared},
         "best_cost_a": best_a,
         "best_cost_b": best_b,
         "ratio_b_over_a": headline,
         "dominance": {
-            "a_dominates_b": _dominance(_points(a), _points(b)),
-            "b_dominates_a": _dominance(_points(b), _points(a)),
+            "a_dominates_b": _dominance(points_a, points_b),
+            "b_dominates_a": _dominance(points_b, points_a),
         },
     }
 
 
-def _read_summary(report) -> dict:
+def _read_summary(report) -> tuple:
+    """(dataset digest, cost by entry name, (N_D, N_H) points) of a report's
+    summary.json; the points are the GP front's if it has one, else the
+    entries'.  A missing or mistyped value is refused by file, entry and key."""
     path = os.path.join(report, "summary.json")
     with open(path) as fh:
         summary = json.load(fh)
     for key, kind in (("dataset_digest", str), ("entries", dict)):
         if not isinstance(summary, dict) or not isinstance(summary.get(key), kind):
             raise ValueError(f"{path} key {key!r} is missing or of the wrong type")
-    return summary
+    gp = summary.get("gp")
+    if gp is not None and not (isinstance(gp, dict) and isinstance(gp.get("pareto"), list)):
+        raise ValueError(f"{path} key 'gp' is neither null nor an object with a 'pareto' list")
 
+    def numbers(where, point, keys) -> tuple:
+        values = tuple(point.get(key) if isinstance(point, dict) else None for key in keys)
+        for key, value in zip(keys, values):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{path} {where} key {key!r} is missing or not a number")
+        return values
 
-def _points(summary: dict) -> list:
-    if summary.get("gp"):
-        return [(p["n_d"], p["n_h"]) for p in summary["gp"]["pareto"]]
-    return [(e["n_d"], e["n_h"]) for e in summary["entries"].values()]
+    entries = {name: numbers(f"entry {name!r}", e, ("cost", "n_d", "n_h"))
+               for name, e in summary["entries"].items()}
+    points = [values[1:] for values in entries.values()]
+    if gp is not None:
+        points = [numbers(f"gp pareto point {k}", p, ("n_d", "n_h"))
+                  for k, p in enumerate(gp["pareto"])]
+    return summary["dataset_digest"], {name: v[0] for name, v in entries.items()}, points
 
 
 def _dominance(winners, losers) -> int:

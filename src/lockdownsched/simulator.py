@@ -28,7 +28,7 @@ from ._simcore import (
     outcome_fields,
 )
 from .allocation import AllocationPlan, validate_plan
-from .dataset import N_DAYS, N_ESTABLISHMENTS, N_SLOTS, Dataset, establishment_id
+from .dataset import N_DAYS, N_ESTABLISHMENTS, N_SLOTS, Dataset, request_index
 from .full_infection import FULL_RULES, PnTable, Status, transmit
 from .partial_infection import PARTIAL_RULES, EncounterGroup, encounter_pressure
 
@@ -97,9 +97,11 @@ class SimOutcome:
 def _request_cells(ds: Dataset, plan: AllocationPlan):
     """Distinct person indices per (day, slot, establishment), in order of
     their first request there (dict keys, kept in insertion order)."""
+    ri = request_index(ds)
     cells = {}
-    for slot, (pi, day, req) in zip(plan.slots, ds.requests()):
-        est = establishment_id(req.kind, req.index)
+    for slot, pi, day, est in zip(
+        plan.slots, ri.person.tolist(), ri.day.tolist(), ri.establishment.tolist()
+    ):
         cells.setdefault((day, slot, est), {})[pi] = None
     return cells
 

@@ -36,12 +36,25 @@ def bound_vector(values) -> tuple:
     return tuple(bound_value(v) for v in values)
 
 
+def walk_requests(ds) -> list:
+    """(person position, day, request) of every request, in canonical order:
+    person order, then day, then the person's order within the day.  Written
+    out here, apart from the package's request index, so the suite states
+    the order on its own."""
+    return [
+        (pi, day, req)
+        for pi, person in enumerate(ds.persons)
+        for day, requests in enumerate(person.requests_by_day)
+        for req in requests
+    ]
+
+
 def decode_loop(vector, ds) -> tuple:
     """Slots from cycling the bounded vector over requests in order."""
     if len(vector) == 0:
         raise ValueError("vector must not be empty")
     slots = []
-    for pos, (_, _, req) in enumerate(ds.requests()):
+    for pos, (_, _, req) in enumerate(walk_requests(ds)):
         v = vector[pos % len(vector)]
         base, width = WINDOWS[req.window]
         slots.append(base + min(int(v * width), width - 1))
@@ -52,7 +65,7 @@ def plan_map(plan, ds) -> dict:
     """Map (person id, day, request ordinal) -> slot."""
     out = {}
     ordinal = {}
-    for slot, (pi, day, _) in zip(plan.slots, ds.requests(), strict=True):
+    for slot, (pi, day, _) in zip(plan.slots, walk_requests(ds), strict=True):
         key = (ds.persons[pi].id, day)
         k = ordinal.get(key, 0)
         ordinal[key] = k + 1

@@ -11,7 +11,12 @@ import pytest
 
 from lockdownsched._simcore import bound_array
 from lockdownsched.allocation import AllocationPlan, decode, round_robin
-from lockdownsched.dataset import generate_dataset, mark_apriori_infection, parse_dataset
+from lockdownsched.dataset import (
+    generate_dataset,
+    mark_apriori_infection,
+    parse_dataset,
+    request_index,
+)
 from lockdownsched.experiment import ExperimentSpec, run_experiment, run_from_manifest
 from lockdownsched.full_infection import FULL_RULES, analytic_pn, build_pn_table
 from lockdownsched.gp_engine import GpConfig, run_pirs
@@ -214,7 +219,7 @@ NINE_REQUESTS = """\
 
 def test_criterion_5_baseline_clocks_and_fitness():
     ds = parse_dataset(NINE_REQUESTS)
-    assert ds.n_requests() == 9
+    assert request_index(ds).n_requests == 9
     # slot clocks: 0=8-10h, 1=10-12h, 2=12-14h, 3=14-16h, 4=16-18h,
     # 5=18-20h, 6=20-22h, 7=22-24h
     assert round_robin(ds, "comp1").slots == (0, 2, 5, 0, 2, 5, 0, 2, 0)

@@ -1,6 +1,7 @@
 import csv
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given
@@ -22,10 +23,11 @@ from lockdownsched.dataset import (
     establishment_label,
     generate_dataset,
     parse_dataset,
+    request_index,
     slot_label,
 )
 
-from scalar_oracles import bound_value, decode_loop, plan_map, read_plan_csv
+from scalar_oracles import bound_value, decode_loop, plan_map, read_plan_csv, walk_requests
 
 TEXT = """
 1 20 9.5 0 MF1:AD2 | NF1 | PC1:MS2
@@ -67,6 +69,20 @@ def test_bound_vector_limits(ds):
         bound_array([0.5] * 9 + [-math.inf])
     with pytest.raises(ValueError):
         decode([], ds)
+
+
+@pytest.mark.parametrize("value", [-0.5, 1.5, -1e-300, math.nan, math.inf, -math.inf])
+def test_decode_refuses_values_outside_the_unit_interval(ds, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            decode([0.5, value], ds)
+
+
+def test_decode_takes_both_ends_of_the_unit_interval(ds):
+    plan = decode([0.0, 1.0], ds)
+    assert plan.slots == decode_loop([0.0, 1.0], ds)
+    validate_plan(plan, ds)
 
 
 def test_decode_window_examples(ds):
@@ -143,7 +159,7 @@ def test_round_robin_unknown_variant(ds):
 
 def test_validate_rejects_bad_plans(ds):
     with pytest.raises(ValueError):
-        validate_plan(AllocationPlan((0,) * (ds.n_requests() - 1)), ds)
+        validate_plan(AllocationPlan((0,) * (request_index(ds).n_requests - 1)), ds)
     bad = list(round_robin(ds, "comp1").slots)
     bad[2] = 0  # NF1 forced into the morning
     with pytest.raises(ValueError):
@@ -180,12 +196,18 @@ def test_windows_match_slot_layout():
 # replaced with array expressions: oracles for the tests below.
 
 def _validate_plan_loop(plan, ds):
-    if len(plan.slots) != ds.n_requests():
+    walk = walk_requests(ds)
+    if len(plan.slots) != len(walk):
         raise ValueError(
-            f"plan has {len(plan.slots)} slots for {ds.n_requests()} requests"
+            f"plan has {len(plan.slots)} slots for {len(walk)} requests"
         )
-    for slot, (pi, day, req) in zip(plan.slots, ds.requests()):
+    for slot, (pi, day, req) in zip(plan.slots, walk):
         base, width = WINDOWS[req.window]
+        if not (math.isfinite(slot) and slot == math.floor(slot)):
+            raise ValueError(
+                f"slot {slot} is not a whole number "
+                f"for person {ds.persons[pi].id} day {day}"
+            )
         if not base <= slot < base + width:
             raise ValueError(
                 f"slot {slot} outside window {req.window} "
@@ -200,7 +222,7 @@ def _round_robin_loop(ds, variant):
         "comp3": {"M": (0, 1, 0), "P": (2, 3, 4), "N": (5, 6, 7)},
     }[variant]
     counters, slots = {}, []
-    for _, day, req in ds.requests():
+    for _, day, req in walk_requests(ds):
         cls = "M" if req.window in ("M", "A") else req.window
         k = counters.get((day, cls), 0)
         counters[(day, cls)] = k + 1
@@ -212,7 +234,7 @@ def _write_plan_csv_loop(plan, ds, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("person", "day", "request", "slot", "where"))
-        for slot, (pi, day, req) in zip(plan.slots, ds.requests()):
+        for slot, (pi, day, req) in zip(plan.slots, walk_requests(ds)):
             est = establishment_label(establishment_id(req.kind, req.index))
             where = f"{est}, {slot_label(slot)}"
             writer.writerow([ds.persons[pi].id, day, req.key, slot, where])
@@ -232,19 +254,27 @@ def test_validate_plan_matches_the_loop(seed):
     rng = random.Random(seed)
     good = decode([rng.random() for _ in range(50)], ds).slots
     plans = [good, good[:-1], good + (0,), (), good[: len(good) // 2]]
-    windows = [WINDOWS[req.window] for _, _, req in ds.requests()]
+    windows = [WINDOWS[req.window] for _, _, req in walk_requests(ds)]
     for n_bad in (1, 1, 1, 2, 3) * 20:
         bad = list(good)
         for pos in rng.sample(range(len(good)), n_bad):
             base, width = windows[pos]
-            # just outside the window on either side, or anywhere off the day
-            bad[pos] = rng.choice([base - 1, base + width, -1, 8, 1000])
+            # just outside the window on either side, anywhere off the day,
+            # or not a whole number at all
+            bad[pos] = rng.choice([
+                base - 1, base + width, -1, 8, 1000,
+                base + 0.5, base - 1e-9, math.nan, math.inf, -math.inf,
+            ])
         plans.append(tuple(bad))
     messages = [_message(_validate_plan_loop, AllocationPlan(p), ds) for p in plans]
     assert messages[0] is None
     assert all(m is not None for m in messages[1:])
     for slots, expected in zip(plans, messages):
         assert _message(validate_plan, AllocationPlan(slots), ds) == expected
+    assert any("outside window" in m for m in messages[5:])
+    assert any("is not a whole number" in m for m in messages[5:])
+    # a float that is a whole number is a slot like any other
+    validate_plan(AllocationPlan(tuple(map(float, good))), ds)
 
 
 def test_write_plan_csv_checks_before_creating_the_file(tmp_path, ds):
@@ -260,7 +290,7 @@ def _random_plan(ds, rng):
     """A slot drawn uniformly from each request's window."""
     return AllocationPlan(tuple(
         rng.randrange(base, base + width)
-        for base, width in (WINDOWS[req.window] for _, _, req in ds.requests())
+        for base, width in (WINDOWS[req.window] for _, _, req in walk_requests(ds))
     ))
 
 
@@ -286,7 +316,7 @@ def test_round_robin_and_plan_csv_match_the_loops(tmp_path, seed):
     reached = {
         (slot, establishment_id(req.kind, req.index))
         for plan in plans[4:]
-        for slot, (_, _, req) in zip(plan.slots, ds.requests())
+        for slot, (_, _, req) in zip(plan.slots, walk_requests(ds))
     }
     assert len(reached) == N_SLOTS * N_ESTABLISHMENTS
     for plan in plans:

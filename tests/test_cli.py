@@ -24,6 +24,11 @@ def run_args(out, extra=()):
     ]
 
 
+def _with_entry(name, value):
+    """A summary.json damage: entries[name] set to value."""
+    return lambda s: {**s, "entries": {**s["entries"], name: value}}
+
+
 class TestRun:
     def test_every_flag_is_a_spec_field(self):
         # _spec_from_args passes parsed values on by name, so a flag whose
@@ -236,8 +241,17 @@ class TestReplayAndCompare:
              "'dataset_digest'"),
             (lambda s: {**s, "entries": [1]}, "'entries'"),
             (lambda s: [s], "'dataset_digest'"),
+            (_with_entry("comp1", {"n_h": 1, "n_d": 0}), "entry 'comp1' key 'cost'"),
+            (_with_entry("comp1", 7), "entry 'comp1' key 'cost'"),
+            (_with_entry("comp2", {"n_h": 1, "n_d": 0, "cost": "x"}), "entry 'comp2' key 'cost'"),
+            (_with_entry("comp3", {"n_h": True, "n_d": 0, "cost": 1}), "entry 'comp3' key 'n_h'"),
+            (lambda s: {**s, "gp": {"records": 1}}, "'gp'"),
+            (lambda s: {**s, "gp": {"pareto": [{"n_h": 1, "n_d": None}]}},
+             "gp pareto point 0 key 'n_d'"),
         ],
-        ids=["no-entries", "no-digest", "entries-not-an-object", "not-an-object"],
+        ids=["no-entries", "no-digest", "entries-not-an-object", "not-an-object",
+             "entry-without-cost", "entry-not-an-object", "cost-not-a-number",
+             "count-a-boolean", "gp-without-pareto", "pareto-point-without-n_d"],
     )
     def test_malformed_summary_exit_one(self, tmp_path, capsys, damage, named):
         assert main(run_args(tmp_path / "a", ["--pirs", "0"])) == 0

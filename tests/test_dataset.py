@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from lockdownsched.dataset import (
     CANONICAL_PROFILE,
     ESTABLISHMENT_KINDS,
-    REQUEST_FACTS,
     WINDOWS,
     Dataset,
     DatasetFormatError,
@@ -25,6 +24,8 @@ from lockdownsched.dataset import (
     serialize_dataset,
     slot_label,
 )
+
+from scalar_oracles import walk_requests
 
 
 def test_parse_single_line_fields():
@@ -108,7 +109,7 @@ def test_canonical_group_sizes_and_totals():
         for d in range(3):
             per_day[d] += len(p.requests_by_day[d])
     assert per_day == [586, 572, 546]
-    assert ds.n_requests() == 1704
+    assert request_index(ds).n_requests == 1704
 
 
 def test_generated_health_within_group_bounds():
@@ -183,8 +184,7 @@ def test_request_index_canonical_order():
     assert list(idx.window_base) == [0, 5, 2, 0, 0]
     assert list(idx.window_width) == [2, 3, 3, 8, 2]
     assert list(idx.establishment) == [0, 3, 0, 7, 10]
-    walked = [(pi, day, req.key) for pi, day, req in ds.requests()]
-    assert walked == [
+    assert list(zip(idx.person.tolist(), idx.day.tolist(), idx.key)) == [
         (0, 0, "MF1"), (0, 0, "NC2"), (0, 1, "PF1"), (1, 0, "AD2"), (1, 2, "MS1")
     ]
 
@@ -193,28 +193,32 @@ def test_request_index_built_once_per_dataset():
     ds = parse_dataset("0 20 9.5 0 MF1:NC2 | PF1 |\n1 30 9.4 0 AD2 | | MS1")
     idx = request_index(ds)
     assert request_index(ds) is idx
-    assert ds.requests() is ds.requests()
     for other in (replace(ds), ds.with_taxonomy({20: 0.1})):
         assert request_index(other) is not idx
+        assert request_index(other) is request_index(other)
         assert list(request_index(other).person) == list(idx.person)
-        assert other.requests() is not ds.requests()
-        assert other.requests() == ds.requests()
-    for arr in (idx.person, idx.window_base, idx.health, idx.person_id):
+    arrays = [v for v in vars(idx).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 8
+    for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1
 
 
 def test_request_facts_cover_every_valid_request():
+    """Each of the 48 valid requests is one shared instance holding its facts."""
     keys = [w + k + i for w in WINDOWS for k in ESTABLISHMENT_KINDS for i in "12"]
-    assert len(REQUEST_FACTS) == len(keys) == 48
+    assert len(set(keys)) == 48
+    shared = set()
     for key in keys:
         req = parse_request_key(key)
-        base, width = WINDOWS[req.window]
-        assert REQUEST_FACTS[req] == (base, width, establishment_id(req.kind, req.index), key)
-    # parsed and generated datasets hold the table's own instances
-    shared = {id(req) for req in REQUEST_FACTS}
+        assert parse_request_key(key) is req
+        assert (req.window, req.kind, req.index, req.key) == (key[0], key[1], int(key[2]), key)
+        assert (req.window_base, req.window_width) == WINDOWS[req.window]
+        assert req.establishment == establishment_id(req.kind, req.index)
+        shared.add(id(req))
+    # parsed and generated datasets hold only those instances
     for ds in (generate_dataset(2), parse_dataset("1 20 9.5 0 MF1:AD2 | NS1")):
-        assert {id(req) for _, _, req in ds.requests()} <= shared
+        assert {id(req) for _, _, req in walk_requests(ds)} <= shared
 
 
 @pytest.mark.parametrize(
@@ -227,18 +231,20 @@ def test_request_facts_cover_every_valid_request():
     ids=["generated", "gappy", "empty"],
 )
 def test_request_index_matches_the_per_request_loop(ds):
-    """The columns read from REQUEST_FACTS equal the WINDOWS,
-    establishment_id and key lookups the index made per request."""
+    """Every column, and row_prefix, equals what a walk over ds.persons
+    reads from WINDOWS, establishment_id and the request's symbols."""
     idx = request_index(ds)
-    walk = ds.requests()
+    walk = walk_requests(ds)
+    keys = [f"{r.window}{r.kind}{r.index}" for _, _, r in walk]
+    assert idx.n_requests == len(walk)
     assert idx.person.tolist() == [pi for pi, _, _ in walk]
     assert idx.day.tolist() == [day for _, day, _ in walk]
     assert idx.window_base.tolist() == [WINDOWS[r.window][0] for _, _, r in walk]
     assert idx.window_width.tolist() == [WINDOWS[r.window][1] for _, _, r in walk]
     assert idx.establishment.tolist() == [establishment_id(r.kind, r.index) for _, _, r in walk]
-    assert idx.key == tuple(r.key for _, _, r in walk)
+    assert idx.key == tuple(keys)
     assert idx.row_prefix == tuple(
-        f"{ds.persons[pi].id},{day},{r.key}," for pi, day, r in walk
+        f"{ds.persons[pi].id},{day},{key}," for (pi, day, _), key in zip(walk, keys)
     )
     assert [a.dtype for a in (idx.person, idx.day, idx.window_base, idx.establishment)] == [
         np.int32, np.int8, np.int64, np.int8
@@ -271,7 +277,7 @@ def test_serialized_text_cannot_go_stale():
     assert serialize_dataset(ds) is text
     taxed = ds.with_taxonomy({20: 0.3})
     assert serialize_dataset(taxed) is text
-    # a derived dataset that serializes first builds the text for both
+    # with_taxonomy builds the source's text, if it has none yet, to hand on
     other = generate_dataset(4)
     other_taxed = other.with_taxonomy({30: 0.2})
     assert serialize_dataset(other_taxed) == fresh(other)

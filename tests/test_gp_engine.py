@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from lockdownsched import gp_engine
 from lockdownsched._simcore import bound_array, counts_for_slots, decode_slots
 from lockdownsched.allocation import AllocationPlan, decode
-from lockdownsched.dataset import generate_dataset, mark_apriori_infection, parse_dataset
+from lockdownsched.dataset import (
+    generate_dataset,
+    mark_apriori_infection,
+    parse_dataset,
+    request_index,
+)
 from lockdownsched.experiment import ExperimentSpec
 from lockdownsched.full_infection import PnTable, build_pn_table
 from lockdownsched.gp_engine import (
@@ -572,7 +577,7 @@ def eleven_requests():
     model.  The priors and a table that infects every exposed susceptible
     make the counts depend on the plan in a world of four persons."""
     ds = parse_dataset(ELEVEN_REQUESTS).with_taxonomy({20: 0.1, 40: 0.5, 70: 0.6})
-    assert ds.n_requests() == 11
+    assert request_index(ds).n_requests == 11
     table = PnTable(q=5, iterations=1, seed=0, probs=(1.0,) * 20)
     return ds, [
         (gp_engine._Evaluator(ds, quick_config(), None), MODEL_PARTIAL, {"s": 4}),
@@ -675,7 +680,7 @@ class TestArchive:
 
 class TestPlanDigest:
     def test_digest_covers_dataset_and_slots(self, small_ds):
-        slots = (0,) * small_ds.n_requests()
+        slots = (0,) * request_index(small_ds).n_requests
         ds_hash = hashlib.sha256(small_ds.digest().encode())
         before = ds_hash.hexdigest()
         d1 = gp_engine._slots_digest(ds_hash, slots)

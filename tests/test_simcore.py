@@ -50,7 +50,7 @@ raw_vector = st.lists(raw_value, min_size=1, max_size=3 * N_REQUESTS)
 @pytest.fixture(scope="module")
 def ds():
     ds = parse_dataset(TEXT)
-    assert ds.n_requests() == N_REQUESTS
+    assert request_index(ds).n_requests == N_REQUESTS
     return ds
 
 

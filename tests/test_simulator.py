@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from lockdownsched.dataset import (
     AGE_GROUPS,
     INFECTED,
     establishment_id,
+    generate_dataset,
     parse_dataset,
 )
 from lockdownsched.full_infection import (
@@ -35,6 +37,8 @@ from lockdownsched.simulator import (
     partial_outcome,
     simulate,
 )
+
+from scalar_oracles import walk_requests
 
 
 def make_table(p_by_n, q=5):
@@ -274,6 +278,28 @@ class TestArgumentChecks:
         for engine in ("turbo", "auto"):
             with pytest.raises(ValueError, match="engine"):
                 simulate(seven_ds, plan, MODEL_PARTIAL, s=4, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["kernel", "reference"])
+    def test_plan_slots_must_be_whole_numbers(self, engine):
+        # the kernel used to truncate such slots and the reference to seat
+        # nobody, so the two engines scored one plan differently
+        ds = generate_dataset(3).with_taxonomy({20: 0.05, 40: 0.1})
+        slots = round_robin(ds, "comp3").slots
+        walk = walk_requests(ds)
+        shifted = AllocationPlan(tuple(slot + 0.5 for slot in slots))
+        message = f"^slot {slots[0] + 0.5} is not a whole number for person 0 day 0$"
+        with pytest.raises(ValueError, match=message):
+            simulate(ds, shifted, MODEL_PARTIAL, s=4, engine=engine)
+        pi, day, _ = walk[700]
+        with_nan = AllocationPlan(slots[:700] + (math.nan,) + slots[701:])
+        message = f"^slot nan is not a whole number for person {ds.persons[pi].id} day {day}$"
+        with pytest.raises(ValueError, match=message):
+            simulate(ds, with_nan, MODEL_PARTIAL, s=4, engine=engine)
+        # whole numbers held as floats are slots like any other
+        as_floats = AllocationPlan(tuple(float(slot) for slot in slots))
+        assert simulate(ds, as_floats, MODEL_PARTIAL, s=4, engine=engine) == simulate(
+            ds, AllocationPlan(slots), MODEL_PARTIAL, s=4, engine=engine
+        )
 
 
 def random_dataset(rng):
