@@ -47,9 +47,10 @@ class AllocationPlan:
     slots: tuple
 
 
-def validate_plan(plan: AllocationPlan, ds: Dataset) -> None:
+def validate_plan(plan: AllocationPlan, ds: Dataset) -> np.ndarray:
     """Check the plan covers the dataset with whole, finite slots that respect
-    every request window; the error names the first bad request."""
+    every request window, and return the slots as an int64 array; the error
+    names the first bad request."""
     ri = request_index(ds)
     if len(plan.slots) != ri.n_requests:
         raise ValueError(
@@ -66,6 +67,7 @@ def validate_plan(plan: AllocationPlan, ds: Dataset) -> None:
             f"slot {plan.slots[pos]} {problem} "
             f"for person {ri.person_id[ri.person[pos]]} day {ri.day[pos]}"
         )
+    return np.asarray(plan.slots, dtype=np.int64)
 
 
 def decode(vector, ds: Dataset) -> AllocationPlan:
@@ -114,9 +116,9 @@ def write_plan_csv(plan: AllocationPlan, ds: Dataset, path) -> None:
     """allocations.csv: one row per request, in the bytes csv.writer's
     default dialect would write, joined from the dataset's row prefixes and
     the cells' row suffixes."""
-    validate_plan(plan, ds)
+    slots = validate_plan(plan, ds)
     ri = request_index(ds)
-    cells = (np.asarray(plan.slots) * N_ESTABLISHMENTS + ri.establishment).tolist()
+    cells = (slots * N_ESTABLISHMENTS + ri.establishment).tolist()
     rows = [prefix + _ROW_SUFFIXES[cell] for prefix, cell in zip(ri.row_prefix, cells)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(PLAN_CSV_HEADER) + "\r\n" + "".join(rows))

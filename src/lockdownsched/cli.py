@@ -10,7 +10,6 @@ from dataclasses import fields
 
 from .dataset import parse_priors
 from .experiment import (
-    BASELINE_VARIANTS,
     ExperimentSpec,
     compare,
     run_experiment,
@@ -54,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--s", type=int, help="encounter group size")
     run.add_argument("--q", type=int, help="exposure trials per encounter")
     run.add_argument(
-        "--priors", default="", help='a-priori infection by age, e.g. "20=0.03;30=0.01"'
+        "--priors", help='a-priori infection by age, e.g. "20=0.03;30=0.01"'
     )
     run.add_argument(
         "--apriori-infected",
@@ -72,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--baselines",
-        default=",".join(BASELINE_VARIANTS),
         help="comma list of round-robin variants (empty to skip)",
     )
     run.add_argument("--pirs", type=int, default=0, help="independent runs to evolve")
@@ -108,18 +106,16 @@ def _spec_from_args(args) -> ExperimentSpec:
     """The spec of a ``run``: every flag given is stored under its field's name."""
     names = {f.name for f in fields(ExperimentSpec)}
     settings = {name: value for name, value in vars(args).items() if name in names}
-    # the fractional model never marks persons, so these would only be recorded
-    apriori = settings.get("apriori_infected") or settings.get("apriori_immune")
-    if args.model == "partial" and apriori:
-        raise ValueError("a-priori fractions apply to the full model only")
     if args.pirs < 0:
         raise ValueError(f"--pirs must not be negative, got {args.pirs}")
     if args.seed_list:
         pir_seeds = tuple(int(tok) for tok in args.seed_list.split(",") if tok.strip())
     else:
         pir_seeds = tuple(range(1, args.pirs + 1))
-    settings["priors"] = parse_priors(args.priors)
-    settings["baselines"] = tuple(tok for tok in args.baselines.split(",") if tok.strip())
+    if "priors" in settings:
+        settings["priors"] = parse_priors(args.priors)
+    if "baselines" in settings:
+        settings["baselines"] = tuple(tok for tok in args.baselines.split(",") if tok.strip())
     return ExperimentSpec(**settings, pir_seeds=pir_seeds)
 
 

@@ -10,7 +10,6 @@ timestamp; byte-identical replays are part of the contract.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import shutil
@@ -72,6 +71,9 @@ class ExperimentSpec(GpConfig):
             raise ValueError("exactly one dataset source must be given")
         check_priors(self.priors)
         check_apriori_fractions(self.apriori_infected, self.apriori_immune)
+        # the fractional model never marks persons, so these would only be recorded
+        if self.model == MODEL_PARTIAL and (self.apriori_infected or self.apriori_immune):
+            raise ValueError("a-priori fractions apply to the full model only")
         for i, variant in enumerate(self.baselines):
             if variant not in BASELINE_VARIANTS:
                 raise ValueError(f"unknown baseline {variant!r}")
@@ -82,11 +84,7 @@ class ExperimentSpec(GpConfig):
 
 
 def spec_to_json(spec: ExperimentSpec) -> dict:
-    doc = asdict(spec)
-    doc["priors"] = sorted(spec.priors.items())
-    doc["baselines"] = list(spec.baselines)
-    doc["pir_seeds"] = list(spec.pir_seeds)
-    return doc
+    return {**asdict(spec), "priors": sorted(spec.priors.items())}
 
 
 def _json_fits(value, kind: str) -> bool:
@@ -120,11 +118,12 @@ def spec_from_json(doc: dict) -> ExperimentSpec:
     for key, value in doc.items():
         if not _spec_value_fits(key, annotations[key], value):
             raise ValueError(f"spec key {key!r} has a value of the wrong type")
-    doc = dict(doc)
-    doc["priors"] = {int(age): float(p) for age, p in doc.get("priors", [])}
-    doc["baselines"] = tuple(doc.get("baselines", ()))
-    doc["pir_seeds"] = tuple(doc.get("pir_seeds", ()))
-    return ExperimentSpec(**doc)
+    # only priors, baselines and pir_seeds are lists; a key left out takes
+    # the spec's default
+    settings = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+    if "priors" in doc:
+        settings["priors"] = {age: float(p) for age, p in doc["priors"]}
+    return ExperimentSpec(**settings)
 
 
 def _cost(fitness: float) -> float:
@@ -142,7 +141,7 @@ def _prepare_dataset(spec: ExperimentSpec, override: Dataset | None = None) -> t
     working = raw
     if spec.priors:
         working = working.with_taxonomy(spec.priors)
-    if spec.model == MODEL_FULL and (spec.apriori_infected or spec.apriori_immune):
+    if spec.apriori_infected or spec.apriori_immune:
         working = mark_apriori_infection(
             working, spec.apriori_infected, spec.apriori_immune, seed=spec.apriori_seed
         )
@@ -171,10 +170,12 @@ def _band_value(group_avgs, idx, weights, total) -> float:
 
 
 def _write_rows(path, header, rows) -> None:
+    """A table in the bytes csv.writer's default dialect would write: no
+    field of a report table holds a comma, a quote or a line break, so each
+    row is its fields joined."""
+    lines = [",".join(map(str, row)) + "\r\n" for row in (header, *rows)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("".join(lines))
 
 
 def _infection_text(outcome: SimOutcome, pi: int) -> str:
@@ -268,13 +269,12 @@ def _write_report(spec: ExperimentSpec, raw_ds, ds, out_dir) -> dict:
     table = None
     if spec.model == MODEL_FULL:
         table = build_pn_table(spec.q, spec.pn_iterations, seed=spec.pn_seed)
-    sim_kwargs = {"s": spec.s} if spec.model == MODEL_PARTIAL else {"table": table}
 
     baseline_rows = []
     entries = {}
     for variant in spec.baselines:
         plan = round_robin(ds, variant)
-        outcome = simulate(ds, plan, spec.model, **sim_kwargs)
+        outcome = simulate(ds, plan, spec.model, s=spec.s, table=table)
         n_h, n_d = outcome.counts()
         cost = _cost(fitness_value(n_h, n_d, spec.w_c))
         baseline_rows.append((variant, n_h, n_d, repr(cost)))
@@ -294,7 +294,7 @@ def _write_report(spec: ExperimentSpec, raw_ds, ds, out_dir) -> dict:
         _write_archive(out_dir, archive)
         for rank, rec in enumerate(archive.pareto, start=1):
             plan = decode(rec.vector, ds)
-            outcome = simulate(ds, plan, spec.model, **sim_kwargs)
+            outcome = simulate(ds, plan, spec.model, s=spec.s, table=table)
             detail_dir = os.path.join(solutions_dir, f"pareto_{rank:02d}")
             _write_solution_detail(detail_dir, ds, plan, outcome)
             with open(os.path.join(detail_dir, "vector.txt"), "w") as fh:

@@ -168,12 +168,7 @@ class _Evaluator:
         self.config = config
         if config.model == MODEL_FULL and (table is None or table.q != config.q):
             raise ValueError(f"the full model needs the p_n table for q={config.q}")
-        self.ctx = build_context(
-            ds,
-            config.model,
-            s=config.s if config.model == MODEL_PARTIAL else None,
-            table=table,
-        )
+        self.ctx = build_context(ds, config.model, s=config.s, table=table)
         self.ri = request_index(ds)
         # plan_digest's dataset half, hashed once
         self.ds_hash = hashlib.sha256(ds.digest().encode())

@@ -220,7 +220,7 @@ def simulate(
     "kernel" (the default) is the week loop that evolution scores with,
     "reference" the readable one above.  Both produce identical outcomes.
     """
-    validate_plan(plan, ds)
+    slots = validate_plan(plan, ds)
     if model == MODEL_PARTIAL:
         if s is None or s < 2:
             raise ValueError("fractional model needs s >= 2")
@@ -233,7 +233,7 @@ def simulate(
         raise ValueError(f"unknown engine {engine!r}")
 
     if engine == "kernel":
-        fields = outcome_fields(ds, plan.slots, model, s=s, table=table)
+        fields = outcome_fields(ds, slots, model, s=s, table=table)
     elif model == MODEL_PARTIAL:
         fields = _simulate_partial(ds, plan, s)
     else:

@@ -286,6 +286,19 @@ def test_write_plan_csv_checks_before_creating_the_file(tmp_path, ds):
     assert not path.exists()
 
 
+def test_whole_float_slots_write_the_int_plans_csv(tmp_path):
+    # whole slots held as floats must not make float cells, which cannot
+    # index the row suffixes
+    ds = parse_dataset("1 20 9.5 0 MF1:AD2 | NF1 |")
+    plan = round_robin(ds, "comp1")
+    as_floats = AllocationPlan(tuple(map(float, plan.slots)))
+    checked = validate_plan(as_floats, ds)
+    assert checked.dtype == "int64" and checked.tolist() == list(plan.slots)
+    write_plan_csv(plan, ds, tmp_path / "int.csv")
+    write_plan_csv(as_floats, ds, tmp_path / "float.csv")
+    assert (tmp_path / "float.csv").read_bytes() == (tmp_path / "int.csv").read_bytes()
+
+
 def _random_plan(ds, rng):
     """A slot drawn uniformly from each request's window."""
     return AllocationPlan(tuple(

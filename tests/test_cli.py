@@ -217,11 +217,15 @@ class TestReplayAndCompare:
              "baseline 'comp2' given twice"),
             (lambda m: {**m, "spec": 7}, "'spec'"),
             (lambda m: {**m, "dataset_file": 5}, "'dataset_file'"),
+            # the fractional model never marks persons, so the spec refuses
+            # the fractions whether the run starts from the CLI or a manifest
+            (lambda m: {**m, "spec": {**m["spec"], "apriori_infected": 0.1}},
+             "a-priori fractions"),
         ],
         ids=["no-spec", "no-digest", "no-model", "unknown-key", "not-an-object",
              "string-count", "priors-not-pairs", "float-seed", "prior-above-one",
              "unknown-age", "repeated-baseline", "spec-not-an-object",
-             "dataset-file-not-a-string"],
+             "dataset-file-not-a-string", "fractions-on-the-fractional-model"],
     )
     def test_malformed_manifest_exit_one(self, tmp_path, capsys, damage, named):
         assert main(run_args(tmp_path / "a", ["--pirs", "0"])) == 0

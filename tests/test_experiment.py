@@ -114,6 +114,18 @@ class TestSpec:
         with pytest.raises(TypeError):
             ExperimentSpec(generate_seed=1)
 
+    def test_json_missing_keys_take_the_spec_defaults(self):
+        spec = spec_from_json({"model": "partial", "generate_seed": 1})
+        assert spec == ExperimentSpec(model="partial", generate_seed=1)
+        assert spec.baselines == ("comp1", "comp2", "comp3")
+
+    @pytest.mark.parametrize("key", ["apriori_infected", "apriori_immune"])
+    def test_apriori_fractions_need_the_full_model(self, key):
+        # the fractional model never marks persons, so they would only be recorded
+        with pytest.raises(ValueError, match="fractions apply to the full model"):
+            ExperimentSpec(model="partial", generate_seed=3, **{key: 0.2})
+        ExperimentSpec(model="full", generate_seed=3, q=4, **{key: 0.2})
+
     def test_json_round_trip(self):
         spec = partial_spec(pir_seeds=(3, 4), seed_len=10)
         again = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
@@ -372,6 +384,42 @@ def test_occupancy_csv_matches_the_loop(tmp_path):
         _write_occupancy_loop(outcome, tmp_path / "old.csv")
         new = (tmp_path / "new" / "occupancy.csv").read_bytes()
         assert new == (tmp_path / "old.csv").read_bytes()
+
+
+def _write_rows_loop(path, header, rows):
+    """The csv.writer loop the small report tables were written with: the oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        partial_spec(pir_seeds=(-3, 1)),
+        ExperimentSpec(
+            model="full", generate_seed=777, q=10, apriori_infected=0.3,
+            apriori_immune=0.021, apriori_seed=777, pir_seeds=(-3, 1),
+            population=30, budget=150, pn_iterations=20_000,
+        ),
+    ],
+    ids=["fractional", "standard"],
+)
+def test_small_tables_match_the_csv_writer(tmp_path, monkeypatch, spec):
+    run_experiment(spec, tmp_path / "new")
+    monkeypatch.setattr(experiment, "_write_rows", _write_rows_loop)
+    run_experiment(spec, tmp_path / "old")
+    new, old = tree_bytes(tmp_path / "new"), tree_bytes(tmp_path / "old")
+    assert new == old
+    tables = {os.path.basename(rel) for rel in new if rel.endswith(".csv")}
+    assert {"baselines.csv", "archive.csv", "pareto.csv", "rosters.csv"} <= tables
+    assert ("trajectory.csv" in tables) == (spec.model == "partial")
+    # a negative run seed, and ICU roster rows, whose day field is empty
+    assert {row[2] for row in read_csv(tmp_path / "new" / "archive.csv")[1:]} >= {"-3"}
+    rosters = [row for rel in new if rel.endswith("rosters.csv")
+               for row in read_csv(tmp_path / "new" / rel)[1:]]
+    assert any(row[0] != "isolated" and row[3] == "" for row in rosters)
 
 
 class TestReplay:
