@@ -42,7 +42,7 @@ from .gp_engine import (
     evolve_pir,
     run_pirs,
 )
-from .gp_tree import GpNode, eval_tree
+from .gp_tree import eval_tree
 from .partial_infection import EncounterGroup, encounter_pressure, g_factor
 from .simulator import (
     MODEL_FULL,
@@ -63,7 +63,6 @@ __all__ = [
     "EncounterGroup",
     "ExperimentSpec",
     "GpConfig",
-    "GpNode",
     "MODEL_FULL",
     "MODEL_PARTIAL",
     "Person",

@@ -102,6 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tokens(text: str) -> tuple:
+    """The items of a comma list, stripped, with empty ones dropped."""
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
 def _spec_from_args(args) -> ExperimentSpec:
     """The spec of a ``run``: every flag given is stored under its field's name."""
     names = {f.name for f in fields(ExperimentSpec)}
@@ -109,13 +114,18 @@ def _spec_from_args(args) -> ExperimentSpec:
     if args.pirs < 0:
         raise ValueError(f"--pirs must not be negative, got {args.pirs}")
     if args.seed_list:
-        pir_seeds = tuple(int(tok) for tok in args.seed_list.split(",") if tok.strip())
+        try:
+            pir_seeds = tuple(map(int, _tokens(args.seed_list)))
+        except ValueError:
+            raise ValueError(
+                f"bad --seed-list {args.seed_list!r}, expected integers like 1,2,3"
+            ) from None
     else:
         pir_seeds = tuple(range(1, args.pirs + 1))
     if "priors" in settings:
         settings["priors"] = parse_priors(args.priors)
     if "baselines" in settings:
-        settings["baselines"] = tuple(tok for tok in args.baselines.split(",") if tok.strip())
+        settings["baselines"] = _tokens(args.baselines)
     return ExperimentSpec(**settings, pir_seeds=pir_seeds)
 
 

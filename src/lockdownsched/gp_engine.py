@@ -43,7 +43,7 @@ from ._simcore import (
 )
 from .dataset import Dataset, request_index
 from .full_infection import PnTable
-from .gp_tree import GpNode, crossover, eval_tree, mutate, ramped_population
+from .gp_tree import crossover, eval_tree, mutate, ramped_population
 from .simulator import MODEL_FULL, MODEL_PARTIAL, fitness_value
 
 TOURNAMENT_SIZE = 4
@@ -174,7 +174,7 @@ class _Evaluator:
         self.ds_hash = hashlib.sha256(ds.digest().encode())
         self.memo = {}
 
-    def evaluate(self, tree: GpNode) -> tuple:
+    def evaluate(self, tree: tuple) -> tuple:
         raw = eval_tree(tree)
         vkey = None
         if 8 * len(raw) < self.ri.n_requests:
@@ -203,7 +203,7 @@ class _Evaluator:
             self.memo[vkey] = scored
         return scored
 
-    def record(self, tree: GpNode, scored, pir_id, seed):
+    def record(self, tree: tuple, scored, pir_id, seed):
         # called for finite-fitness trees only, so the vector is finite
         fitness, n_h, n_d = scored
         bounded = bound_array(eval_tree(tree))
@@ -259,7 +259,7 @@ def _breed(rng, population, sizes, scores, best_idx) -> int:
         child = mutate(population[parent], rng)
     victim = _kill_tournament(rng, scores, sizes, best_idx)
     population[victim] = child
-    sizes[victim] = child.size
+    sizes[victim] = len(child)
     return victim
 
 
@@ -281,7 +281,7 @@ def evolve_pir(
     evaluator = _Evaluator(ds, config, table)
     rng = random.Random(seed)
     population = ramped_population(rng, config.population)
-    sizes = [t.size for t in population]
+    sizes = [len(t) for t in population]
     spent = 0
 
     if config.seed_len is not None:

@@ -7,12 +7,19 @@ four working-memory operators over scalars m1/m2.  Evaluation is a
 depth-first walk, left child first; every node returns a number to its
 parent and some apply side effects to the machine state.
 
-There is one evaluator: compile_postfix flattens a tree into its nodes in
-post-order and run_vm runs them on a value stack, optionally recording a
-trace of pointer movements.  Every walk over a tree (evaluation, repr,
-node_at, replace_at) is iterative, so the deepest tree the 2000-node cap
-allows needs no raised recursion limit.  The module imports nothing from the
-package: folding a printed vector into (0,1) is _simcore.bound_array's job.
+A tree is a tuple of (code, payload) nodes in preorder: the root, then its
+left subtree, then its right.  Every operator is binary, so the subtree at
+index i is the span from i to where a count of open child slots, starting
+at one, falls to zero: an operator opens two and fills one, a terminal
+fills one.  The size of a tree is its length, and variation is slicing:
+crossover and mutation splice a span into a copy of the parent.
+
+There is one evaluator: compile_postfix reorders the nodes into post-order
+and run_vm runs them on a value stack, optionally recording a trace of
+pointer movements.  No walk over a tree recurses, so the deepest tree the
+2000-node cap allows needs no raised recursion limit.  The module imports
+nothing from the package: folding a printed vector into (0,1) is
+_simcore.bound_array's job.
 """
 
 from __future__ import annotations
@@ -60,55 +67,8 @@ KIND_NAMES = (
     "GetMem2",
     "SetMem2",
 )
-KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
-TERMINAL_CODES = (CONSTANT, SCONSTANT)
 FUNCTION_CODES = tuple(range(ADD_NUMBER, SET_MEM2 + 1))
-
-
-class GpNode:
-    """Immutable tree node; subtrees are shared freely between trees."""
-
-    __slots__ = ("code", "payload", "left", "right", "size")
-
-    def __init__(self, code, payload=0.0, left=None, right=None):
-        self.code = code
-        self.payload = payload
-        self.left = left
-        self.right = right
-        self.size = 1 if left is None else 1 + left.size + right.size
-
-    @property
-    def kind(self) -> str:
-        return KIND_NAMES[self.code]
-
-    def __repr__(self) -> str:
-        parts = []
-        for n in compile_postfix(self):
-            if n.left is None:
-                parts.append(f"{n.kind}({n.payload:g})")
-            else:
-                right = parts.pop()
-                parts[-1] = f"{n.kind}({parts[-1]}, {right})"
-        return parts[0]
-
-
-def constant(value: int) -> GpNode:
-    if not -127 <= value <= 128:
-        raise ValueError("constant payload outside -127..128")
-    return GpNode(CONSTANT, float(value))
-
-
-def sconstant(numerator: int) -> GpNode:
-    if not 0 <= numerator <= 255:
-        raise ValueError("scaled constant numerator outside 0..255")
-    return GpNode(SCONSTANT, numerator / 255.0)
-
-
-def node(kind: str, left: GpNode, right: GpNode) -> GpNode:
-    code = KIND_CODES[kind]
-    if code in TERMINAL_CODES:
-        raise ValueError(f"{kind} is a terminal")
-    return GpNode(code, 0.0, left, right)
+KIND_CODES_ALL = tuple(range(len(KIND_NAMES)))
 
 
 @dataclass
@@ -129,17 +89,22 @@ class EvalState:
         return self.r[1 : self.p_z + 1]
 
 
-def compile_postfix(root: GpNode) -> list:
+def compile_postfix(tree: tuple) -> list:
     """The tree's nodes in post-order: left subtree, right subtree, parent."""
     program = []
-    stack = [root]
-    while stack:  # parent, right, left: post-order reversed
-        n = stack.pop()
-        program.append(n)
-        if n.left is not None:
-            stack.append(n.left)
-            stack.append(n.right)
-    program.reverse()
+    # operators whose subtrees are still open, each under a None until its
+    # left one closes; the bottom None stops the root's closing
+    waiting = [None]
+    for n in tree:
+        if n[0] > SCONSTANT:
+            waiting.append(n)
+            waiting.append(None)
+        else:
+            program.append(n)
+            n = waiting.pop()
+            while n is not None:  # each operator whose right subtree closed
+                program.append(n)
+                n = waiting.pop()
     return program
 
 
@@ -154,10 +119,9 @@ def run_vm(program: list, trace: list | None = None) -> tuple:
     m1 = m2 = 0.0
     stack = []
     push, pop = stack.append, stack.pop
-    for n in program:
-        code = n.code
+    for code, payload in program:
         if code <= SCONSTANT:
-            push(n.payload)
+            push(payload)
             continue
         right = pop()
         left = pop()
@@ -222,39 +186,36 @@ def run_vm(program: list, trace: list | None = None) -> tuple:
     return pop(), EvalState(r, p_r, p_z, m1, m2)
 
 
-def eval_tree(root: GpNode) -> list:
+def eval_tree(tree: tuple) -> list:
     """Raw real vector printed by the tree (r[1..p_z])."""
-    _, st = run_vm(compile_postfix(root))
+    _, st = run_vm(compile_postfix(tree))
     return st.result()
 
 
 # --- random construction and variation --------------------------------------
 
-def random_terminal(rng) -> GpNode:
-    if rng.random() < 0.5:
-        return constant(rng.randint(-127, 128))
-    return sconstant(rng.randint(0, 255))
+def random_tree(rng, depth: int, method: str = "grow") -> tuple:
+    """Grow/full tree of at most the given depth (depth 0 is a terminal).
 
-
-def random_tree(rng, depth: int, method: str = "grow") -> GpNode:
-    """Grow/full tree of at most the given depth (depth 0 is a terminal)."""
-    if depth <= 0:
-        return random_terminal(rng)
-    if method == "grow":
-        code = rng.choice(KIND_CODES_ALL)
-        if code in TERMINAL_CODES:
-            return random_terminal(rng)
-    else:
-        code = rng.choice(FUNCTION_CODES)
-    return GpNode(
-        code,
-        0.0,
-        random_tree(rng, depth - 1, method),
-        random_tree(rng, depth - 1, method),
-    )
-
-
-KIND_CODES_ALL = tuple(range(len(KIND_NAMES)))
+    Nodes are drawn in preorder: a node's kind, then its left subtree, then
+    its right; a terminal draws its kind of constant, then its value.
+    """
+    codes = KIND_CODES_ALL if method == "grow" else FUNCTION_CODES
+    nodes = []
+    depths = [depth]  # of the subtrees still to draw, the next one on top
+    while depths:
+        d = depths.pop()
+        if d > 0:
+            code = rng.choice(codes)
+            if code > SCONSTANT:
+                nodes.append((code, 0.0))
+                depths += (d - 1, d - 1)
+                continue
+        if rng.random() < 0.5:
+            nodes.append((CONSTANT, float(rng.randint(-127, 128))))
+        else:
+            nodes.append((SCONSTANT, rng.randint(0, 255) / 255.0))
+    return tuple(nodes)
 
 
 def ramped_population(rng, size: int) -> list:
@@ -267,64 +228,32 @@ def ramped_population(rng, size: int) -> list:
     return population
 
 
-def node_at(root: GpNode, index: int) -> GpNode:
-    """Node with the given preorder index (0 is the root)."""
-    n = root
-    while index > 0:
-        index -= 1
-        if index < n.left.size:
-            n = n.left
-        else:
-            index -= n.left.size
-            n = n.right
-    return n
+def _subtree_end(tree: tuple, i: int) -> int:
+    """One past the last node of the subtree rooted at preorder index i."""
+    open_slots = 1
+    while open_slots:
+        open_slots += 1 if tree[i][0] > SCONSTANT else -1
+        i += 1
+    return i
 
 
-def replace_at(root: GpNode, index: int, sub: GpNode) -> GpNode:
-    """New tree with the subtree at the preorder index swapped out.
-
-    Only the nodes on the path from the root are rebuilt; everything else is
-    shared with the input trees.
-    """
-    path = []  # (ancestor, True if the walk went left), root first
-    n = root
-    while index > 0:
-        index -= 1
-        went_left = index < n.left.size
-        path.append((n, went_left))
-        if went_left:
-            n = n.left
-        else:
-            index -= n.left.size
-            n = n.right
-    for parent, went_left in reversed(path):
-        if went_left:
-            sub = GpNode(parent.code, parent.payload, sub, parent.right)
-        else:
-            sub = GpNode(parent.code, parent.payload, parent.left, sub)
-    return sub
-
-
-def crossover(a: GpNode, b: GpNode, rng, cap: int = TREE_CAP) -> GpNode:
-    """Swap a random subtree of a for a random subtree of b.
-
-    If the result would blow the size cap the smaller of the two chosen
-    subtrees is kept, which collapses to returning the first parent.
-    """
-    ia = rng.randrange(a.size)
-    ib = rng.randrange(b.size)
-    sub_b = node_at(b, ib)
-    removed = node_at(a, ia)
-    if a.size - removed.size + sub_b.size > cap:
+def _graft(a: tuple, i: int, sub: tuple) -> tuple:
+    """a with its subtree at index i replaced by sub; a itself when the
+    result would pass TREE_CAP."""
+    end = _subtree_end(a, i)
+    if len(a) - (end - i) + len(sub) > TREE_CAP:
         return a
-    return replace_at(a, ia, sub_b)
+    return a[:i] + sub + a[end:]
 
 
-def mutate(a: GpNode, rng, cap: int = TREE_CAP) -> GpNode:
+def crossover(a: tuple, b: tuple, rng) -> tuple:
+    """Swap a random subtree of a for a random subtree of b."""
+    ia = rng.randrange(len(a))
+    ib = rng.randrange(len(b))
+    return _graft(a, ia, b[ib : _subtree_end(b, ib)])
+
+
+def mutate(a: tuple, rng) -> tuple:
     """Replace a random subtree with a freshly grown one."""
-    ia = rng.randrange(a.size)
-    sub = random_tree(rng, MUTATION_DEPTH, "grow")
-    removed = node_at(a, ia)
-    if a.size - removed.size + sub.size > cap:
-        return a
-    return replace_at(a, ia, sub)
+    ia = rng.randrange(len(a))
+    return _graft(a, ia, random_tree(rng, MUTATION_DEPTH, "grow"))

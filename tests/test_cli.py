@@ -71,6 +71,20 @@ class TestRun:
         summary = json.loads(capsys.readouterr().out)
         assert set(summary["entries"]) == {"comp3", "gp_best"}
 
+    def test_baselines_tolerate_spaces(self, tmp_path, capsys):
+        args = ["run", "--generate", "3", "--model", "partial",
+                "--baselines", " comp1, comp3 ,", "--out", str(tmp_path / "r")]
+        assert main(args) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert set(summary["entries"]) == {"comp1", "comp3"}
+
+    def test_bad_seed_list_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(run_args(out, ["--seed-list", "1,x"])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --seed-list '1,x', expected integers")
+        assert not out.exists()
+
     def test_repeated_baseline_writes_nothing(self, tmp_path, capsys):
         # a repeated variant would be simulated and listed twice in baselines.csv
         args = ["run", "--generate", "3", "--model", "partial",

@@ -28,15 +28,7 @@ from lockdownsched.gp_engine import (
     pareto_front,
     run_pirs,
 )
-from lockdownsched.gp_tree import (
-    FUNCTION_CODES,
-    GpNode,
-    constant,
-    eval_tree,
-    node,
-    random_tree,
-    sconstant,
-)
+from lockdownsched.gp_tree import FUNCTION_CODES, KIND_NAMES, eval_tree, random_tree
 from lockdownsched.simulator import (
     MODEL_FULL,
     MODEL_PARTIAL,
@@ -45,6 +37,7 @@ from lockdownsched.simulator import (
 )
 
 from scalar_oracles import bound_vector, decode_loop
+from test_gp_tree import constant, node, sconstant
 
 
 def sha256_of_plan(ds, slots):
@@ -452,7 +445,7 @@ def printing(values, tail=None):
     """
     tree = tail if tail is not None else constant(0)
     for v in values:  # the innermost record is written first
-        tree = node("AddRecord", v if isinstance(v, GpNode) else constant(v), tree)
+        tree = node("AddRecord", v if isinstance(v, tuple) else constant(v), tree)
     return tree
 
 
@@ -553,7 +546,9 @@ class TestScoringPath:
 # trees of every node kind over both kinds of constant, for Hypothesis to shrink
 _trees = st.recursive(
     st.one_of(st.integers(-127, 128).map(constant), st.integers(0, 255).map(sconstant)),
-    lambda sub: st.builds(GpNode, st.sampled_from(FUNCTION_CODES), st.just(0.0), sub, sub),
+    lambda sub: st.builds(
+        node, st.sampled_from([KIND_NAMES[code] for code in FUNCTION_CODES]), sub, sub
+    ),
     max_leaves=40,
 )
 _HUGE = constant(128)

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 
@@ -14,20 +15,49 @@ from lockdownsched import gp_tree as gt
 from lockdownsched._simcore import bound_array
 from lockdownsched.gp_tree import (
     MAX_VECTOR_LEN,
-    GpNode,
     compile_postfix,
-    constant,
     crossover,
     eval_tree,
     mutate,
-    node,
-    node_at,
     ramped_population,
     random_tree,
-    replace_at,
     run_vm,
-    sconstant,
 )
+
+KIND_CODES = {name: code for code, name in enumerate(gt.KIND_NAMES)}
+
+
+def constant(value: int) -> tuple:
+    """A one-node tree: the Constant leaf with the given payload."""
+    if not -127 <= value <= 128:
+        raise ValueError("constant payload outside -127..128")
+    return ((gt.CONSTANT, float(value)),)
+
+
+def sconstant(numerator: int) -> tuple:
+    """A one-node tree: the sConstant leaf numerator / 255."""
+    if not 0 <= numerator <= 255:
+        raise ValueError("scaled constant numerator outside 0..255")
+    return ((gt.SCONSTANT, numerator / 255.0),)
+
+
+def node(kind: str, left: tuple, right: tuple) -> tuple:
+    """The tree of an operator over two subtrees, in preorder."""
+    code = KIND_CODES[kind]
+    if code <= gt.SCONSTANT:
+        raise ValueError(f"{kind} is a terminal")
+    return ((code, 0.0),) + left + right
+
+
+def shape(tree, i=0) -> tuple:
+    """(depth, end) of the subtree at preorder index i, end being one past
+    its last node: recursion over the shape, an oracle for the slice bounds
+    variation computes with a count.  A leaf has depth 0."""
+    if tree[i][0] <= gt.SCONSTANT:
+        return 0, i + 1
+    left, mid = shape(tree, i + 1)
+    right, end = shape(tree, mid)
+    return 1 + max(left, right), end
 
 
 def build_golden_tree():
@@ -117,15 +147,15 @@ class TestGoldenTrace:
 
     def test_postfix_length(self):
         tree = build_golden_tree()
-        assert len(compile_postfix(tree)) == tree.size
+        assert len(compile_postfix(tree)) == len(tree)
 
 
 class TestNodeSemantics:
     def test_terminal_payloads(self):
-        assert constant(-127).payload == -127.0
-        assert constant(128).payload == 128.0
-        assert sconstant(51).payload == pytest.approx(0.2)
-        assert sconstant(255).payload == 1.0
+        assert constant(-127) == ((gt.CONSTANT, -127.0),)
+        assert constant(128) == ((gt.CONSTANT, 128.0),)
+        assert sconstant(51)[0][1] == pytest.approx(0.2)
+        assert sconstant(255) == ((gt.SCONSTANT, 1.0),)
         with pytest.raises(ValueError):
             constant(129)
         with pytest.raises(ValueError):
@@ -224,10 +254,10 @@ def _near_cap_trees():
         tree = random_tree(rng, 6, "full")
         while True:
             other = random_tree(rng, rng.randint(0, 7), rng.choice(["grow", "full"]))
-            if tree.size + other.size + 1 > gt.TREE_CAP:
+            if len(tree) + len(other) + 1 > gt.TREE_CAP:
                 break
             pair = (tree, other) if rng.random() < 0.5 else (other, tree)
-            tree = GpNode(rng.choice(gt.FUNCTION_CODES), 0.0, *pair)
+            tree = node(gt.KIND_NAMES[rng.choice(gt.FUNCTION_CODES)], *pair)
         yield tree
 
 
@@ -239,7 +269,7 @@ def _spine_trees():
             leaf = constant(rng.randint(-127, 128)) if i % 3 else sconstant(rng.randint(0, 255))
             code = gt.FUNCTION_CODES[i % len(gt.FUNCTION_CODES)]
             pair = (tree, leaf) if side == "left" else (leaf, tree)
-            tree = GpNode(code, 0.0, *pair)
+            tree = node(gt.KIND_NAMES[code], *pair)
         yield tree
 
 
@@ -262,13 +292,96 @@ class TestEvalTreeDigests:
 
     def test_trees_near_the_size_cap(self):
         trees = list(_near_cap_trees())
-        assert all(t.size > gt.TREE_CAP - 260 for t in trees)
+        assert all(len(t) > gt.TREE_CAP - 260 for t in trees)
         assert _vectors_digest(trees) == NEAR_CAP_DIGEST
 
     def test_spine_chains_at_the_cap(self):
         trees = list(_spine_trees())
-        assert [t.size for t in trees] == [1999, 1999]
+        assert [len(t) for t in trees] == [1999, 1999]
         assert _vectors_digest(trees) == SPINE_DIGEST
+
+
+def _preorder(tree):
+    """The (code, payload) of every node, root first, then the left subtree,
+    then the right.  A tuple tree already is that sequence; the walk also
+    reads the linked node graph trees were before, so the digests below
+    pinned both forms."""
+    if isinstance(tree, tuple):
+        return tree
+    nodes, stack = [], [tree]
+    while stack:
+        n = stack.pop()
+        nodes.append((n.code, n.payload))
+        if n.left is not None:
+            stack += (n.right, n.left)
+    return nodes
+
+
+def _trees_digest(trees, unchanged=()) -> str:
+    """sha256 over each tree's node count and preorder (code, payload) pairs,
+    then one byte per flag in unchanged."""
+    h = hashlib.sha256()
+    for tree in trees:
+        nodes = _preorder(tree)
+        h.update(struct.pack("<q", len(nodes)))
+        for code, payload in nodes:
+            h.update(struct.pack("<qd", code, payload))
+    h.update(bytes(unchanged))
+    return h.hexdigest()
+
+
+# (seed, first population, 500 children bred from it)
+STREAM_DIGESTS = [
+    (1, "0d51b78af90d9a6138931b2cab8a98ca377fd1ff4327f7b85516c13faa160d9e",
+     "76834ba84b83f6bc7bccd9765d7394c09e31e94b11f5618a0153622dda301df1"),
+    (2, "337f4163489e08c1dd3b24694e11f3c112652069d2c85228f499c4fba48b28b2",
+     "6ee97173da0552d4dc405024e01e696f8df735f8608fe081b268d14304e5a51e"),
+    (3, "b7162abb8383ff88d4c03920a81ed4d3eafcc65916196ec5fc211ea411d3f5e7",
+     "34281ea41a4c018420b5c5dd3a55b9afbee1c4cc340d5cfac417ca5d9a7bf0d6"),
+]
+NEAR_CAP_VARIATION_DIGEST = "42b5148383a729c930d0eb48c051e9eeca79d4854a1f5d2975ff0bb934b43a3f"
+
+
+def _vary(rng, a, pool):
+    """One offspring of a as evolution draws it: crossover with a partner
+    drawn from pool, or mutation."""
+    if rng.random() < 0.5:
+        return crossover(a, pool[rng.randrange(len(pool))], rng)
+    return mutate(a, rng)
+
+
+class TestRandomStream:
+    """The trees built and bred from a seeded stream, pinned node for node:
+    tree construction and variation may change how they store a tree, but
+    not which draws they make or in which order."""
+
+    @pytest.mark.parametrize("seed, first, bred", STREAM_DIGESTS, ids=["1", "2", "3"])
+    def test_population_and_offspring(self, seed, first, bred):
+        rng = random.Random(seed)
+        population = ramped_population(rng, 100)
+        assert _trees_digest(population) == first
+        children = []
+        for _ in range(500):
+            a = population[rng.randrange(100)]
+            child = _vary(rng, a, population)
+            children.append(child)
+            population[rng.randrange(100)] = child
+        assert _trees_digest(children) == bred
+
+    def test_refusals_at_the_size_cap(self):
+        # near-cap parents: about one offspring in five would pass the cap,
+        # and a refused one is the first parent itself
+        trees = list(_near_cap_trees())
+        rng = random.Random(21)
+        children, unchanged = [], []
+        for _ in range(200):
+            a = trees[rng.randrange(len(trees))]
+            child = _vary(rng, a, trees)
+            children.append(child)
+            unchanged.append(child is a)
+        assert 20 < sum(unchanged) < 100
+        assert all(len(_preorder(c)) <= gt.TREE_CAP for c in children)
+        assert _trees_digest(children, unchanged) == NEAR_CAP_VARIATION_DIGEST
 
 
 def _stack_depth() -> int:
@@ -298,26 +411,13 @@ class TestDeepTrees:
                 trace = []
                 _, st = run_vm(compile_postfix(tree), trace)
                 assert st.result() == printed
-                effects = sum(n.code >= gt.SUB_RECORD for n in compile_postfix(tree))
+                effects = sum(code >= gt.SUB_RECORD for code, _ in tree)
                 assert len(trace) == effects
-
-                bottom = node_at(tree, index)
-                assert bottom.left is None and bottom.payload == 3.0
-                sub = node("AddRecord", constant(1), constant(2))
-                swapped = replace_at(tree, index, sub)
-                assert swapped.size == tree.size + 2
-                assert node_at(swapped, index) is sub
-                # rebuilding the path around the same subtree changes nothing
-                same = replace_at(tree, index, bottom)
-                assert same is not tree and repr(same) == repr(tree)
-
-                text = repr(tree)
-                assert text.count("(") == tree.size
-                assert text.startswith(tree.kind + "(")
+                assert tree[index] == (gt.CONSTANT, 3.0)
 
                 for _ in range(20):
                     for child in (crossover(tree, spines[0], rng), mutate(tree, rng)):
-                        assert child.size <= gt.TREE_CAP
+                        assert len(child) <= gt.TREE_CAP
                         assert len(eval_tree(child)) >= 1
         finally:
             sys.setrecursionlimit(old)
@@ -355,83 +455,106 @@ class TestDeepTrees:
 
 
 class TestConstruction:
-    def test_sizes_cached(self):
-        t = build_golden_tree()
-        def count(n):
-            if n.left is None:
-                return 1
-            return 1 + count(n.left) + count(n.right)
-        assert t.size == count(t)
+    def test_every_tree_is_one_whole_subtree(self):
+        # the subtree at the root spans the tuple, for built, grown and
+        # bred trees alike
+        rng = random.Random(4)
+        trees = [build_golden_tree()] + ramped_population(rng, 30)
+        for _ in range(100):
+            trees.append(crossover(trees[-1], trees[rng.randrange(len(trees))], rng))
+            trees.append(mutate(trees[-2], rng))
+        for t in trees:
+            assert shape(t)[1] == len(t)
 
     def test_full_trees_reach_depth(self):
         rng = random.Random(3)
         t = random_tree(rng, 4, "full")
-        def depth(n):
-            if n.left is None:
-                return 0
-            return 1 + max(depth(n.left), depth(n.right))
-        assert depth(t) == 4
+        assert shape(t)[0] == 4
 
     def test_grow_trees_within_depth(self):
         rng = random.Random(3)
         for _ in range(50):
             t = random_tree(rng, 5, "grow")
-            def depth(n):
-                if n.left is None:
-                    return 0
-                return 1 + max(depth(n.left), depth(n.right))
-            assert depth(t) <= 5
+            assert shape(t)[0] <= 5
 
     def test_ramped_population_varies(self):
         rng = random.Random(0)
         pop = ramped_population(rng, 40)
         assert len(pop) == 40
-        assert len({t.size for t in pop}) > 5
+        assert len({len(t) for t in pop}) > 5
 
     def test_node_at_preorder(self):
-        t = node("AddNumber", node("SubtractNumber", constant(1), constant(2)), constant(3))
-        assert node_at(t, 0) is t
-        assert node_at(t, 1) is t.left
-        assert node_at(t, 2) is t.left.left
-        assert node_at(t, 3) is t.left.right
-        assert node_at(t, 4) is t.right
+        # the node at preorder index i is t[i], and a subtree is a span
+        sub = node("SubtractNumber", constant(1), constant(2))
+        t = node("AddNumber", sub, constant(3))
+        assert t == (
+            (gt.ADD_NUMBER, 0.0),
+            (gt.SUBTRACT_NUMBER, 0.0),
+            (gt.CONSTANT, 1.0),
+            (gt.CONSTANT, 2.0),
+            (gt.CONSTANT, 3.0),
+        )
+        assert t[1:4] == sub
 
-    def test_replace_shares_structure(self):
-        t = node("AddNumber", node("SubtractNumber", constant(1), constant(2)), constant(3))
-        new = replace_at(t, 4, constant(9))
-        assert new.left is t.left
-        assert new.right.payload == 9.0
-        assert t.right.payload == 3.0
+    def test_variation_splices_whole_subtrees(self):
+        # replaying each operator's draws, the child is the first parent
+        # with the drawn subtree's span swapped for the new one
+        rng = random.Random(5)
+        a = random_tree(rng, 5, "full")
+        b = random_tree(rng, 5, "grow")
+        for _ in range(100):
+            replay = random.Random()
+            replay.setstate(rng.getstate())
+            child = crossover(a, b, rng)
+            ia = replay.randrange(len(a))
+            ib = replay.randrange(len(b))
+            assert child == a[:ia] + b[ib : shape(b, ib)[1]] + a[shape(a, ia)[1] :]
 
-    def test_crossover_respects_cap(self):
+            replay.setstate(rng.getstate())
+            child = mutate(a, rng)
+            ia = replay.randrange(len(a))
+            grown = random_tree(replay, gt.MUTATION_DEPTH, "grow")
+            assert child == a[:ia] + grown + a[shape(a, ia)[1] :]
+            assert replay.getstate() == rng.getstate()
+
+    def test_crossover_respects_cap(self, monkeypatch):
+        monkeypatch.setattr(gt, "TREE_CAP", 80)
         rng = random.Random(5)
         a = random_tree(rng, 6, "full")
         b = random_tree(rng, 6, "full")
         for _ in range(200):
-            child = crossover(a, b, rng, cap=80)
-            assert child.size <= max(80, a.size)
+            child = crossover(a, b, rng)
+            assert len(child) <= max(80, len(a))
 
-    def test_oversize_crossover_returns_first_parent(self):
+    def test_oversize_crossover_returns_first_parent(self, monkeypatch):
         rng = random.Random(1)
         a = random_tree(rng, 3, "full")
         big = random_tree(rng, 6, "full")
-        assert big.size > a.size
+        assert len(big) > len(a)
+        monkeypatch.setattr(gt, "TREE_CAP", len(a))
         hits = 0
         for _ in range(100):
-            child = crossover(a, big, rng, cap=a.size)
-            assert child.size <= a.size
+            child = crossover(a, big, rng)
+            assert len(child) <= len(a)
             if child is a:
                 hits += 1
         assert hits > 0
+        # a child of exactly the cap's size is kept
+        monkeypatch.setattr(gt, "TREE_CAP", 1)
+        assert crossover(constant(1), constant(2), rng) == constant(2)
 
-    def test_mutation_within_cap(self):
+    def test_mutation_within_cap(self, monkeypatch):
         rng = random.Random(9)
         a = random_tree(rng, 6, "full")
+        monkeypatch.setattr(gt, "TREE_CAP", len(a) + 5)
+        hits = 0
         for _ in range(100):
-            child = mutate(a, rng, cap=gt.TREE_CAP)
-            assert child.size <= gt.TREE_CAP
+            child = mutate(a, rng)
+            assert len(child) <= len(a) + 5
+            hits += child is a
+        assert 0 < hits < 100
 
     def test_determinism(self):
         a = random_tree(random.Random(42), 5, "grow")
         b = random_tree(random.Random(42), 5, "grow")
-        assert repr(a) == repr(b)
+        assert a == b
