@@ -88,6 +88,7 @@ _ROUND_ROBIN_SLOTS = {
     "comp2": {"M": (0, 1), "P": (2, 4), "N": (5, 7)},
     "comp3": {"M": (0, 1, 0), "P": (2, 3, 4), "N": (5, 6, 7)},
 }
+BASELINE_VARIANTS = tuple(_ROUND_ROBIN_SLOTS)
 
 
 def round_robin(ds: Dataset, variant: str) -> AllocationPlan:
@@ -95,7 +96,7 @@ def round_robin(ds: Dataset, variant: str) -> AllocationPlan:
 
     Each (day, window class) keeps its own rotation counter.
     """
-    if variant not in _ROUND_ROBIN_SLOTS:
+    if variant not in BASELINE_VARIANTS:
         raise ValueError(f"unknown round robin variant {variant!r}")
     cycle = _ROUND_ROBIN_SLOTS[variant]
     ri = request_index(ds)

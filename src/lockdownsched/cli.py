@@ -15,6 +15,7 @@ from .experiment import (
     run_experiment,
     run_from_manifest,
 )
+from .simulator import MODEL_FULL, MODEL_PARTIAL
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SEED",
         help="generate a dataset",
     )
-    run.add_argument("--model", choices=("partial", "full"), required=True)
+    run.add_argument("--model", choices=(MODEL_PARTIAL, MODEL_FULL), required=True)
     run.add_argument("--s", type=int, help="encounter group size")
     run.add_argument("--q", type=int, help="exposure trials per encounter")
     run.add_argument(

@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field, fields
 
 from ._simcore import OUTCOME_ICU_DEATH, OUTCOME_ICU_RECOVERED
-from .allocation import CELL_LABELS, decode, round_robin, write_plan_csv
+from .allocation import BASELINE_VARIANTS, CELL_LABELS, decode, round_robin, write_plan_csv
 from .dataset import (
     AGE_GROUPS,
     Dataset,
@@ -34,7 +34,6 @@ from .gp_engine import Archive, GpConfig, dominates, run_pirs
 from .simulator import MODEL_FULL, MODEL_PARTIAL, SimOutcome, fitness_value, simulate
 
 DAY_LABELS = ("MON", "TUE", "WED")
-BASELINE_VARIANTS = ("comp1", "comp2", "comp3")
 AGE_BANDS = (("young", (20, 30)), ("middle", (40, 50, 60)), ("elderly", (70, 80)))
 MANIFEST_FORMAT = 1
 
@@ -384,10 +383,18 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def _read_json(path):
+    """The document in a JSON file; a file that does not parse is refused by name."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValueError(f"{path} is not JSON: {exc}") from None
+
+
 def run_from_manifest(manifest_path, out_dir) -> dict:
     """Replay a recorded run; output is byte-identical to the original."""
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(manifest_path)
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise ValueError("unsupported manifest format")
     for key, kind in (("spec", dict), ("dataset_file", str), ("dataset_digest", str)):
@@ -442,8 +449,7 @@ def _read_summary(report) -> tuple:
     summary.json; the points are the GP front's if it has one, else the
     entries'.  A missing or mistyped value is refused by file, entry and key."""
     path = os.path.join(report, "summary.json")
-    with open(path) as fh:
-        summary = json.load(fh)
+    summary = _read_json(path)
     for key, kind in (("dataset_digest", str), ("entries", dict)):
         if not isinstance(summary, dict) or not isinstance(summary.get(key), kind):
             raise ValueError(f"{path} key {key!r} is missing or of the wrong type")

@@ -1,7 +1,13 @@
-"""Command-line behaviour: flags, exit codes, report wiring."""
+"""Command-line behaviour: flags, exit codes, report wiring and refusals.
+
+Each command's refusals are one table, and every row of every table keeps
+the one contract in assert_refused.
+"""
 
 import json
+import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -24,9 +30,111 @@ def run_args(out, extra=()):
     ]
 
 
+def _tree(root):
+    """Every path under root, with a file's bytes or None for a directory."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+def assert_refused(argv, capsys, named):
+    """The refusal contract, run in a working directory that holds only the
+    row's inputs: exit code 1, stderr that starts with ``error:`` and names
+    the rule, key or file, no traceback, and nothing written: no report, no
+    hidden staging sibling and no parent directory of ``--out``."""
+    before = _tree(Path.cwd())
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+    assert _tree(Path.cwd()) == before
+
+
+@pytest.fixture(scope="module")
+def base_report(tmp_path_factory):
+    """A baselines-only report that each refusal row copies into a/."""
+    out = tmp_path_factory.mktemp("base") / "a"
+    assert main(run_args(out, ["--pirs", "0"])) == 0
+    return out
+
+
+def _json_edit(name, change):
+    """A report damage: the JSON document in file name replaced by change(doc)."""
+    def damage(report):
+        path = report / name
+        path.write_text(json.dumps(change(json.loads(path.read_text()))))
+    return damage
+
+
+def _manifest(change):
+    return _json_edit("manifest.json", change)
+
+
+def _summary(change):
+    return _json_edit("summary.json", change)
+
+
 def _with_entry(name, value):
     """A summary.json damage: entries[name] set to value."""
-    return lambda s: {**s, "entries": {**s["entries"], name: value}}
+    return _summary(lambda s: {**s, "entries": {**s["entries"], name: value}})
+
+
+def _write(name, text):
+    """A report damage: file name holds text."""
+    return lambda report: (report / name).write_text(text)
+
+
+def _retune_first_person(report):
+    """dataset.txt still parses, but person 0 has another health level."""
+    path = report / "dataset.txt"
+    first, rest = path.read_text().split("\n", 1)
+    pid, age, health, tail = first.split(" ", 3)
+    path.write_text(" ".join((pid, age, repr(float(health) - 1.0), tail)) + "\n" + rest)
+
+
+# flags after "run --generate 1 --out refused/r", run beside a copy of the
+# base report in a/
+RUN_REFUSALS = [
+    # a later --out replaces the earlier one
+    pytest.param(["--model", "partial", "--out", "a"], "output directory a is not empty",
+                 id="out-not-empty"),
+    pytest.param(["--model", "partial", "--seed-list", "1,x"],
+                 "bad --seed-list '1,x', expected integers", id="seed-list-not-integers"),
+    # a repeated variant would be simulated and listed twice in baselines.csv
+    pytest.param(["--model", "partial", "--baselines", "comp1,comp1"],
+                 "baseline 'comp1' given twice", id="repeated-baseline"),
+    pytest.param(["--model", "partial", "--priors", "25=0.5"], "age 25 not one of",
+                 id="unknown-age"),
+    pytest.param(["--model", "partial", "--priors", "20=abc"],
+                 "bad priors entry '20=abc', expected AGE=FRACTION", id="unparseable-priors"),
+    pytest.param(["--model", "partial", "--pirs", "1", "--pop", "2"],
+                 "population must be at least 4", id="population-below-four"),
+    # a negative count would otherwise give no run seeds, as 0 does, and a
+    # baselines-only report
+    pytest.param(["--model", "partial", "--pirs", "-2"], "--pirs must not be negative",
+                 id="negative-pirs"),
+    *(
+        pytest.param(["--model", "full", "--q", "4", "--pn-iterations", n],
+                     "pn_iterations must be at least 1", id=f"pn-iterations-{case}")
+        for case, n in (("zero", "0"), ("negative", "-5"))
+    ),
+    # the fractional model never marks persons
+    *(
+        pytest.param(["--model", "partial", flag, "0.5"],
+                     "a-priori fractions apply to the full model only",
+                     id=f"{flag[2:]}-on-the-fractional-model")
+        for flag in ("--apriori-infected", "--apriori-immune")
+    ),
+    *(
+        pytest.param(["--model", model, "--q", "4", "--apriori-infected", infected,
+                      "--apriori-immune", immune], named, id=f"fractions-{case}-{model}")
+        for model in ("partial", "full")
+        for case, infected, immune, named in (
+            ("above-one", "7", "0", "fractions must lie in [0, 1]"),
+            ("negative", "0", "-0.1", "fractions must lie in [0, 1]"),
+            ("sum-above-one", "0.6", "0.5", "fractions sum above 1"),
+            ("nan", "nan", "0", "fractions must lie in [0, 1]"),
+        )
+    ),
+]
 
 
 class TestRun:
@@ -78,21 +186,6 @@ class TestRun:
         summary = json.loads(capsys.readouterr().out)
         assert set(summary["entries"]) == {"comp1", "comp3"}
 
-    def test_bad_seed_list_names_the_flag(self, tmp_path, capsys):
-        out = tmp_path / "r"
-        assert main(run_args(out, ["--seed-list", "1,x"])) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: bad --seed-list '1,x', expected integers")
-        assert not out.exists()
-
-    def test_repeated_baseline_writes_nothing(self, tmp_path, capsys):
-        # a repeated variant would be simulated and listed twice in baselines.csv
-        args = ["run", "--generate", "3", "--model", "partial",
-                "--baselines", "comp1,comp1", "--out", str(tmp_path / "r")]
-        assert main(args) == 1
-        assert capsys.readouterr().err.startswith("error: baseline 'comp1' given twice")
-        assert not list(tmp_path.iterdir())
-
     def test_source_flags_are_exclusive(self, tmp_path):
         with pytest.raises(SystemExit):
             main(run_args(tmp_path / "r", ["--dataset", "also.txt"]))
@@ -115,77 +208,18 @@ class TestRun:
         assert summary["model"] == "full"
         assert summary["model_param"] == 5
 
-    def test_bad_priors_exit_one(self, tmp_path, capsys):
-        assert main(run_args(tmp_path / "r", ["--priors", "25=0.5"])) == 1
-        assert "error:" in capsys.readouterr().err
+    def test_zero_pirs_runs_baselines_only(self, base_report):
+        # the base report is a run with --pirs 0, which evolves nothing on purpose
+        summary = json.loads((base_report / "summary.json").read_text())
+        assert set(summary["entries"]) == {"comp1", "comp2", "comp3"}
+        assert summary["gp"] is None
 
-    def test_unparseable_priors_name_the_format(self, tmp_path, capsys):
-        assert main(run_args(tmp_path / "r", ["--priors", "20=abc"])) == 1
-        err = capsys.readouterr().err
-        assert "20=abc" in err and "AGE=FRACTION" in err
-
-    def test_nonempty_out_dir_refused(self, tmp_path, capsys):
-        out = tmp_path / "r"
-        out.mkdir()
-        (out / "keep.txt").write_text("precious\n")
-        assert main(run_args(out)) == 1
-        assert "not empty" in capsys.readouterr().err
-        assert (out / "keep.txt").read_text() == "precious\n"
-
-    def test_bad_evolution_settings_write_nothing(self, tmp_path, capsys):
-        # a population below 4 is refused before the baselines are written
-        out = tmp_path / "r"
-        args = ["run", "--generate", "1", "--model", "partial", "--s", "4",
-                "--pirs", "1", "--pop", "2", "--budget", "5", "--out", str(out)]
-        assert main(args) == 1
-        assert "population" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
-
-    def test_negative_pirs_writes_nothing(self, tmp_path, capsys):
-        # a negative count would otherwise give no run seeds, as 0 does, and
-        # a baselines-only report
-        args = ["run", "--generate", "3", "--model", "partial", "--pirs", "-2",
-                "--out", str(tmp_path / "r")]
-        assert main(args) == 1
-        assert capsys.readouterr().err.startswith("error: --pirs must not be negative")
-        assert not list(tmp_path.iterdir())
-        args[args.index("-2")] = "0"  # no evolution, on purpose
-        assert main(args) == 0
-        assert "gp_best" not in json.loads(capsys.readouterr().out)["entries"]
-
-    @pytest.mark.parametrize("iterations", ["0", "-5"])
-    def test_pn_iterations_below_one_write_nothing(self, tmp_path, capsys, iterations):
-        out = tmp_path / "r"
-        args = ["run", "--generate", "1", "--model", "full", "--q", "4",
-                "--pn-iterations", iterations, "--baselines", "comp1",
-                "--out", str(out)]
-        assert main(args) == 1
-        assert "pn_iterations" in capsys.readouterr().err
-        assert not out.exists()
-        assert not list(tmp_path.iterdir())  # no staging directory either
-
-    @pytest.mark.parametrize("flag", ["--apriori-infected", "--apriori-immune"])
-    def test_apriori_fractions_need_the_full_model(self, tmp_path, capsys, flag):
-        # the fractional model never marks persons
-        out = tmp_path / "r"
-        args = ["run", "--generate", "1", "--model", "partial", flag, "0.5",
-                "--baselines", "comp1", "--out", str(out)]
-        assert main(args) == 1
-        assert "fractions" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("model", ["partial", "full"])
-    @pytest.mark.parametrize(
-        "fractions", [("7", "0"), ("0", "-0.1"), ("0.6", "0.5"), ("nan", "0")]
-    )
-    def test_bad_apriori_fractions_write_nothing(self, tmp_path, capsys, model, fractions):
-        out = tmp_path / "r"
-        args = ["run", "--generate", "1", "--model", model, "--q", "4",
-                "--apriori-infected", fractions[0], "--apriori-immune", fractions[1],
-                "--baselines", "comp1", "--out", str(out)]
-        assert main(args) == 1
-        assert "fractions" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+    @pytest.mark.parametrize("flags, named", RUN_REFUSALS)
+    def test_refused(self, base_report, tmp_path, monkeypatch, capsys, flags, named):
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(base_report, "a")
+        assert_refused(["run", "--generate", "1", "--out", "refused/r", *flags],
+                       capsys, named)
 
 
 class TestReplayAndCompare:
@@ -199,89 +233,86 @@ class TestReplayAndCompare:
         result = json.loads(capsys.readouterr().out)
         assert result["ratio_b_over_a"] == 1.0
 
-    def test_compare_digest_mismatch_exit_one(self, tmp_path, capsys):
-        assert main(run_args(tmp_path / "a")) == 0
-        other = run_args(tmp_path / "c")
-        other[2] = "778"
-        assert main(other) == 0
-        capsys.readouterr()
-        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "c")]) == 1
-        assert "different datasets" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "damage, named",
         [
-            (lambda m: {k: v for k, v in m.items() if k != "spec"}, "'spec'"),
-            (lambda m: {k: v for k, v in m.items() if k != "dataset_digest"},
+            (_manifest(lambda m: {k: v for k, v in m.items() if k != "spec"}), "'spec'"),
+            (_manifest(lambda m: {k: v for k, v in m.items() if k != "dataset_digest"}),
              "'dataset_digest'"),
-            (lambda m: {**m, "spec": {k: v for k, v in m["spec"].items() if k != "model"}},
+            (_manifest(lambda m: {**m, "spec": {k: v for k, v in m["spec"].items()
+                                               if k != "model"}}),
              "'model'"),
-            (lambda m: {**m, "spec": {**m["spec"], "colour": "red"}}, "'colour'"),
-            (lambda m: [m], "format"),
-            (lambda m: {**m, "spec": {**m["spec"], "population": "500"}},
+            (_manifest(lambda m: {**m, "spec": {**m["spec"], "colour": "red"}}), "'colour'"),
+            (_manifest(lambda m: [m]), "format"),
+            (_manifest(lambda m: {**m, "spec": {**m["spec"], "population": "500"}}),
              "'population'"),
-            (lambda m: {**m, "spec": {**m["spec"], "priors": 5}}, "'priors'"),
-            (lambda m: {**m, "spec": {**m["spec"], "pir_seeds": [1.5]}},
+            (_manifest(lambda m: {**m, "spec": {**m["spec"], "priors": 5}}), "'priors'"),
+            (_manifest(lambda m: {**m, "spec": {**m["spec"], "pir_seeds": [1.5]}}),
              "'pir_seeds'"),
-            (lambda m: {**m, "spec": {**m["spec"], "priors": [[20, 1.5]]}},
+            (_manifest(lambda m: {**m, "spec": {**m["spec"], "priors": [[20, 1.5]]}}),
              "prior 1.5 outside"),
-            (lambda m: {**m, "spec": {**m["spec"], "priors": [[25, 0.3]]}},
+            (_manifest(lambda m: {**m, "spec": {**m["spec"], "priors": [[25, 0.3]]}}),
              "age 25 not one of"),
-            (lambda m: {**m, "spec": {**m["spec"], "baselines": ["comp2", "comp2"]}},
+            (_manifest(lambda m: {**m, "spec": {**m["spec"],
+                                               "baselines": ["comp2", "comp2"]}}),
              "baseline 'comp2' given twice"),
-            (lambda m: {**m, "spec": 7}, "'spec'"),
-            (lambda m: {**m, "dataset_file": 5}, "'dataset_file'"),
+            (_manifest(lambda m: {**m, "spec": 7}), "'spec'"),
+            (_manifest(lambda m: {**m, "dataset_file": 5}), "'dataset_file'"),
             # the fractional model never marks persons, so the spec refuses
             # the fractions whether the run starts from the CLI or a manifest
-            (lambda m: {**m, "spec": {**m["spec"], "apriori_infected": 0.1}},
+            (_manifest(lambda m: {**m, "spec": {**m["spec"], "apriori_infected": 0.1}}),
              "a-priori fractions"),
+            (_write("manifest.json", "x"), "a/manifest.json is not JSON"),
+            (lambda report: (report / "manifest.json").unlink(), "a/manifest.json"),
+            # refused once the dataset is read, before --out's parent is made
+            (_retune_first_person, "digest does not match the manifest"),
         ],
         ids=["no-spec", "no-digest", "no-model", "unknown-key", "not-an-object",
              "string-count", "priors-not-pairs", "float-seed", "prior-above-one",
              "unknown-age", "repeated-baseline", "spec-not-an-object",
-             "dataset-file-not-a-string", "fractions-on-the-fractional-model"],
+             "dataset-file-not-a-string", "fractions-on-the-fractional-model",
+             "not-json", "no-manifest", "dataset-changed"],
     )
-    def test_malformed_manifest_exit_one(self, tmp_path, capsys, damage, named):
-        assert main(run_args(tmp_path / "a", ["--pirs", "0"])) == 0
-        path = tmp_path / "a" / "manifest.json"
-        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
-        capsys.readouterr()
-        assert main(["replay", str(path), "--out", str(tmp_path / "b")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and named in err
-        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+    def test_malformed_manifest_exit_one(self, base_report, tmp_path, monkeypatch, capsys,
+                                         damage, named):
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(base_report, "a")
+        damage(Path("a"))
+        assert_refused(["replay", "a/manifest.json", "--out", "refused/replayed"],
+                       capsys, named)
 
     @pytest.mark.parametrize(
         "damage, named",
         [
-            (lambda s: {k: v for k, v in s.items() if k != "entries"}, "'entries'"),
-            (lambda s: {k: v for k, v in s.items() if k != "dataset_digest"},
-             "'dataset_digest'"),
-            (lambda s: {**s, "entries": [1]}, "'entries'"),
-            (lambda s: [s], "'dataset_digest'"),
-            (_with_entry("comp1", {"n_h": 1, "n_d": 0}), "entry 'comp1' key 'cost'"),
-            (_with_entry("comp1", 7), "entry 'comp1' key 'cost'"),
-            (_with_entry("comp2", {"n_h": 1, "n_d": 0, "cost": "x"}), "entry 'comp2' key 'cost'"),
-            (_with_entry("comp3", {"n_h": True, "n_d": 0, "cost": 1}), "entry 'comp3' key 'n_h'"),
-            (lambda s: {**s, "gp": {"records": 1}}, "'gp'"),
-            (lambda s: {**s, "gp": {"pareto": [{"n_h": 1, "n_d": None}]}},
-             "gp pareto point 0 key 'n_d'"),
+            (_summary(lambda s: {k: v for k, v in s.items() if k != "entries"}),
+             "b/summary.json key 'entries'"),
+            (_summary(lambda s: {k: v for k, v in s.items() if k != "dataset_digest"}),
+             "b/summary.json key 'dataset_digest'"),
+            (_summary(lambda s: {**s, "entries": [1]}), "b/summary.json key 'entries'"),
+            (_summary(lambda s: [s]), "b/summary.json key 'dataset_digest'"),
+            (_with_entry("comp1", {"n_h": 1, "n_d": 0}),
+             "b/summary.json entry 'comp1' key 'cost'"),
+            (_with_entry("comp1", 7), "b/summary.json entry 'comp1' key 'cost'"),
+            (_with_entry("comp2", {"n_h": 1, "n_d": 0, "cost": "x"}),
+             "b/summary.json entry 'comp2' key 'cost'"),
+            (_with_entry("comp3", {"n_h": True, "n_d": 0, "cost": 1}),
+             "b/summary.json entry 'comp3' key 'n_h'"),
+            (_summary(lambda s: {**s, "gp": {"records": 1}}), "b/summary.json key 'gp'"),
+            (_summary(lambda s: {**s, "gp": {"pareto": [{"n_h": 1, "n_d": None}]}}),
+             "b/summary.json gp pareto point 0 key 'n_d'"),
+            (_write("summary.json", "{\n"), "b/summary.json is not JSON"),
+            (_summary(lambda s: {**s, "dataset_digest": "0" * 64}),
+             "reports describe different datasets"),
         ],
         ids=["no-entries", "no-digest", "entries-not-an-object", "not-an-object",
              "entry-without-cost", "entry-not-an-object", "cost-not-a-number",
-             "count-a-boolean", "gp-without-pareto", "pareto-point-without-n_d"],
+             "count-a-boolean", "gp-without-pareto", "pareto-point-without-n_d",
+             "not-json", "different-datasets"],
     )
-    def test_malformed_summary_exit_one(self, tmp_path, capsys, damage, named):
-        assert main(run_args(tmp_path / "a", ["--pirs", "0"])) == 0
-        assert main(run_args(tmp_path / "b", ["--pirs", "0"])) == 0
-        path = tmp_path / "b" / "summary.json"
-        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
-        capsys.readouterr()
-        assert main(["compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and str(path) in err and named in err
-
-    def test_missing_manifest_exit_one(self, tmp_path, capsys):
-        assert main(["replay", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path / "x")]) == 1
-        assert "error:" in capsys.readouterr().err
+    def test_malformed_summary_exit_one(self, base_report, tmp_path, monkeypatch, capsys,
+                                        damage, named):
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(base_report, "a")
+        shutil.copytree(base_report, "b")
+        damage(Path("b"))
+        assert_refused(["compare", "a", "b"], capsys, named)
