@@ -29,7 +29,7 @@ for variant in ("comp1", "comp2", "comp3"):
     outcome = simulate(partial_ds, plan, "partial", s=4)
     n_h, n_d = outcome.counts()
     cost = -fitness_value(n_h, n_d) + 0.0
-    iso = sum(len(day) for day in outcome.isolated_by_day)
+    iso = sum(day >= 0 for day in outcome.isolation_day)
     print(f"  {variant}: N_H={n_h:3d}  N_D={n_d:3d}  cost={cost:6.2f}  isolated={iso}")
 
 print()

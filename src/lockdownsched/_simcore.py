@@ -24,8 +24,6 @@ rules, and owns the model names, outcome labels and _group_averages.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import partial_infection
@@ -94,7 +92,7 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
     rules = [(PARTIAL_RULES if partial else FULL_RULES)[a] for a in AGE_GROUPS]
     # both models band an ill person's outcome by health alike
     ctx.bands = (
-        [math.inf if r.immune_above is None else r.immune_above for r in rules],
+        [r.immune_above for r in rules],
         [r.recover_above for r in rules],
     )
     if partial:
@@ -341,10 +339,6 @@ def outcome_fields(ds: Dataset, slots, model: str, *, s=None, table=None) -> dic
     ctx = build_context(ds, model, s=s, table=table)
     buckets = sizes, _, members = _buckets(ctx, slots)
     state, extra, iso_day, codes, _, _ = ctx.week(ctx, buckets)
-    by_day = [set() for _ in range(N_DAYS)]
-    for pi, d in enumerate(iso_day):
-        if d >= 0:
-            by_day[d].add(ds.persons[pi].id)
     # a member attends cell c of day d unless they isolated before day d
     cell = np.repeat(np.arange(N_CELLS), sizes)
     iso = np.asarray(iso_day, dtype=np.int64)[members]
@@ -353,7 +347,7 @@ def outcome_fields(ds: Dataset, slots, model: str, *, s=None, table=None) -> dic
         N_DAYS, N_SLOTS, N_ESTABLISHMENTS
     )
     fields = dict(
-        isolated_by_day=tuple(frozenset(ids) for ids in by_day),
+        isolation_day=tuple(iso_day),
         classifications=tuple(OUTCOME_LABELS[c] for c in codes),
         occupancy=tuple(tuple(map(tuple, day)) for day in occupancy.tolist()),
     )

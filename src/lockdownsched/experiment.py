@@ -11,6 +11,7 @@ timestamp; byte-identical replays are part of the contract.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -78,6 +79,10 @@ class ExperimentSpec(GpConfig):
                 raise ValueError(f"unknown baseline {variant!r}")
             if variant in self.baselines[:i]:
                 raise ValueError(f"baseline {variant!r} given twice")
+        # a repeated seed would evolve the same PIR twice and rank it twice
+        for i, seed in enumerate(self.pir_seeds):
+            if seed in self.pir_seeds[:i]:
+                raise ValueError(f"PIR seed {seed} given twice")
         if self.pn_iterations < 1:
             raise ValueError("pn_iterations must be at least 1")
 
@@ -88,8 +93,11 @@ def spec_to_json(spec: ExperimentSpec) -> dict:
 
 def _json_fits(value, kind: str) -> bool:
     """Whether a JSON value fits a spec field of kind "int", "float" or "str".
-    A JSON int fits a float field; true and false fit none."""
+    A JSON int fits a float field; true and false fit none, and neither do
+    NaN and the infinities, which strict JSON cannot hold."""
     allowed = {"int": int, "float": (int, float), "str": str}[kind]
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return isinstance(value, allowed) and not isinstance(value, bool)
 
 
@@ -208,15 +216,15 @@ def _write_solution_detail(dirpath, ds, plan, outcome: SimOutcome) -> None:
             rows,
         )
 
-    position = {p.id: pi for pi, p in enumerate(ds.persons)}
-    roster_rows = []
-    for day, newly in enumerate(outcome.isolated_by_day):
-        for pid in sorted(newly):
-            pi = position[pid]
-            roster_rows.append((
-                "isolated", pid, ds.persons[pi].age_group, DAY_LABELS[day],
-                _infection_text(outcome, pi),
-            ))
+    isolated = sorted(
+        (day, person.id, person.age_group, pi)
+        for pi, (person, day) in enumerate(zip(ds.persons, outcome.isolation_day))
+        if day >= 0
+    )
+    roster_rows = [
+        ("isolated", pid, age, DAY_LABELS[day], _infection_text(outcome, pi))
+        for day, pid, age, pi in isolated
+    ]
     for label in (OUTCOME_ICU_RECOVERED, OUTCOME_ICU_DEATH):
         for pi, person in enumerate(ds.persons):
             if outcome.classifications[pi] == label:
@@ -460,7 +468,7 @@ def _read_summary(report) -> tuple:
     def numbers(where, point, keys) -> tuple:
         values = tuple(point.get(key) if isinstance(point, dict) else None for key in keys)
         for key, value in zip(keys, values):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _json_fits(value, "float"):
                 raise ValueError(f"{path} {where} key {key!r} is missing or not a number")
         return values
 

@@ -12,6 +12,7 @@ engines read the model's age-banded rules, FULL_RULES, from here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -38,7 +39,7 @@ class FullRule:
     """
     day1_health: float
     day2_health: float
-    immune_above: float | None
+    immune_above: float
     recover_above: float
 
 
@@ -49,7 +50,7 @@ FULL_RULES = {
     50: FullRule(7.0, 8.0, 8.0, 4.0),
     60: FullRule(7.0, 8.0, 8.5, 4.5),
     70: FullRule(7.0, 8.0, 9.5, 7.0),
-    80: FullRule(7.0, 8.0, None, 8.5),
+    80: FullRule(7.0, 8.0, math.inf, 8.5),
 }
 
 
@@ -85,8 +86,6 @@ def analytic_pn(n: int, q: int) -> float:
 @dataclass(frozen=True)
 class PnTable:
     q: int
-    iterations: int
-    seed: int
     probs: tuple  # p_1 .. p_20
 
     def p_for(self, n: int) -> float:
@@ -118,7 +117,7 @@ def build_pn_table(q: int, iterations: int = 100_000, seed: int = 0) -> PnTable:
         met_first_n = np.logical_or.accumulate(met_any_trial, axis=1)
         met_counts += met_first_n.sum(axis=0)
         done += m
-    return PnTable(q, iterations, seed, tuple(met_counts / iterations))
+    return PnTable(q, tuple(met_counts / iterations))
 
 
 def transmit(encounter, table: PnTable) -> set:

@@ -89,6 +89,11 @@ class GpConfig:
             raise ValueError("w_c outside [0, 1]")
         if self.seed_len is not None and self.seed_len < 1:
             raise ValueError("seed_len must be positive when set")
+        # a target no run can reach, or one strict JSON cannot record
+        if self.target_fitness is not None and not math.isfinite(self.target_fitness):
+            raise ValueError("target_fitness must be finite when set")
+        if self.target_nd is not None and self.target_nd < 0:
+            raise ValueError("target_nd must not be negative when set")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ rules from here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +33,7 @@ class PartialRule:
     iso_high: float
     iso_low: float
     out_threshold: float
-    immune_above: float | None
+    immune_above: float
     recover_above: float
 
 
@@ -43,7 +44,7 @@ PARTIAL_RULES = {
     50: PartialRule(0.85, 0.80, 0.80, 8.0, 4.0),
     60: PartialRule(0.75, 0.70, 0.75, 9.0, 5.0),
     70: PartialRule(0.65, 0.60, 0.70, 9.5, 7.5),
-    80: PartialRule(0.65, 0.60, 0.65, None, 8.5),
+    80: PartialRule(0.65, 0.60, 0.65, math.inf, 8.5),
 }
 
 

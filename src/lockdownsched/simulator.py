@@ -49,7 +49,7 @@ def full_isolation(age_group: int, days_infected: int, health: float) -> bool:
 
 
 def _health_band(health, immune_above, recover_above) -> str:
-    if immune_above is not None and health > immune_above:
+    if health > immune_above:
         return OUTCOME_IMMUNE
     if health > recover_above:
         return OUTCOME_ICU_RECOVERED
@@ -79,11 +79,10 @@ def fitness_value(n_h: int, n_d: int, w_c: float = 0.65) -> float:
 
 @dataclass(frozen=True)
 class SimOutcome:
-    """End-of-run record: counts, isolation history, states and occupancy."""
-    model: str
+    """End-of-run record: counts, isolation days, states and occupancy."""
     n_hospitalized: int
     n_dead: int
-    isolated_by_day: tuple      # one frozenset of person ids per day
+    isolation_day: tuple        # per person: the day they isolated at the end of, or -1
     classifications: tuple      # outcome label per person, dataset order
     final_levels: tuple | None  # fractional model: I per person
     final_status: tuple | None  # standard model: (status letter, days infected)
@@ -107,7 +106,7 @@ def _request_cells(ds: Dataset, plan: AllocationPlan):
 
 
 def _walk_week(ds: Dataset, plan: AllocationPlan, meet, isolates, end_of_slot=None):
-    """The reference week of both models: isolated_by_day and occupancy.
+    """The reference week of both models: isolation_day and occupancy.
 
     meet(group) runs for each cell's gathered group of two or more, and
     end_of_slot(slot) after each slot.  At the end of each day isolates(pi)
@@ -115,8 +114,7 @@ def _walk_week(ds: Dataset, plan: AllocationPlan, meet, isolates, end_of_slot=No
     in it; only a yes from someone not yet isolated isolates them.
     """
     cells = _request_cells(ds, plan)
-    isolated = [False] * len(ds.persons)
-    isolated_by_day = []
+    iso_day = [-1] * len(ds.persons)
     occupancy = []
     for day in range(N_DAYS):
         day_rows = []
@@ -124,21 +122,18 @@ def _walk_week(ds: Dataset, plan: AllocationPlan, meet, isolates, end_of_slot=No
             row = [0] * N_ESTABLISHMENTS
             for est in range(N_ESTABLISHMENTS):
                 bucket = cells.get((day, slot, est), ())
-                group = [pi for pi in bucket if not isolated[pi]]
+                group = [pi for pi in bucket if iso_day[pi] < 0]
                 row[est] = len(group)
                 if len(group) >= 2:
                     meet(group)
             day_rows.append(tuple(row))
             if end_of_slot is not None:
                 end_of_slot(slot)
-        newly = set()
-        for pi, person in enumerate(ds.persons):
-            if isolates(pi) and not isolated[pi]:
-                isolated[pi] = True
-                newly.add(person.id)
-        isolated_by_day.append(frozenset(newly))
+        for pi in range(len(ds.persons)):
+            if isolates(pi) and iso_day[pi] < 0:
+                iso_day[pi] = day
         occupancy.append(tuple(day_rows))
-    return dict(isolated_by_day=tuple(isolated_by_day), occupancy=tuple(occupancy))
+    return dict(isolation_day=tuple(iso_day), occupancy=tuple(occupancy))
 
 
 def _simulate_partial(ds: Dataset, plan: AllocationPlan, s: int) -> dict:
@@ -239,7 +234,6 @@ def simulate(
     else:
         fields = _simulate_full(ds, plan, table)
     return SimOutcome(
-        model=model,
         n_hospitalized=fields["classifications"].count(OUTCOME_ICU_RECOVERED),
         n_dead=fields["classifications"].count(OUTCOME_ICU_DEATH),
         **fields,

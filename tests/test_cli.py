@@ -101,6 +101,18 @@ RUN_REFUSALS = [
     # a repeated variant would be simulated and listed twice in baselines.csv
     pytest.param(["--model", "partial", "--baselines", "comp1,comp1"],
                  "baseline 'comp1' given twice", id="repeated-baseline"),
+    # a repeated seed would evolve and rank the same PIR twice
+    pytest.param(["--model", "partial", "--seed-list", "1,1"], "PIR seed 1 given twice",
+                 id="repeated-pir-seed"),
+    # manifest.json could not record a NaN or infinite target as strict JSON
+    *(
+        pytest.param(["--model", "partial", "--target-fitness", value],
+                     "target_fitness must be finite", id=f"target-fitness-{value}")
+        for value in ("nan", "inf")
+    ),
+    # no death count is negative, so the run would spend its whole budget
+    pytest.param(["--model", "partial", "--target-nd", "-1"],
+                 "target_nd must not be negative", id="negative-target-nd"),
     pytest.param(["--model", "partial", "--priors", "25=0.5"], "age 25 not one of",
                  id="unknown-age"),
     pytest.param(["--model", "partial", "--priors", "20=abc"],
@@ -256,6 +268,10 @@ class TestReplayAndCompare:
             (_manifest(lambda m: {**m, "spec": {**m["spec"],
                                                "baselines": ["comp2", "comp2"]}}),
              "baseline 'comp2' given twice"),
+            (_manifest(lambda m: {**m, "spec": {**m["spec"], "pir_seeds": [2, 2]}}),
+             "PIR seed 2 given twice"),
+            (_manifest(lambda m: {**m, "spec": {**m["spec"], "target_fitness": float("nan")}}),
+             "'target_fitness'"),
             (_manifest(lambda m: {**m, "spec": 7}), "'spec'"),
             (_manifest(lambda m: {**m, "dataset_file": 5}), "'dataset_file'"),
             # the fractional model never marks persons, so the spec refuses
@@ -269,7 +285,8 @@ class TestReplayAndCompare:
         ],
         ids=["no-spec", "no-digest", "no-model", "unknown-key", "not-an-object",
              "string-count", "priors-not-pairs", "float-seed", "prior-above-one",
-             "unknown-age", "repeated-baseline", "spec-not-an-object",
+             "unknown-age", "repeated-baseline", "repeated-pir-seed", "nan-target-fitness",
+             "spec-not-an-object",
              "dataset-file-not-a-string", "fractions-on-the-fractional-model",
              "not-json", "no-manifest", "dataset-changed"],
     )
@@ -297,16 +314,21 @@ class TestReplayAndCompare:
              "b/summary.json entry 'comp2' key 'cost'"),
             (_with_entry("comp3", {"n_h": True, "n_d": 0, "cost": 1}),
              "b/summary.json entry 'comp3' key 'n_h'"),
+            (_with_entry("comp1", {"n_h": 1, "n_d": 0, "cost": float("nan")}),
+             "b/summary.json entry 'comp1' key 'cost'"),
             (_summary(lambda s: {**s, "gp": {"records": 1}}), "b/summary.json key 'gp'"),
             (_summary(lambda s: {**s, "gp": {"pareto": [{"n_h": 1, "n_d": None}]}}),
              "b/summary.json gp pareto point 0 key 'n_d'"),
+            (_summary(lambda s: {**s, "gp": {"pareto": [{"n_h": float("inf"), "n_d": 0}]}}),
+             "b/summary.json gp pareto point 0 key 'n_h'"),
             (_write("summary.json", "{\n"), "b/summary.json is not JSON"),
             (_summary(lambda s: {**s, "dataset_digest": "0" * 64}),
              "reports describe different datasets"),
         ],
         ids=["no-entries", "no-digest", "entries-not-an-object", "not-an-object",
              "entry-without-cost", "entry-not-an-object", "cost-not-a-number",
-             "count-a-boolean", "gp-without-pareto", "pareto-point-without-n_d",
+             "count-a-boolean", "nan-cost", "gp-without-pareto", "pareto-point-without-n_d",
+             "infinite-pareto-n_h",
              "not-json", "different-datasets"],
     )
     def test_malformed_summary_exit_one(self, base_report, tmp_path, monkeypatch, capsys,

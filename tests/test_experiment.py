@@ -269,8 +269,14 @@ class TestRunExperiment:
             if outcome.classifications[i] == "icu_death"
         }
         assert dead == expected_dead
-        isolated = {int(r[1]) for r in rows if r[0] == "isolated"}
-        assert isolated == set().union(*outcome.isolated_by_day)
+        # one row per person who isolated, on the day they did, day by day
+        # in person id order
+        isolated = [
+            (experiment.DAY_LABELS.index(r[3]), int(r[1])) for r in rows if r[0] == "isolated"
+        ]
+        assert isolated and isolated == sorted(
+            (day, p.id) for p, day in zip(ds.persons, outcome.isolation_day) if day >= 0
+        )
 
     def test_manifest_carries_all_seeds_and_no_timestamps(self, report):
         spec, out, _ = report
@@ -309,10 +315,9 @@ def test_trajectory_bands_add_left_to_right(tmp_path):
     averages = (0.25, 0.5, 1e16, 1.0, -1e16, 0.125, 0.0)
     n = len(ds.persons)
     outcome = SimOutcome(
-        model="partial",
         n_hospitalized=0,
         n_dead=0,
-        isolated_by_day=(frozenset(),) * 3,
+        isolation_day=(-1,) * n,
         classifications=("none",) * n,
         final_levels=(0.0,) * n,
         final_status=None,
@@ -348,10 +353,9 @@ def _write_occupancy_loop(outcome, path):
 def _outcome_with_occupancy(ds, occupancy):
     n = len(ds.persons)
     return SimOutcome(
-        model="full",
         n_hospitalized=0,
         n_dead=0,
-        isolated_by_day=(frozenset(),) * 3,
+        isolation_day=(-1,) * n,
         classifications=("none",) * n,
         final_levels=None,
         final_status=(("S", 0),) * n,
@@ -621,6 +625,10 @@ PINNED_STANDARD = {
 
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @pytest.mark.parametrize(
     "spec, expected",
     [
@@ -644,8 +652,13 @@ PINNED_STANDARD = {
 )
 def test_report_bytes_are_pinned(tmp_path, spec, expected):
     run_experiment(ExperimentSpec(**spec), tmp_path / "r")
+    files = tree_bytes(tmp_path / "r")
     got = {
         rel.replace(os.sep, "/"): hashlib.sha256(data).hexdigest()
-        for rel, data in tree_bytes(tmp_path / "r").items()
+        for rel, data in files.items()
     }
     assert got == expected
+    # every JSON document of a report parses strictly: no NaN or Infinity
+    for rel, data in files.items():
+        if rel.endswith(".json"):
+            json.loads(data, parse_constant=_refuse_constant)

@@ -118,7 +118,7 @@ def test_build_table_close_to_oracle_small_run():
 
 
 def test_p_for_out_of_range():
-    table = PnTable(5, 1, 0, tuple(0.05 * i for i in range(1, 21)))
+    table = PnTable(5, tuple(0.05 * i for i in range(1, 21)))
     assert table.p_for(21) == 1.0
     assert table.p_for(40) == 1.0
     assert table.p_for(0) == 0.0
@@ -149,7 +149,7 @@ def table_with(probs_by_n):
     probs = [0.0] * 20
     for n, p in probs_by_n.items():
         probs[n - 1] = p
-    return PnTable(5, 1, 0, tuple(probs))
+    return PnTable(5, tuple(probs))
 
 
 def test_transmit_truncation_keeps_lone_susceptible_safe():

@@ -573,7 +573,7 @@ def eleven_requests():
     make the counts depend on the plan in a world of four persons."""
     ds = parse_dataset(ELEVEN_REQUESTS).with_taxonomy({20: 0.1, 40: 0.5, 70: 0.6})
     assert request_index(ds).n_requests == 11
-    table = PnTable(q=5, iterations=1, seed=0, probs=(1.0,) * 20)
+    table = PnTable(q=5, probs=(1.0,) * 20)
     return ds, [
         (gp_engine._Evaluator(ds, quick_config(), None), MODEL_PARTIAL, {"s": 4}),
         (

@@ -45,7 +45,7 @@ def make_table(p_by_n, q=5):
     probs = [0.9] * 20
     for n, p in p_by_n.items():
         probs[n - 1] = p
-    return PnTable(q, 1, 0, tuple(probs))
+    return PnTable(q, tuple(probs))
 
 
 SEVEN = """
@@ -80,7 +80,7 @@ class TestPartialSimulation:
         # the third of the seven visitors crosses the isolation threshold
         assert out.final_levels[0] == pytest.approx(0.4993, abs=1e-3)
         assert out.final_levels[1] == pytest.approx(0.7139, abs=1e-3)
-        assert out.isolated_by_day == (frozenset({3}), frozenset(), frozenset())
+        assert out.isolation_day == (-1, -1, 0, -1, -1, -1, -1)
         assert out.classifications[2] == OUTCOME_ICU_RECOVERED
         assert out.counts() == (1, 0)
         assert out.occupancy[0][0][0] == 7
@@ -138,7 +138,7 @@ class TestPartialSimulation:
         out = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="reference")
         # both age-40 visitors exceed 0.92 after meeting on Monday and
         # withdraw, so Tuesday's supermarket has a lone healthy visitor
-        assert out.isolated_by_day[0] == frozenset({1, 3})
+        assert out.isolation_day == (0, -1, 0)
         assert out.occupancy[1][0][0] == 1
         assert out.final_levels[1] == 0.0
 
@@ -168,7 +168,7 @@ class TestFullSimulation:
         # Monday: one infected, three susceptible, floor(0.5*3) = 1 catches it;
         # Tuesday: two infected infect one more; the index case isolates after
         # two full days; Wednesday's lone susceptible escapes (floor(0.66*1)=0)
-        assert out.isolated_by_day == (frozenset(), frozenset({1}), frozenset())
+        assert out.isolation_day == (1, -1, -1, -1)
         assert out.final_status[0] == ("I", 3)
         assert out.final_status[1] == ("I", 3)
         assert out.final_status[2] == ("I", 2)
@@ -444,8 +444,8 @@ class TestEngineAgreement:
         plan = decode([0.1], iso)
         part = simulate(iso, plan, MODEL_PARTIAL, s=4, engine="kernel")
         full = simulate(iso, plan, MODEL_FULL, table=self.TABLE, engine="kernel")
-        assert part.isolated_by_day[0] and part.occupancy[1][0][0] < 3
-        assert full.isolated_by_day[1] == frozenset({1, 4})
+        assert part.isolation_day == (0, 0, -1, 0) and part.occupancy[1][0][0] < 3
+        assert full.isolation_day == (1, -1, -1, 1)
         for name, priors in ONE_CELL_PRIORS.items():
             one = world(ONE_CELL, priors)
             part = simulate(one, decode([0.3], one), MODEL_PARTIAL, s=4, engine="kernel")
@@ -459,6 +459,7 @@ class TestEngineAgreement:
         full = simulate(shrink, plan, MODEL_FULL, table=self.TABLE, engine="kernel")
         assert [day[0][0] for day in part.occupancy] == [3, 2, 2]
         assert [day[0][0] for day in full.occupancy] == [3, 3, 2]
+        assert (part.isolation_day, full.isolation_day) == ((0, -1, -1), (1, -1, -1))
 
     def test_kernel_matches_reference_partial_and_full(self):
         rng = random.Random(20210621)
@@ -496,7 +497,7 @@ def test_kernel_follows_the_isolation_health_cap(monkeypatch):
     before = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="reference")
     monkeypatch.setattr(partial_infection, "ISOLATION_HEALTH_CAP", 9.0)
     ref = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="reference")
-    assert 3 in ref.isolated_by_day[0] - before.isolated_by_day[0]
+    assert (before.isolation_day[2], ref.isolation_day[2]) == (-1, 0)
     assert simulate(ds, plan, MODEL_PARTIAL, s=4, engine="kernel") == ref
 
 
@@ -603,7 +604,7 @@ def test_outcome_round_shape(seven_ds):
     plan = AllocationPlan((0,) * 7)
     out = simulate(seven_ds, plan, MODEL_PARTIAL, s=6, engine="reference")
     assert out.n_hospitalized == 1
-    assert out.isolated_by_day == (frozenset({3}), frozenset(), frozenset())
+    assert out.isolation_day == (-1, -1, 0, -1, -1, -1, -1)
     assert len(out.classifications) == 7
     assert out.final_levels[0] == pytest.approx(0.4993, abs=1e-3)
     assert len(out.trajectory) == 12
