@@ -4,7 +4,7 @@ The plain-Python engine in simulator.py is the readable reference; the loops
 here replay the exact same arithmetic, in the exact same order, over plain
 Python lists prepared once per dataset and model by build_context, which
 also picks the model's loop, ctx.week.  _buckets sorts a plan's requests
-into (day, slot, establishment) cells once, with one stable int16 sort; the
+into their cells (RequestIndex.cells) once, with one stable int16 sort; the
 loop walks those buckets in cell order, and simulate() counts occupancy from
 them.  A loop returns (levels or status, snapshots or infection days, iso_day
 (the day a person isolated at the end of, or -1), outcome codes, N_H, N_D).
@@ -29,6 +29,8 @@ import numpy as np
 from . import partial_infection
 from .dataset import (
     AGE_GROUPS,
+    CELLS_PER_DAY,
+    N_CELLS,
     N_DAYS,
     N_ESTABLISHMENTS,
     N_SLOTS,
@@ -48,9 +50,6 @@ OUTCOME_ICU_RECOVERED = "icu_recovered"
 OUTCOME_ICU_DEATH = "icu_death"
 OUTCOME_LABELS = (OUTCOME_NONE, OUTCOME_IMMUNE, OUTCOME_ICU_RECOVERED, OUTCOME_ICU_DEATH)
 
-CELLS_PER_DAY = N_SLOTS * N_ESTABLISHMENTS
-N_CELLS = N_DAYS * CELLS_PER_DAY
-
 
 class SimContext:
     """Per dataset + model inputs of the week loops, converted once."""
@@ -58,8 +57,7 @@ class SimContext:
     __slots__ = (
         "week",
         "n_persons",
-        "req_person",
-        "req_cell",
+        "requests",
         "person_id",
         "age_idx",
         "health",
@@ -77,12 +75,7 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
     ri = request_index(ds)
     ctx = SimContext()
     ctx.n_persons = len(ds.persons)
-    ctx.req_person = ri.person
-    # cell of a request in slot 0; its slot adds slot * N_ESTABLISHMENTS.
-    # int16 holds every cell (N_CELLS - 1 = 287) and sorts by radix
-    ctx.req_cell = (
-        ri.day.astype(np.int64) * CELLS_PER_DAY + ri.establishment.astype(np.int64)
-    ).astype(np.int16)
+    ctx.requests = ri
     ctx.person_id = ri.person_id.tolist()
     ctx.age_idx = ri.age_index.tolist()
     ctx.health = ri.health.tolist()
@@ -174,10 +167,10 @@ def _buckets(ctx: SimContext, slots):
     request order, cell after cell; cell c holds members[bounds[c]:bounds[c+1]]
     and sizes[c] of them.
     """
-    keys = ctx.req_cell + N_ESTABLISHMENTS * np.asarray(slots, dtype=np.int16)
+    keys = ctx.requests.cells(slots)
     order = np.argsort(keys, kind="stable")
     cell = keys[order]
-    person = ctx.req_person[order]
+    person = ctx.requests.person[order]
     # a person's requests are contiguous and the sort is stable, so a repeat
     # within a cell can only follow its first appearance directly
     first = np.ones(cell.shape[0], dtype=bool)
@@ -343,13 +336,11 @@ def outcome_fields(ds: Dataset, slots, model: str, *, s=None, table=None) -> dic
     cell = np.repeat(np.arange(N_CELLS), sizes)
     iso = np.asarray(iso_day, dtype=np.int64)[members]
     present = (iso < 0) | (iso >= cell // CELLS_PER_DAY)
-    occupancy = np.bincount(cell[present], minlength=N_CELLS).reshape(
-        N_DAYS, N_SLOTS, N_ESTABLISHMENTS
-    )
+    occupancy = np.bincount(cell[present], minlength=N_CELLS)
     fields = dict(
         isolation_day=tuple(iso_day),
         classifications=tuple(OUTCOME_LABELS[c] for c in codes),
-        occupancy=tuple(tuple(map(tuple, day)) for day in occupancy.tolist()),
+        occupancy=tuple(occupancy.tolist()),
     )
     if model == MODEL_PARTIAL:
         return dict(

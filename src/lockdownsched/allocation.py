@@ -15,30 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simcore import decode_slots
-from .dataset import (
-    N_DAYS,
-    N_ESTABLISHMENTS,
-    N_SLOTS,
-    WINDOWS,
-    Dataset,
-    establishment_label,
-    request_index,
-    slot_label,
-)
+from .dataset import CELLS, N_DAYS, WINDOWS, Dataset, request_index
 
-# (establishment label, hours label) of every cell of a day, and the plan
-# CSV's '{slot},"{where}"' row suffix built from them; slot * N_ESTABLISHMENTS
-# + est, the week loops' cell order within a day, indexes both.  "where"
-# holds a comma, so it is quoted, as csv.writer's default dialect quotes it.
-CELL_LABELS = tuple(
-    (establishment_label(est), slot_label(slot))
-    for slot in range(N_SLOTS)
-    for est in range(N_ESTABLISHMENTS)
-)
-_ROW_SUFFIXES = tuple(
-    f'{cell // N_ESTABLISHMENTS},"{est}, {hours}"\r\n'
-    for cell, (est, hours) in enumerate(CELL_LABELS)
-)
+# the plan CSV's '{slot},"{where}"' row suffix of each cell, by cell number.
+# "where" holds a comma, so it is quoted, as csv.writer's default dialect
+# quotes it.
+_ROW_SUFFIXES = tuple(f'{slot},"{est}, {hours}"\r\n' for _, slot, hours, est in CELLS)
 
 
 @dataclass(frozen=True)
@@ -119,7 +101,7 @@ def write_plan_csv(plan: AllocationPlan, ds: Dataset, path) -> None:
     the cells' row suffixes."""
     slots = validate_plan(plan, ds)
     ri = request_index(ds)
-    cells = (slots * N_ESTABLISHMENTS + ri.establishment).tolist()
+    cells = ri.cells(slots).tolist()
     rows = [prefix + _ROW_SUFFIXES[cell] for prefix, cell in zip(ri.row_prefix, cells)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(PLAN_CSV_HEADER) + "\r\n" + "".join(rows))

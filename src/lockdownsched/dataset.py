@@ -38,6 +38,9 @@ ESTABLISHMENT_NAMES = {
 N_DAYS = 3
 N_SLOTS = 8
 N_ESTABLISHMENTS = 12
+CELLS_PER_DAY = N_SLOTS * N_ESTABLISHMENTS
+N_CELLS = N_DAYS * CELLS_PER_DAY
+DAY_LABELS = ("MON", "TUE", "WED")
 
 SUSCEPTIBLE, INFECTED, IMMUNE = 0, 1, 2
 
@@ -54,6 +57,14 @@ def establishment_label(est_id: int) -> str:
 
 def slot_label(slot: int) -> str:
     return f"{8 + 2 * slot}-{10 + 2 * slot} HOURS"
+
+
+# (day label, slot, hours label, establishment label) of each of the week's
+# N_CELLS cells, by the cell numbers of RequestIndex.cells
+CELLS = tuple(
+    (day, slot, slot_label(slot), establishment_label(est))
+    for day in DAY_LABELS for slot in range(N_SLOTS) for est in range(N_ESTABLISHMENTS)
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,6 +104,12 @@ class RequestIndex:
     health: np.ndarray
     age_index: np.ndarray     # AGE_GROUPS position per person position
     age_count: tuple          # persons per age group, in AGE_GROUPS order
+    cell: np.ndarray          # cell in slot 0, as int16, which numpy sorts by radix
+
+    def cells(self, slots) -> np.ndarray:
+        """Each request's cell under a plan's slots, by the week's one numbering:
+        day * CELLS_PER_DAY + slot * N_ESTABLISHMENTS + establishment."""
+        return self.cell + N_ESTABLISHMENTS * np.asarray(slots, dtype=np.int16)
 
     @cached_property
     def row_prefix(self) -> tuple:
@@ -126,18 +143,21 @@ def _build_request_index(ds: Dataset) -> RequestIndex:
     ]
     person, day, requests = zip(*rows) if rows else ((),) * 3
     age_index = np.asarray([AGE_GROUPS.index(p.age_group) for p in ds.persons], dtype=np.intp)
+    day = np.asarray(day, dtype=np.int8)
+    establishment = np.asarray([r.establishment for r in requests], dtype=np.int8)
     index = RequestIndex(
         n_requests=len(rows),
         person=np.asarray(person, dtype=np.int32),
-        day=np.asarray(day, dtype=np.int8),
+        day=day,
         window_base=np.asarray([r.window_base for r in requests], dtype=np.int64),
         window_width=np.asarray([r.window_width for r in requests], dtype=np.int64),
-        establishment=np.asarray([r.establishment for r in requests], dtype=np.int8),
+        establishment=establishment,
         key=tuple(r.key for r in requests),
         person_id=np.asarray([p.id for p in ds.persons], dtype=np.int32),
         health=np.asarray([p.health for p in ds.persons], dtype=np.float64),
         age_index=age_index,
         age_count=tuple(np.bincount(age_index, minlength=len(AGE_GROUPS)).tolist()),
+        cell=day.astype(np.int16) * CELLS_PER_DAY + establishment,
     )
     for value in vars(index).values():
         if isinstance(value, np.ndarray):
@@ -271,20 +291,29 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def parse_priors(text: str) -> dict:
     """Parse taxonomy infection priors like ``20=0.03;30=0.01``."""
-    priors = {}
+    pairs = []
     for pair in text.split(";"):
         pair = pair.strip()
         if not pair:
             continue
         age_s, _, prob_s = pair.partition("=")
         try:
-            age, prob = int(age_s), float(prob_s)
+            pairs.append((int(age_s), float(prob_s)))
         except ValueError:
             raise ValueError(
                 f"bad priors entry {pair!r}, expected AGE=FRACTION"
             ) from None
-        # checked as parsed, so a later entry for the same age hides no bad one
-        check_priors({age: prob})
+    priors = priors_from_pairs(pairs)
+    check_priors(priors)
+    return priors
+
+
+def priors_from_pairs(pairs) -> dict:
+    """The priors of (age, prior) pairs; an age given twice is refused."""
+    priors = {}
+    for age, prob in pairs:
+        if age in priors:
+            raise ValueError(f"age {age} given twice in the priors")
         priors[age] = prob
     return priors
 

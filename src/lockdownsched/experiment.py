@@ -18,15 +18,18 @@ import tempfile
 from dataclasses import asdict, dataclass, field, fields
 
 from ._simcore import OUTCOME_ICU_DEATH, OUTCOME_ICU_RECOVERED
-from .allocation import BASELINE_VARIANTS, CELL_LABELS, decode, round_robin, write_plan_csv
+from .allocation import BASELINE_VARIANTS, decode, round_robin, write_plan_csv
 from .dataset import (
     AGE_GROUPS,
+    CELLS,
+    DAY_LABELS,
     Dataset,
     check_apriori_fractions,
     check_priors,
     generate_dataset,
     load_dataset,
     mark_apriori_infection,
+    priors_from_pairs,
     request_index,
     save_dataset,
 )
@@ -34,15 +37,11 @@ from .full_infection import build_pn_table
 from .gp_engine import Archive, GpConfig, dominates, run_pirs
 from .simulator import MODEL_FULL, MODEL_PARTIAL, SimOutcome, fitness_value, simulate
 
-DAY_LABELS = ("MON", "TUE", "WED")
 AGE_BANDS = (("young", (20, 30)), ("middle", (40, 50, 60)), ("elderly", (70, 80)))
 MANIFEST_FORMAT = 1
 
-# "{day},{hours},{establishment}," of every occupancy.csv row, in the week
-# loops' cell order: day, then CELL_LABELS' slot-major order within the day
-_OCCUPANCY_PREFIXES = tuple(
-    f"{day},{hours},{est}," for day in DAY_LABELS for est, hours in CELL_LABELS
-)
+# "{day},{hours},{establishment}," of each occupancy.csv row, by cell number
+_OCCUPANCY_PREFIXES = tuple(f"{day},{hours},{est}," for day, _, hours, est in CELLS)
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,17 @@ class ExperimentSpec(GpConfig):
                 raise ValueError(f"PIR seed {seed} given twice")
         if self.pn_iterations < 1:
             raise ValueError("pn_iterations must be at least 1")
+        # these seed numpy, which refuses a negative seed without naming it;
+        # PIR seeds seed random.Random, which takes any integer
+        for name in ("generate_seed", "apriori_seed", "pn_seed"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must not be negative")
+        # the fractional model builds no p_n table, so these would only be recorded
+        if self.model == MODEL_PARTIAL:
+            defaults = {f.name: f.default for f in fields(self)}
+            for name in ("q", "pn_iterations", "pn_seed"):
+                if getattr(self, name) != defaults[name]:
+                    raise ValueError(f"{name} applies to the full model only")
 
 
 def spec_to_json(spec: ExperimentSpec) -> dict:
@@ -129,7 +139,7 @@ def spec_from_json(doc: dict) -> ExperimentSpec:
     # the spec's default
     settings = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
     if "priors" in doc:
-        settings["priors"] = {age: float(p) for age, p in doc["priors"]}
+        settings["priors"] = priors_from_pairs((age, float(p)) for age, p in doc["priors"])
     return ExperimentSpec(**settings)
 
 
@@ -197,8 +207,9 @@ def _write_solution_detail(dirpath, ds, plan, outcome: SimOutcome) -> None:
     os.makedirs(dirpath, exist_ok=True)
     write_plan_csv(plan, ds, os.path.join(dirpath, "allocations.csv"))
 
-    counts = [c for day_grid in outcome.occupancy for row in day_grid for c in row]
-    rows = [f"{prefix}{c}\r\n" for prefix, c in zip(_OCCUPANCY_PREFIXES, counts, strict=True)]
+    rows = [
+        f"{prefix}{c}\r\n" for prefix, c in zip(_OCCUPANCY_PREFIXES, outcome.occupancy, strict=True)
+    ]
     with open(os.path.join(dirpath, "occupancy.csv"), "w", newline="") as fh:
         fh.write("day,hours,establishment,attendees\r\n" + "".join(rows))
 

@@ -87,7 +87,7 @@ class SimOutcome:
     final_levels: tuple | None  # fractional model: I per person
     final_status: tuple | None  # standard model: (status letter, days infected)
     trajectory: tuple | None    # fractional model: 4-hourly age-group averages
-    occupancy: tuple            # [day][slot][establishment] attendee counts
+    occupancy: tuple            # attendee count per cell, by cell number (dataset.CELLS)
 
     def counts(self) -> tuple:
         return self.n_hospitalized, self.n_dead
@@ -115,24 +115,20 @@ def _walk_week(ds: Dataset, plan: AllocationPlan, meet, isolates, end_of_slot=No
     """
     cells = _request_cells(ds, plan)
     iso_day = [-1] * len(ds.persons)
-    occupancy = []
+    occupancy = []  # one count per cell, in day, slot, establishment order
     for day in range(N_DAYS):
-        day_rows = []
         for slot in range(N_SLOTS):
-            row = [0] * N_ESTABLISHMENTS
             for est in range(N_ESTABLISHMENTS):
                 bucket = cells.get((day, slot, est), ())
                 group = [pi for pi in bucket if iso_day[pi] < 0]
-                row[est] = len(group)
+                occupancy.append(len(group))
                 if len(group) >= 2:
                     meet(group)
-            day_rows.append(tuple(row))
             if end_of_slot is not None:
                 end_of_slot(slot)
         for pi in range(len(ds.persons)):
             if isolates(pi) and iso_day[pi] < 0:
                 iso_day[pi] = day
-        occupancy.append(tuple(day_rows))
     return dict(isolation_day=tuple(iso_day), occupancy=tuple(occupancy))
 
 

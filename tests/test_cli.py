@@ -117,6 +117,19 @@ RUN_REFUSALS = [
                  id="unknown-age"),
     pytest.param(["--model", "partial", "--priors", "20=abc"],
                  "bad priors entry '20=abc', expected AGE=FRACTION", id="unparseable-priors"),
+    # the last value would be kept silently
+    pytest.param(["--model", "partial", "--priors", "20=0.1;20=0.2"],
+                 "age 20 given twice in the priors", id="repeated-prior-age"),
+    # numpy refuses a negative seed without naming the flag, and the p_n
+    # table's seed only once the report is staged
+    pytest.param(["--model", "partial", "--generate", "-1"],
+                 "generate_seed must not be negative", id="negative-generate-seed"),
+    pytest.param(["--model", "full", "--q", "4", "--apriori-infected", "0.1",
+                  "--apriori-seed", "-3"],
+                 "apriori_seed must not be negative", id="negative-apriori-seed"),
+    pytest.param(["--model", "full", "--q", "4", "--apriori-infected", "0.1",
+                  "--pn-seed", "-2", "--pn-iterations", "100"],
+                 "pn_seed must not be negative", id="negative-pn-seed"),
     pytest.param(["--model", "partial", "--pirs", "1", "--pop", "2"],
                  "population must be at least 4", id="population-below-four"),
     # a negative count would otherwise give no run seeds, as 0 does, and a
@@ -134,6 +147,13 @@ RUN_REFUSALS = [
                      "a-priori fractions apply to the full model only",
                      id=f"{flag[2:]}-on-the-fractional-model")
         for flag in ("--apriori-infected", "--apriori-immune")
+    ),
+    # nor builds a p_n table, so these would only be recorded
+    *(
+        pytest.param(["--model", "partial", flag, value],
+                     f"{flag[2:].replace('-', '_')} applies to the full model only",
+                     id=f"{flag[2:]}-on-the-fractional-model")
+        for flag, value in (("--q", "3"), ("--pn-iterations", "7"), ("--pn-seed", "9"))
     ),
     *(
         pytest.param(["--model", model, "--q", "4", "--apriori-infected", infected,
@@ -278,6 +298,15 @@ class TestReplayAndCompare:
             # the fractions whether the run starts from the CLI or a manifest
             (_manifest(lambda m: {**m, "spec": {**m["spec"], "apriori_infected": 0.1}}),
              "a-priori fractions"),
+            (_manifest(lambda m: {**m, "spec": {**m["spec"], "q": 4}}),
+             "q applies to the full model only"),
+            (_manifest(lambda m: {**m, "spec": {**m["spec"], "priors": [[20, 0.1], [20, 0.2]]}}),
+             "age 20 given twice in the priors"),
+            *(
+                (_manifest(lambda m, key=key: {**m, "spec": {**m["spec"], key: -2}}),
+                 f"{key} must not be negative")
+                for key in ("generate_seed", "apriori_seed", "pn_seed")
+            ),
             (_write("manifest.json", "x"), "a/manifest.json is not JSON"),
             (lambda report: (report / "manifest.json").unlink(), "a/manifest.json"),
             # refused once the dataset is read, before --out's parent is made
@@ -288,6 +317,8 @@ class TestReplayAndCompare:
              "unknown-age", "repeated-baseline", "repeated-pir-seed", "nan-target-fitness",
              "spec-not-an-object",
              "dataset-file-not-a-string", "fractions-on-the-fractional-model",
+             "q-on-the-fractional-model", "repeated-prior-age", "negative-generate-seed",
+             "negative-apriori-seed", "negative-pn-seed",
              "not-json", "no-manifest", "dataset-changed"],
     )
     def test_malformed_manifest_exit_one(self, base_report, tmp_path, monkeypatch, capsys,

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from lockdownsched.dataset import (
     CANONICAL_PROFILE,
+    CELLS,
+    DAY_LABELS,
     ESTABLISHMENT_KINDS,
     WINDOWS,
     Dataset,
@@ -165,6 +168,9 @@ def test_priors_round_trip():
     # a later entry for the same age does not hide a bad one
     with pytest.raises(ValueError):
         parse_priors("20=1.5;20=0.3")
+    # nor is an age given twice kept at its last value
+    with pytest.raises(ValueError, match="age 20 given twice"):
+        parse_priors("20=0.1;20=0.2")
 
 
 def test_establishment_layout_and_labels():
@@ -173,6 +179,28 @@ def test_establishment_layout_and_labels():
     assert establishment_label(establishment_id("D", 2)) == "DOCTOR'S SURGERY 2"
     assert slot_label(1) == "10-12 HOURS"
     assert slot_label(5) == "18-20 HOURS"
+
+
+def test_cells_number_and_label_the_week_grid():
+    """A request's cell is day * 96 + slot * 12 + establishment, stated here
+    from the walk over ds.persons, and CELLS labels each number."""
+    ds = generate_dataset(0)
+    walk = walk_requests(ds)
+    for seed in range(5):
+        rng = random.Random(seed)
+        slots = [WINDOWS[r.window][0] + rng.randrange(WINDOWS[r.window][1]) for _, _, r in walk]
+        expected = [
+            day * 96 + slot * 12 + establishment_id(r.kind, r.index)
+            for (_, day, r), slot in zip(walk, slots)
+        ]
+        assert request_index(ds).cells(slots).tolist() == expected
+    assert len(CELLS) == 3 * 8 * 12
+    for d in range(3):
+        for s in range(8):
+            for e in range(12):
+                assert CELLS[d * 96 + s * 12 + e] == (
+                    DAY_LABELS[d], s, slot_label(s), establishment_label(e)
+                )
 
 
 def test_request_index_canonical_order():
@@ -198,7 +226,7 @@ def test_request_index_built_once_per_dataset():
         assert request_index(other) is request_index(other)
         assert list(request_index(other).person) == list(idx.person)
     arrays = [v for v in vars(idx).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 8
+    assert len(arrays) == 9
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1

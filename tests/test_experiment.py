@@ -322,7 +322,7 @@ def test_trajectory_bands_add_left_to_right(tmp_path):
         final_levels=(0.0,) * n,
         final_status=None,
         trajectory=(averages,) * 12,
-        occupancy=(((0,) * 12,) * 8,) * 3,
+        occupancy=(0,) * (N_DAYS * N_SLOTS * N_ESTABLISHMENTS),
     )
     experiment._write_solution_detail(tmp_path, ds, round_robin(ds, "comp1"), outcome)
     expected = []
@@ -337,17 +337,20 @@ def test_trajectory_bands_add_left_to_right(tmp_path):
 
 
 def _write_occupancy_loop(outcome, path):
-    """The csv.writer loop occupancy.csv was written with: the oracle."""
+    """The csv.writer loop occupancy.csv was written with: the oracle.  It
+    takes the counts in day, slot, establishment order."""
+    counts = iter(outcome.occupancy)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("day", "hours", "establishment", "attendees"))
-        for day, day_grid in enumerate(outcome.occupancy):
-            for slot, counts in enumerate(day_grid):
-                for est, count in enumerate(counts):
+        for day in range(N_DAYS):
+            for slot in range(N_SLOTS):
+                for est in range(N_ESTABLISHMENTS):
                     writer.writerow((
                         experiment.DAY_LABELS[day], slot_label(slot),
-                        establishment_label(est), count,
+                        establishment_label(est), next(counts),
                     ))
+    assert next(counts, None) is None
 
 
 def _outcome_with_occupancy(ds, occupancy):
@@ -369,10 +372,7 @@ def test_occupancy_csv_matches_the_loop(tmp_path):
     plan = round_robin(ds, "comp1")
     rng = random.Random(5)
     grids = [
-        tuple(
-            tuple(tuple(draw() for _ in range(N_ESTABLISHMENTS)) for _ in range(N_SLOTS))
-            for _ in range(N_DAYS)
-        )
+        tuple(draw() for _ in range(N_DAYS * N_SLOTS * N_ESTABLISHMENTS))
         for draw in (
             lambda: 0,
             lambda: rng.choice([0, 7, 10, 99, 123, 4567, 10**12]),
@@ -380,7 +380,7 @@ def test_occupancy_csv_matches_the_loop(tmp_path):
         )
     ]
     # counts of 0 and of one to thirteen digits, then a simulated week's grid
-    assert {0, 7, 4567, 10**12} <= {c for day in grids[1] for row in day for c in row}
+    assert {0, 7, 4567, 10**12} <= set(grids[1])
     grids.append(simulate(ds, plan, "partial", s=4).occupancy)
     for grid in grids:
         outcome = _outcome_with_occupancy(ds, grid)

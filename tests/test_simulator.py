@@ -41,6 +41,12 @@ from lockdownsched.simulator import (
 from scalar_oracles import walk_requests
 
 
+def attendees(outcome, day, slot, est):
+    """The attendee count of one cell: occupancy holds one count per cell,
+    numbered day * 96 + slot * 12 + establishment."""
+    return outcome.occupancy[day * 96 + slot * 12 + est]
+
+
 def make_table(p_by_n, q=5):
     probs = [0.9] * 20
     for n, p in p_by_n.items():
@@ -83,7 +89,7 @@ class TestPartialSimulation:
         assert out.isolation_day == (-1, -1, 0, -1, -1, -1, -1)
         assert out.classifications[2] == OUTCOME_ICU_RECOVERED
         assert out.counts() == (1, 0)
-        assert out.occupancy[0][0][0] == 7
+        assert attendees(out, 0, 0, 0) == 7
         assert fitness_value(*out.counts()) == -0.35
 
     def test_trajectory_shape_and_monotone(self, seven_ds):
@@ -139,7 +145,7 @@ class TestPartialSimulation:
         # both age-40 visitors exceed 0.92 after meeting on Monday and
         # withdraw, so Tuesday's supermarket has a lone healthy visitor
         assert out.isolation_day == (0, -1, 0)
-        assert out.occupancy[1][0][0] == 1
+        assert attendees(out, 1, 0, 0) == 1
         assert out.final_levels[1] == 0.0
 
     def test_duplicate_requests_same_cell_count_once(self):
@@ -147,7 +153,7 @@ class TestPartialSimulation:
         ds = parse_dataset(text).with_taxonomy({20: 0.5})
         plan = AllocationPlan((0, 0, 0))
         out = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="reference")
-        assert out.occupancy[0][0][0] == 2
+        assert attendees(out, 0, 0, 0) == 2
         # pressure of a two-person encounter, not a phantom three-person one
         expected = expected_after_one_encounter([0.5, 0.5], 4)
         assert list(out.final_levels) == pytest.approx(expected)
@@ -180,7 +186,7 @@ class TestFullSimulation:
             OUTCOME_NONE,
         )
         assert out.counts() == (1, 0)
-        assert out.occupancy[2][0][0] == 3
+        assert attendees(out, 2, 0, 0) == 3
 
     def test_immune_flag_blocks_infection(self):
         text = """
@@ -436,7 +442,7 @@ class TestEngineAgreement:
         plan = decode([0.3], ds)
         part = simulate(ds, plan, MODEL_PARTIAL, s=4, engine="kernel")
         full = simulate(ds, plan, MODEL_FULL, table=self.TABLE, engine="kernel")
-        assert part.occupancy[0][0][0] == 24
+        assert attendees(part, 0, 0, 0) == 24
         # 22 infected exceed the 20-entry table, so p = 1 infects both
         assert full.final_status[22:24] == (("I", 3), ("I", 3))
         assert part.final_levels[24] == 0.5
@@ -444,12 +450,12 @@ class TestEngineAgreement:
         plan = decode([0.1], iso)
         part = simulate(iso, plan, MODEL_PARTIAL, s=4, engine="kernel")
         full = simulate(iso, plan, MODEL_FULL, table=self.TABLE, engine="kernel")
-        assert part.isolation_day == (0, 0, -1, 0) and part.occupancy[1][0][0] < 3
+        assert part.isolation_day == (0, 0, -1, 0) and attendees(part, 1, 0, 0) < 3
         assert full.isolation_day == (1, -1, -1, 1)
         for name, priors in ONE_CELL_PRIORS.items():
             one = world(ONE_CELL, priors)
             part = simulate(one, decode([0.3], one), MODEL_PARTIAL, s=4, engine="kernel")
-            assert part.occupancy[0][0][0] == 4
+            assert attendees(part, 0, 0, 0) == 4
             # the -0.0 visitor keeps the sign unless some pressure reaches them
             kept = name in ("negative-zero", "underflow")
             assert (repr(part.final_levels[0]) == "-0.0") == kept
@@ -457,8 +463,8 @@ class TestEngineAgreement:
         plan = decode([0.3], shrink)
         part = simulate(shrink, plan, MODEL_PARTIAL, s=4, engine="kernel")
         full = simulate(shrink, plan, MODEL_FULL, table=self.TABLE, engine="kernel")
-        assert [day[0][0] for day in part.occupancy] == [3, 2, 2]
-        assert [day[0][0] for day in full.occupancy] == [3, 3, 2]
+        assert [attendees(part, day, 0, 0) for day in range(3)] == [3, 2, 2]
+        assert [attendees(full, day, 0, 0) for day in range(3)] == [3, 3, 2]
         assert (part.isolation_day, full.isolation_day) == ((0, -1, -1), (1, -1, -1))
 
     def test_kernel_matches_reference_partial_and_full(self):
@@ -590,9 +596,8 @@ class TestCellFilter:
         plan = decode([0.3], ds)  # every morning request lands in slot 0
         ref = simulate(ds, plan, MODEL_FULL, table=table, engine="reference")
         assert simulate(ds, plan, MODEL_FULL, table=table, engine="kernel") == ref
-        monday = ref.occupancy[0][0]
         store, club = establishment_id("F", 1), establishment_id("C", 1)
-        assert (monday[store], monday[club]) == (size, size - 1)
+        assert (attendees(ref, 0, 0, store), attendees(ref, 0, 0, club)) == (size, size - 1)
         flags = [p.immunity_flag for p in ds.persons]
         status = [letter for letter, _ in ref.final_status]
         # the full cell infects someone; the one a person short cannot
