@@ -1,17 +1,27 @@
 """The week loops behind the evolutionary fast path and simulate().
 
 The plain-Python engine in simulator.py is the readable reference; the loops
-here replay the exact same arithmetic, in the exact same order, over plain
-Python lists prepared once per dataset and model by build_context, which
-also picks the model's loop, ctx.week.  _buckets sorts a plan's requests
-into their cells (RequestIndex.cells) once, with one stable int16 sort; the
-loop walks those buckets in cell order, and simulate() counts occupancy from
-them.  A loop returns (levels or status, snapshots or infection days, iso_day
-(the day a person isolated at the end of, or -1), outcome codes, N_H, N_D).
-The standard loop visits only cells of at least ctx.min_group distinct
-members, the smallest group in which the table can infect anyone, and reads
-p_n as ctx.probs[n], PnTable.p_for's values.  Evolution scores every plan it
-has not met before through counts_for_slots, so this is the hot path.
+here replay the exact same arithmetic, in the exact same order, over inputs
+prepared once per dataset and model by build_context, which also picks the
+model's loop, ctx.week, and what it reads of a plan, ctx.visits.
+
+_buckets sorts a plan's requests into their cells (RequestIndex.cells) once,
+with one stable int16 sort.  The fractional loop walks those buckets, as
+plain Python lists, in cell order, and simulate() counts occupancy from them
+under either model.  It returns (levels, snapshots, iso_day (the day a
+person isolated at the end of, or -1), outcome codes, N_H, N_D).
+
+The standard loop holds sets of persons as the bits of Python ints: bit r is
+the person of r-th lowest id, so a group's k lowest-id susceptibles are its
+k lowest set bits.  _visitor_masks packs the visitors of each cell with at
+least ctx.min_group requests, the smallest group in which the table can
+infect anyone, into one int; a group is that mask less the isolated, and
+p_n is ctx.probs[n], PnTable.p_for's values.  A person's isolation day is
+fixed on the day they are infected, so the loop returns bitsets (the
+infected, those infected on each day, those isolating at the end of each
+day) and N_H, N_D, and _full_fields spells the bitsets out per person.
+Evolution scores every plan it has not met before through counts_for_slots,
+so this is the hot path.
 
 bound_array and decode_slots are the package's one rule for turning a
 printed vector into a plan.  Evolution scores and records with both, and
@@ -56,9 +66,9 @@ class SimContext:
 
     __slots__ = (
         "week",
+        "visits",
         "n_persons",
         "requests",
-        "person_id",
         "age_idx",
         "health",
         "levels0",
@@ -68,6 +78,11 @@ class SimContext:
         "min_group",
         "rules",
         "bands",
+        "n_bytes",
+        "bit_person",
+        "request_bit",
+        "start",
+        "counted",
     )
 
 
@@ -76,7 +91,6 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
     ctx = SimContext()
     ctx.n_persons = len(ds.persons)
     ctx.requests = ri
-    ctx.person_id = ri.person_id.tolist()
     ctx.age_idx = ri.age_index.tolist()
     ctx.health = ri.health.tolist()
 
@@ -89,7 +103,7 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
         [r.recover_above for r in rules],
     )
     if partial:
-        ctx.week = _partial_week
+        ctx.week, ctx.visits = _partial_week, _buckets
         ctx.levels0 = [
             float(ds.taxonomy_infection.get(p.age_group, 0.0)) for p in ds.persons
         ]
@@ -104,10 +118,11 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
             [r.out_threshold for r in rules],
             partial_infection.ISOLATION_HEALTH_CAP,
         )
+        ctx.n_bytes = ctx.bit_person = ctx.request_bit = None
+        ctx.start = ctx.counted = None
     else:
-        # the dataset's immunity flags 0/1/2 are the codes of Status.S/I/R;
-        # the loop keeps them as plain ints, which it compares faster
-        ctx.week = _full_week
+        ctx.week, ctx.visits = _full_week, _visitor_masks
+        # the dataset's immunity flags 0/1/2 are the codes of Status.S/I/R
         ctx.status0 = [p.immunity_flag for p in ds.persons]
         ctx.levels0 = None
         ctx.gcoef = None
@@ -117,8 +132,42 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
             table.p_for(n) for n in range(max(ctx.n_persons, MAX_TABLE_N) + 2)
         ]
         ctx.min_group = _min_group(ctx.probs)
-        ctx.rules = ([r.day1_health for r in rules], [r.day2_health for r in rules])
+        # bit r of a bitset is the person of r-th lowest id, ties in dataset
+        # order, so a group's k lowest-id susceptibles are its k lowest bits;
+        # at least one byte, so that an empty dataset still has a width
+        ctx.n_bytes = max(1, -(-ctx.n_persons // 8))
+        ctx.bit_person = np.argsort(ri.person_id, kind="stable")
+        bit = np.empty(ctx.n_persons, dtype=np.intp)
+        bit[ctx.bit_person] = np.arange(ctx.n_persons)
+        ctx.request_bit = bit[ri.person]
+        status0 = np.asarray(ctx.status0)
+        ctx.start = (_mask(ctx, status0 == Status.I), _mask(ctx, status0 == Status.S))
+        # full_isolation: an infected person isolates at the end of the day
+        # after their infection if health < day1_health, else at the end of
+        # the one after that if health < day2_health; those infected before
+        # the week count as infected on day 0
+        health, age = ri.health, ri.age_index
+        day1 = health < np.array([r.day1_health for r in rules])[age]
+        day2 = ~day1 & (health < np.array([r.day2_health for r in rules])[age])
+        ctx.rules = (_mask(ctx, day1), _mask(ctx, day2))
+        # the persons N_H and N_D count once infected: outcome codes 2 and 3
+        codes = np.array(_classify(ctx, range(ctx.n_persons))[0])
+        ctx.counted = (_mask(ctx, codes == 2), _mask(ctx, codes == 3))
     return ctx
+
+
+def _mask(ctx: SimContext, flags) -> int:
+    """The bitset of the persons whose flag (one per person, in dataset
+    order) is set."""
+    bits = np.packbits(np.asarray(flags, dtype=bool)[ctx.bit_person], bitorder="little")
+    return int.from_bytes(bits.tobytes(), "little")
+
+
+def _persons(ctx: SimContext, mask: int) -> np.ndarray:
+    """The dataset positions of a bitset's persons, by ascending id."""
+    raw = np.frombuffer(mask.to_bytes(ctx.n_bytes, "little"), dtype=np.uint8)
+    bits = np.unpackbits(raw, count=ctx.n_persons, bitorder="little")
+    return ctx.bit_person[bits.astype(bool)]
 
 
 def bound_array(raw_vector) -> np.ndarray:
@@ -255,59 +304,81 @@ def _partial_week(ctx: SimContext, buckets):
     return (levels, snapshots, iso_day, *_classify(ctx, ill))
 
 
-def _full_week(ctx: SimContext, buckets):
-    n = ctx.n_persons
-    min_group = ctx.min_group
-    sizes, bounds, members = buckets
-    # a group is a subset of its cell, so a smaller cell cannot infect anyone
-    busy = np.flatnonzero(sizes >= min_group)
-    spans = [[] for _ in range(N_DAYS)]  # member ranges of each day's cells
-    starts, ends = bounds[busy].tolist(), bounds[busy + 1].tolist()
-    for cell, lo, hi in zip(busy.tolist(), starts, ends):
-        spans[cell // CELLS_PER_DAY].append((lo, hi))
-    members = members.tolist()
-    age_idx, health, person_id, probs = ctx.age_idx, ctx.health, ctx.person_id, ctx.probs
-    day1_health, day2_health = ctx.rules
+def _visitor_masks(ctx: SimContext, slots):
+    """(masks, cuts): the visitor bitset of each cell of a plan whose request
+    count reaches ctx.min_group, in cell order, and where each day's cells
+    start and end in masks.  A smaller cell cannot hold the fewest distinct
+    visitors that can infect anyone."""
+    # widened first: the int16 cells would overflow once scaled by the width
+    cell = ctx.requests.cells(slots).astype(np.intp)
+    busy = np.flatnonzero(np.bincount(cell, minlength=N_CELLS) >= ctx.min_group)
+    width = 8 * ctx.n_bytes
+    grid = np.zeros((N_CELLS, width), dtype=bool)
+    grid.ravel()[cell * width + ctx.request_bit] = True
+    rows = np.packbits(grid[busy], axis=1, bitorder="little").tobytes()
+    step = ctx.n_bytes
+    masks = [int.from_bytes(rows[i : i + step], "little") for i in range(0, len(rows), step)]
+    cuts = np.searchsorted(busy, np.arange(0, N_CELLS + 1, CELLS_PER_DAY)).tolist()
+    return masks, cuts
 
-    status = list(ctx.status0)
-    infected = [pi for pi, st in enumerate(status) if st == 1]
-    days = [0] * n
-    iso_day = [-1] * n
+
+def _full_week(ctx: SimContext, visits):
+    masks, cuts = visits
+    min_group, probs = ctx.min_group, ctx.probs
+    isolate_next, isolate_later = ctx.rules
+
+    infected, susceptible = ctx.start
+    present = (1 << ctx.n_persons) - 1  # everyone not yet isolated
+    # infected_on[d]: persons infected on day d, where those infected before
+    # the week count; isolating[d]: persons who isolate at the end of day d
+    infected_on = []
+    isolating = [0] * (N_DAYS + 2)
+    new = infected
 
     for day in range(N_DAYS):
-        for lo, hi in spans[day]:
-            group = [pi for pi in members[lo:hi] if iso_day[pi] < 0]
-            if len(group) < min_group:
+        for mask in masks[cuts[day] : cuts[day + 1]]:
+            group = mask & present
+            if group.bit_count() < min_group:
                 continue
-            n_inf = 0
-            sus = []
-            for pi in group:
-                st = status[pi]
-                if st == 1:
-                    n_inf += 1
-                elif st == 0:
-                    sus.append(pi)
+            sus = group & susceptible
             # p_0 is 0.0, so no infected or no susceptible gives k = 0
-            k = int(probs[n_inf] * len(sus))
+            k = int(probs[(group & infected).bit_count()] * sus.bit_count())
             if k == 0:
                 continue
             # infect the k susceptibles with the lowest person ids
-            sus.sort(key=person_id.__getitem__)
-            for pi in sus[:k]:
-                status[pi] = 1
-                infected.append(pi)
-        for pi in infected:
-            # the infection clock keeps counting even in isolation
-            days[pi] += 1
-            if iso_day[pi] >= 0:
-                continue
-            g = age_idx[pi]
-            if (days[pi] > 1 and health[pi] < day1_health[g]) or (
-                days[pi] > 2 and health[pi] < day2_health[g]
-            ):
-                iso_day[pi] = day
+            rest = sus
+            for _ in range(k):
+                rest &= rest - 1
+            hit = sus ^ rest
+            susceptible ^= hit
+            infected |= hit
+            new |= hit
+        infected_on.append(new)
+        isolating[day + 1] |= new & isolate_next
+        isolating[day + 2] |= new & isolate_later
+        present &= ~isolating[day]
+        new = 0
 
-    return (status, days, iso_day, *_classify(ctx, infected))
+    recover, die = ctx.counted
+    n_h, n_d = (infected & recover).bit_count(), (infected & die).bit_count()
+    return infected, infected_on, isolating[:N_DAYS], n_h, n_d
+
+
+def _full_fields(ctx: SimContext, week):
+    """(status, days infected, iso_day, outcome codes), per person, of a
+    standard week's bitsets."""
+    infected, infected_on, isolating = week[:3]
+    status = np.asarray(ctx.status0, dtype=np.int64)
+    days = np.zeros(ctx.n_persons, dtype=np.int64)
+    iso_day = np.full(ctx.n_persons, -1, dtype=np.int64)
+    ill = _persons(ctx, infected)
+    status[ill] = 1
+    for day, (new, leaving) in enumerate(zip(infected_on, isolating)):
+        # the infection clock keeps counting even in isolation
+        days[_persons(ctx, new)] = N_DAYS - day
+        iso_day[_persons(ctx, leaving)] = day
+    codes = _classify(ctx, ill.tolist())[0]
+    return status.tolist(), days.tolist(), iso_day.tolist(), codes
 
 
 def _group_averages(ds: Dataset, levels) -> tuple:
@@ -323,7 +394,7 @@ def _group_averages(ds: Dataset, levels) -> tuple:
 
 def counts_for_slots(ctx: SimContext, slots: np.ndarray) -> tuple:
     """(N_H, N_D) fast path used by the evolutionary loop."""
-    out = ctx.week(ctx, _buckets(ctx, slots))
+    out = ctx.week(ctx, ctx.visits(ctx, slots))
     return out[-2], out[-1]
 
 
@@ -331,7 +402,12 @@ def outcome_fields(ds: Dataset, slots, model: str, *, s=None, table=None) -> dic
     """simulate()'s kernel path: SimOutcome's fields but the two counts."""
     ctx = build_context(ds, model, s=s, table=table)
     buckets = sizes, _, members = _buckets(ctx, slots)
-    state, extra, iso_day, codes, _, _ = ctx.week(ctx, buckets)
+    if model == MODEL_PARTIAL:
+        state, extra, iso_day, codes, _, _ = _partial_week(ctx, buckets)
+    else:
+        state, extra, iso_day, codes = _full_fields(
+            ctx, _full_week(ctx, _visitor_masks(ctx, slots))
+        )
     # a member attends cell c of day d unless they isolated before day d
     cell = np.repeat(np.arange(N_CELLS), sizes)
     iso = np.asarray(iso_day, dtype=np.int64)[members]

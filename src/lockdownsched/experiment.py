@@ -89,10 +89,11 @@ class ExperimentSpec(GpConfig):
         for name in ("generate_seed", "apriori_seed", "pn_seed"):
             if (getattr(self, name) or 0) < 0:
                 raise ValueError(f"{name} must not be negative")
-        # the fractional model builds no p_n table, so these would only be recorded
+        # the fractional model builds no p_n table and marks no persons, so
+        # these would only be recorded
         if self.model == MODEL_PARTIAL:
             defaults = {f.name: f.default for f in fields(self)}
-            for name in ("q", "pn_iterations", "pn_seed"):
+            for name in ("q", "pn_iterations", "pn_seed", "apriori_seed"):
                 if getattr(self, name) != defaults[name]:
                     raise ValueError(f"{name} applies to the full model only")
 

@@ -148,12 +148,14 @@ RUN_REFUSALS = [
                      id=f"{flag[2:]}-on-the-fractional-model")
         for flag in ("--apriori-infected", "--apriori-immune")
     ),
-    # nor builds a p_n table, so these would only be recorded
+    # nor builds a p_n table or draws its a-priori persons, so these would
+    # only be recorded
     *(
         pytest.param(["--model", "partial", flag, value],
                      f"{flag[2:].replace('-', '_')} applies to the full model only",
                      id=f"{flag[2:]}-on-the-fractional-model")
-        for flag, value in (("--q", "3"), ("--pn-iterations", "7"), ("--pn-seed", "9"))
+        for flag, value in (("--q", "3"), ("--pn-iterations", "7"), ("--pn-seed", "9"),
+                            ("--apriori-seed", "5"))
     ),
     *(
         pytest.param(["--model", model, "--q", "4", "--apriori-infected", infected,
@@ -300,6 +302,8 @@ class TestReplayAndCompare:
              "a-priori fractions"),
             (_manifest(lambda m: {**m, "spec": {**m["spec"], "q": 4}}),
              "q applies to the full model only"),
+            (_manifest(lambda m: {**m, "spec": {**m["spec"], "apriori_seed": 5}}),
+             "apriori_seed applies to the full model only"),
             (_manifest(lambda m: {**m, "spec": {**m["spec"], "priors": [[20, 0.1], [20, 0.2]]}}),
              "age 20 given twice in the priors"),
             *(
@@ -317,7 +321,8 @@ class TestReplayAndCompare:
              "unknown-age", "repeated-baseline", "repeated-pir-seed", "nan-target-fitness",
              "spec-not-an-object",
              "dataset-file-not-a-string", "fractions-on-the-fractional-model",
-             "q-on-the-fractional-model", "repeated-prior-age", "negative-generate-seed",
+             "q-on-the-fractional-model", "apriori-seed-on-the-fractional-model",
+             "repeated-prior-age", "negative-generate-seed",
              "negative-apriori-seed", "negative-pn-seed",
              "not-json", "no-manifest", "dataset-changed"],
     )

@@ -15,7 +15,8 @@ from lockdownsched._simcore import (
     counts_for_slots,
     decode_slots,
 )
-from lockdownsched.allocation import decode, round_robin
+from lockdownsched import gp_engine
+from lockdownsched.allocation import AllocationPlan, decode, round_robin
 from lockdownsched.dataset import (
     INFECTED,
     generate_dataset,
@@ -24,6 +25,7 @@ from lockdownsched.dataset import (
     request_index,
 )
 from lockdownsched.full_infection import build_pn_table
+from lockdownsched.gp_engine import GpConfig, run_pirs
 from lockdownsched.simulator import MODEL_FULL, simulate
 
 from scalar_oracles import bound_vector, decode_loop
@@ -111,3 +113,31 @@ def test_counts_match_reference_at_benchmark_scale():
     assert skipped > 0 and visited > 0
     seeded = sum(p.immunity_flag == INFECTED for p in ds.persons)
     assert infected > len(plans) * seeded
+
+
+def test_counts_match_reference_on_bred_plans(monkeypatch):
+    # every plan the benchmark's first evolve_full operation scores: one PIR
+    # of population 100, budget 100 and seed 1 on the world above, so the
+    # plans are bred ones, as evolution meets them
+    ds = mark_apriori_infection(generate_dataset(12345), 0.053, 0.021, seed=777)
+    table = build_pn_table(4, 100_000, seed=0)
+    scored = []
+
+    def spy(ctx, slots):
+        counts = counts_for_slots(ctx, slots)
+        scored.append((slots.copy(), counts))
+        return counts
+
+    monkeypatch.setattr(gp_engine, "counts_for_slots", spy)
+    config = GpConfig(model=MODEL_FULL, q=4, w_c=0.65, population=100, budget=100)
+    run_pirs(ds, config, (1,), table=table)
+    assert scored
+    infected = []
+    for slots, counts in scored:
+        plan = AllocationPlan(tuple(slots.tolist()))
+        ref = simulate(ds, plan, MODEL_FULL, table=table, engine="reference")
+        assert counts == ref.counts()
+        infected.append([st for st, _ in ref.final_status].count("I"))
+    # the week infects over a hundred on some plans and nobody on others
+    seeded = sum(p.immunity_flag == INFECTED for p in ds.persons)
+    assert min(infected) == seeded and max(infected) > 100

@@ -2,6 +2,7 @@ import functools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -346,10 +347,12 @@ _priors = st.dictionaries(
 _vector = st.lists(st.floats(0.0001, 0.9999), min_size=1, max_size=6)
 
 
-def world(rows, priors):
+def world(rows, priors, ids=None):
+    """A dataset of rows in order; person i has id ids[i], or i + 1."""
+    ids = range(1, len(rows) + 1) if ids is None else ids
     lines = [
         f"{pid} {age} {health} {flag} {d0} | {d1} | {d2}"
-        for pid, (age, health, flag, (d0, d1, d2)) in enumerate(rows, start=1)
+        for pid, (age, health, flag, (d0, d1, d2)) in zip(ids, rows)
     ]
     return parse_dataset("\n".join(lines)).with_taxonomy(priors)
 
@@ -603,6 +606,96 @@ class TestCellFilter:
         # the full cell infects someone; the one a person short cannot
         assert status[:size].count("I") > flags[:size].count(INFECTED)
         assert status[size:].count("I") == flags[size:].count(INFECTED)
+
+
+def standard_agreement(ds, plan, table):
+    """The reference outcome, once the kernel's outcome and counts_for_slots
+    have matched it."""
+    ref = simulate(ds, plan, MODEL_FULL, table=table, engine="reference")
+    assert simulate(ds, plan, MODEL_FULL, table=table, engine="kernel") == ref
+    ctx = build_context(ds, MODEL_FULL, table=table)
+    slots = np.asarray(plan.slots, dtype=np.int64)
+    assert _simcore.counts_for_slots(ctx, slots) == ref.counts()
+    return ref
+
+
+# rows with ids in reverse dataset order, in a shuffled order, or unique
+# ids anywhere in 0..10**6
+_renumbered = st.lists(_person, min_size=1, max_size=30).flatmap(
+    lambda rows: st.tuples(
+        st.just(rows),
+        st.one_of(
+            st.just(range(len(rows), 0, -1)),
+            st.permutations(range(1, len(rows) + 1)),
+            st.lists(
+                st.integers(0, 10**6), min_size=len(rows), max_size=len(rows), unique=True
+            ),
+        ),
+    )
+)
+
+
+class TestIdOrder:
+    """The standard model infects the lowest person ids first, whatever the
+    dataset order; the kernel must follow ids, not positions."""
+
+    TABLE = TestEngineAgreement.TABLE  # min_group 4; p_2 = 0.52
+
+    @settings(max_examples=150, deadline=None)
+    @given(_renumbered, _vector, st.sampled_from(sorted(STANDARD_TABLES)))
+    @example((CROWD, range(len(CROWD), 0, -1)), [0.3], "agreement")
+    @example((ISOLATING, (40, 7, 0, 12)), [0.1], "p1_one")
+    def test_kernel_matches_reference_in_any_id_order(self, renumbered, vector, name):
+        rows, ids = renumbered
+        ds = world(rows, {}, ids)
+        standard_agreement(ds, decode(vector, ds), standard_table(name))
+
+    @pytest.mark.parametrize("ids", [(6, 5, 4, 3, 2, 1), (10, 3, 7, 1, 9, 4)])
+    def test_ids_pick_who_is_infected(self, ids):
+        # two infected meet four susceptibles on Monday: int(0.52 * 4) = 2
+        rows = [(30, 9.0, 1, ("MF1", "", ""))] * 2 + [(20, 8.0, 0, ("MF1", "", ""))] * 4
+        ds = world(rows, {}, ids)
+        ref = standard_agreement(ds, decode([0.3], ds), self.TABLE)
+        lowest = sorted(range(2, 6), key=ids.__getitem__)[:2]
+        ill = [pi for pi, (letter, _) in enumerate(ref.final_status) if letter == "I"]
+        assert ill == sorted([0, 1, *lowest])
+
+    @pytest.mark.parametrize("health, infects", [(4.0, False), (9.0, True)])
+    def test_day1_isolation_drops_a_group_below_min_group(self, health, infects):
+        # four meet on Wednesday only; the first, infected before the week,
+        # isolates at the end of Tuesday when sick (health < 6.5 at age 40),
+        # which leaves three, one short of min_group
+        rows = [
+            (40, health, 1, ("", "", "MF1")),
+            (30, 9.0, 1, ("", "", "MF1")),
+            (20, 8.0, 0, ("", "", "MF1")),
+            (20, 8.0, 0, ("", "", "MF1")),
+        ]
+        ds = world(rows, {}, (3, 9, 2, 1))
+        ref = standard_agreement(ds, decode([0.3], ds), self.TABLE)
+        assert build_context(ds, MODEL_FULL, table=self.TABLE).min_group == 4
+        store = establishment_id("F", 1)
+        assert attendees(ref, 2, 0, store) == (4 if infects else 3)
+        assert ref.isolation_day == ((-1 if infects else 1), -1, -1, -1)
+        # the lower id of the two susceptibles is the one infected
+        letters = [letter for letter, _ in ref.final_status[2:]]
+        assert letters == (["S", "I"] if infects else ["S", "S"])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [(20, 1.0, 1, ("", "", ""))] * 3,
+            crowd(5),  # 8 persons: one whole byte of bits
+            crowd(6),  # 9 persons
+            [(20, 1.0, 1, ("", "", ""))] * 8 + crowd(20),
+        ],
+        ids=["no-persons", "no-requests", "eight", "nine", "idle-first"],
+    )
+    def test_persons_without_requests(self, rows):
+        ds = world(rows, {}, range(len(rows), 0, -1))
+        ref = standard_agreement(ds, decode([0.3], ds), self.TABLE)
+        assert len(ref.final_status) == len(rows)
 
 
 def test_outcome_round_shape(seven_ds):
