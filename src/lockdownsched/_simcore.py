@@ -194,7 +194,8 @@ def decode_slots(ri: RequestIndex, bounded_vector) -> np.ndarray:
     """
     v = np.asarray(bounded_vector, dtype=np.float64)
     w = ri.window_width
-    picks = v[np.arange(ri.n_requests) % v.shape[0]]
+    n = ri.n_requests
+    picks = np.tile(v, -(-n // v.shape[0]))[:n]
     return ri.window_base + np.minimum((picks * w).astype(np.int64), w - 1)
 
 

@@ -8,6 +8,11 @@ Transmission per encounter then truncates p_n times the susceptible count.
 cell_of is the one dwell-cell map, read by the sampler and the exact cell
 distribution alike; PnTable.p_for is the one p_n lookup.  Both simulation
 engines read the model's age-banded rules, FULL_RULES, from here.
+
+build_pn_table draws in batches of about 200k raw values, which keeps its
+arrays small.  Each bounded int32 draw takes the next value of the PCG64
+generator's 32-bit stream, whatever the batch, so the batch size does not
+change the table.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 
 MAX_TABLE_N = 20
 RAW_RANGE = 7200
+_BATCH_DRAWS = 200_000  # raw draws per build_pn_table batch
 
 
 class Status(IntEnum):
@@ -104,7 +110,7 @@ def build_pn_table(q: int, iterations: int = 100_000, seed: int = 0) -> PnTable:
         raise ValueError("iterations must be at least 1")
     rng = np.random.default_rng(seed)
     met_counts = np.zeros(MAX_TABLE_N, dtype=np.int64)
-    batch = max(1, min(iterations, 4_000_000 // (q * (MAX_TABLE_N + 1))))
+    batch = max(1, min(iterations, _BATCH_DRAWS // (q * (MAX_TABLE_N + 1))))
     done = 0
     while done < iterations:
         m = min(batch, iterations - done)

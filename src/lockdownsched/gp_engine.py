@@ -43,7 +43,7 @@ from ._simcore import (
 )
 from .dataset import Dataset, request_index
 from .full_infection import PnTable
-from .gp_tree import crossover, eval_tree, mutate, ramped_population
+from .gp_tree import _below, crossover, eval_tree, mutate, ramped_population
 from .simulator import MODEL_FULL, MODEL_PARTIAL, fitness_value
 
 TOURNAMENT_SIZE = 4
@@ -226,9 +226,10 @@ class _Evaluator:
 
 def _tournament(rng, scores, sizes, k: int) -> int:
     """Index of the winner: best score, ties won by the smaller tree."""
-    best = rng.randrange(len(scores))
+    bits, n = rng.getrandbits, len(scores)
+    best = _below(bits, n)
     for _ in range(k - 1):
-        j = rng.randrange(len(scores))
+        j = _below(bits, n)
         if (scores[j], -sizes[j]) > (scores[best], -sizes[best]):
             best = j
     return best
@@ -236,9 +237,10 @@ def _tournament(rng, scores, sizes, k: int) -> int:
 
 def _kill_tournament(rng, scores, sizes, protect: int) -> int:
     """Slot to overwrite: worst score, ties kill the bigger tree."""
+    bits, n = rng.getrandbits, len(scores)
     while True:
-        i = rng.randrange(len(scores))
-        j = rng.randrange(len(scores))
+        i = _below(bits, n)
+        j = _below(bits, n)
         loser = i if (scores[i], -sizes[i]) <= (scores[j], -sizes[j]) else j
         if loser == protect:
             loser = j if loser == i else i

@@ -15,11 +15,17 @@ fills one.  The size of a tree is its length, and variation is slicing:
 crossover and mutation splice a span into a copy of the parent.
 
 There is one evaluator: compile_postfix reorders the nodes into post-order
-and run_vm runs them on a value stack, optionally recording a trace of
-pointer movements.  No walk over a tree recurses, so the deepest tree the
-2000-node cap allows needs no raised recursion limit.  The module imports
-nothing from the package: folding a printed vector into (0,1) is
-_simcore.bound_array's job.
+and run_vm runs them on a value stack, each operator writing its result
+over its left operand, optionally recording a trace of pointer movements.
+No walk over a tree recurses, so the deepest tree the 2000-node cap allows
+needs no raised recursion limit.
+
+Every integer draw of tree building, variation and the engine's
+tournaments is _below on rng.getrandbits, CPython's own rule behind
+Random.choice, randrange and randint, so a seed gives the trees it always
+gave.  The nodes random_tree appends are made once, at import.  The module
+imports only the standard library, so the draw rule can be checked without
+numpy; folding a printed vector into (0,1) is _simcore.bound_array's job.
 """
 
 from __future__ import annotations
@@ -69,6 +75,12 @@ KIND_NAMES = (
 )
 FUNCTION_CODES = tuple(range(ADD_NUMBER, SET_MEM2 + 1))
 KIND_CODES_ALL = tuple(range(len(KIND_NAMES)))
+
+# every node random_tree appends: an operator by its code (no terminal is
+# listed), and a constant by its draw from 0..255
+_OPERATOR_NODES = {code: (code, 0.0) for code in FUNCTION_CODES}
+_CONSTANT_NODES = tuple((CONSTANT, float(i - 127)) for i in range(256))
+_SCONSTANT_NODES = tuple((SCONSTANT, i / 255.0) for i in range(256))
 
 
 @dataclass
@@ -124,7 +136,7 @@ def run_vm(program: list, trace: list | None = None) -> tuple:
             push(payload)
             continue
         right = pop()
-        left = pop()
+        left = stack[-1]
         if code <= AVERAGE_NUMBER:
             if code == ADD_NUMBER:
                 value = left + right
@@ -182,8 +194,8 @@ def run_vm(program: list, trace: list | None = None) -> tuple:
                 value = right
             if trace is not None:
                 trace.append((KIND_NAMES[code], p_r, p_z))
-        push(value)
-    return pop(), EvalState(r, p_r, p_z, m1, m2)
+        stack[-1] = value  # over the left operand
+    return stack[-1], EvalState(r, p_r, p_z, m1, m2)
 
 
 def eval_tree(tree: tuple) -> list:
@@ -194,27 +206,48 @@ def eval_tree(tree: tuple) -> list:
 
 # --- random construction and variation --------------------------------------
 
+def _below(bits, n: int) -> int:
+    """A draw from 0..n-1: k = n.bit_length() bits from bits, drawn again
+    while at least n.  Random.choice, randrange and randint reduce to this
+    rule, so _below(rng.getrandbits, n) equals rng.randrange(n) and leaves
+    rng in the same state."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_tree(rng, depth: int, method: str = "grow") -> tuple:
     """Grow/full tree of at most the given depth (depth 0 is a terminal).
 
     Nodes are drawn in preorder: a node's kind, then its left subtree, then
     its right; a terminal draws its kind of constant, then its value.
     """
+    bits, random = rng.getrandbits, rng.random
     codes = KIND_CODES_ALL if method == "grow" else FUNCTION_CODES
+    # _below written out for both draws: calling it per draw makes the
+    # function about a quarter slower
+    n_codes, n_values = len(codes), len(_CONSTANT_NODES)
+    k_codes, k_values = n_codes.bit_length(), n_values.bit_length()
     nodes = []
     depths = [depth]  # of the subtrees still to draw, the next one on top
     while depths:
         d = depths.pop()
         if d > 0:
-            code = rng.choice(codes)
+            i = bits(k_codes)
+            while i >= n_codes:
+                i = bits(k_codes)
+            code = codes[i]
             if code > SCONSTANT:
-                nodes.append((code, 0.0))
+                nodes.append(_OPERATOR_NODES[code])
                 depths += (d - 1, d - 1)
                 continue
-        if rng.random() < 0.5:
-            nodes.append((CONSTANT, float(rng.randint(-127, 128))))
-        else:
-            nodes.append((SCONSTANT, rng.randint(0, 255) / 255.0))
+        table = _CONSTANT_NODES if random() < 0.5 else _SCONSTANT_NODES
+        i = bits(k_values)
+        while i >= n_values:
+            i = bits(k_values)
+        nodes.append(table[i])
     return tuple(nodes)
 
 
@@ -248,12 +281,12 @@ def _graft(a: tuple, i: int, sub: tuple) -> tuple:
 
 def crossover(a: tuple, b: tuple, rng) -> tuple:
     """Swap a random subtree of a for a random subtree of b."""
-    ia = rng.randrange(len(a))
-    ib = rng.randrange(len(b))
+    ia = _below(rng.getrandbits, len(a))
+    ib = _below(rng.getrandbits, len(b))
     return _graft(a, ia, b[ib : _subtree_end(b, ib)])
 
 
 def mutate(a: tuple, rng) -> tuple:
     """Replace a random subtree with a freshly grown one."""
-    ia = rng.randrange(len(a))
+    ia = _below(rng.getrandbits, len(a))
     return _graft(a, ia, random_tree(rng, MUTATION_DEPTH, "grow"))

@@ -1,10 +1,12 @@
 """Oracles the tests compare the package against; no run executes them.
 
 The scalar loops that bounding, decoding and plan reading were written as
-before the array core in lockdownsched._simcore took them over, and the
-exhaustive enumeration that encounter_pressure's sorted sum must equal.
-They are kept here, outside the package, so src/ holds only what a run
-executes."""
+before the array core in lockdownsched._simcore took them over, the
+exhaustive enumeration that encounter_pressure's sorted sum must equal, and
+tree building, variation and tournaments as they drew from random.Random's
+choice, randint and randrange before each draw went to getrandbits
+directly.  They are kept here, outside the package, so src/ holds only what
+a run executes."""
 
 import csv
 import math
@@ -12,7 +14,16 @@ from itertools import product
 
 from lockdownsched.allocation import PLAN_CSV_HEADER, AllocationPlan, validate_plan
 from lockdownsched.dataset import WINDOWS, request_index
-from lockdownsched.gp_tree import MAX_VECTOR_LEN
+from lockdownsched.gp_tree import (
+    CONSTANT,
+    FUNCTION_CODES,
+    KIND_CODES_ALL,
+    MAX_VECTOR_LEN,
+    MUTATION_DEPTH,
+    SCONSTANT,
+    _graft,
+    _subtree_end,
+)
 from lockdownsched.partial_infection import EncounterGroup
 
 
@@ -92,6 +103,60 @@ def read_plan_csv(ds, path) -> AllocationPlan:
     plan = AllocationPlan(tuple(slots))
     validate_plan(plan, ds)
     return plan
+
+
+# --- random draws through random.Random's public integer methods -----------
+
+def random_tree_by_choice(rng, depth: int, method: str = "grow") -> tuple:
+    """gp_tree.random_tree drawing each kind with choice and each constant
+    with randint."""
+    codes = KIND_CODES_ALL if method == "grow" else FUNCTION_CODES
+    nodes = []
+    depths = [depth]
+    while depths:
+        d = depths.pop()
+        if d > 0:
+            code = rng.choice(codes)
+            if code > SCONSTANT:
+                nodes.append((code, 0.0))
+                depths += (d - 1, d - 1)
+                continue
+        if rng.random() < 0.5:
+            nodes.append((CONSTANT, float(rng.randint(-127, 128))))
+        else:
+            nodes.append((SCONSTANT, rng.randint(0, 255) / 255.0))
+    return tuple(nodes)
+
+
+def crossover_by_randrange(a: tuple, b: tuple, rng) -> tuple:
+    ia = rng.randrange(len(a))
+    ib = rng.randrange(len(b))
+    return _graft(a, ia, b[ib : _subtree_end(b, ib)])
+
+
+def mutate_by_randrange(a: tuple, rng) -> tuple:
+    ia = rng.randrange(len(a))
+    return _graft(a, ia, random_tree_by_choice(rng, MUTATION_DEPTH, "grow"))
+
+
+def tournament_by_randrange(rng, scores, sizes, k: int) -> int:
+    best = rng.randrange(len(scores))
+    for _ in range(k - 1):
+        j = rng.randrange(len(scores))
+        if (scores[j], -sizes[j]) > (scores[best], -sizes[best]):
+            best = j
+    return best
+
+
+def kill_tournament_by_randrange(rng, scores, sizes, protect: int) -> int:
+    while True:
+        i = rng.randrange(len(scores))
+        j = rng.randrange(len(scores))
+        loser = i if (scores[i], -sizes[i]) <= (scores[j], -sizes[j]) else j
+        if loser == protect:
+            loser = j if loser == i else i
+        if loser != protect:
+            return loser
 
 
 # --- exhaustive enumeration oracle for encounter_pressure -------------------

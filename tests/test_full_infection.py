@@ -4,6 +4,7 @@ import pytest
 from lockdownsched.full_infection import (
     MAX_TABLE_N,
     RAW_RANGE,
+    _BATCH_DRAWS,
     PnTable,
     Status,
     _raw_cells,
@@ -71,14 +72,31 @@ def test_cell_probabilities_match_the_counting_loop():
     assert got.tolist() == expected.tolist()
 
 
-# iteration counts just past one batch of q * 21 draws, so every build takes
-# two batches
+# iteration counts just past one of the where sampler's batches, so it takes
+# two, while build_pn_table takes batches of its own size
 @pytest.mark.parametrize("q, iterations", [(1, 200_000), (4, 50_000), (40, 5_000)])
 def test_table_bits_match_the_where_sampler(q, iterations):
     assert 4_000_000 // (q * (MAX_TABLE_N + 1)) < iterations
     for seed in (0, 7):
         expected = where_table_probs(q, iterations, seed)
         assert build_pn_table(q, iterations, seed).probs == expected
+
+
+# q=1 makes an odd number of draws per batch, q=4 is the benchmark's
+@pytest.mark.parametrize("q", [1, 4])
+def test_batches_do_not_change_the_table(q):
+    batch = _BATCH_DRAWS // (q * (MAX_TABLE_N + 1))
+    iterations = 3 * batch + batch // 2  # three whole batches and a partial one
+    seed = 5
+    # every draw in one call, as a reference
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(
+        1, RAW_RANGE + 1, size=(iterations, q, MAX_TABLE_N + 1), dtype=np.int32
+    )
+    cells = where_cells(raw)
+    met = (cells[:, :, 1:] == cells[:, :, :1]).any(axis=1)
+    expected = np.logical_or.accumulate(met, axis=1).sum(axis=0) / iterations
+    assert build_pn_table(q, iterations, seed).probs == tuple(expected)
 
 
 def test_cell_distribution_structure():

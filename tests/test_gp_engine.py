@@ -36,8 +36,13 @@ from lockdownsched.simulator import (
     simulate,
 )
 
-from scalar_oracles import bound_vector, decode_loop
-from test_gp_tree import constant, node, sconstant
+from scalar_oracles import (
+    bound_vector,
+    decode_loop,
+    kill_tournament_by_randrange,
+    tournament_by_randrange,
+)
+from test_gp_tree import POPULATION_SIZES, constant, node, sconstant
 
 
 def sha256_of_plan(ds, slots):
@@ -607,6 +612,24 @@ def test_evaluate_matches_the_scalar_pipeline(eleven_requests, tree):
         rec = evaluator.record(tree, got, 0, 0)
         assert rec.vector == bounded
         assert rec.plan_digest == sha256_of_plan(ds, plan.slots)
+
+
+@pytest.mark.parametrize("size", POPULATION_SIZES)
+def test_tournaments_match_the_oracles(size):
+    # few distinct scores and sizes, so ties decide many rounds; a kill
+    # tournament that draws only the protected index draws again
+    rng = random.Random(size)
+    scores = [rng.choice((-math.inf, -3.0, -1.5, 0.0)) for _ in range(size)]
+    sizes = [rng.choice((3, 5, 7)) for _ in range(size)]
+    a, b = random.Random(7), random.Random(7)
+    k = gp_engine.TOURNAMENT_SIZE
+    for _ in range(500):
+        best = gp_engine._tournament(a, scores, sizes, k)
+        assert best == tournament_by_randrange(b, scores, sizes, k)
+        protect = rng.randrange(size)
+        victim = gp_engine._kill_tournament(a, scores, sizes, protect)
+        assert victim == kill_tournament_by_randrange(b, scores, sizes, protect)
+    assert a.getstate() == b.getstate()
 
 
 class TestArchive:

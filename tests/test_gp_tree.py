@@ -24,6 +24,12 @@ from lockdownsched.gp_tree import (
     run_vm,
 )
 
+from scalar_oracles import (
+    crossover_by_randrange,
+    mutate_by_randrange,
+    random_tree_by_choice,
+)
+
 KIND_CODES = {name: code for code, name in enumerate(gt.KIND_NAMES)}
 
 
@@ -382,6 +388,66 @@ class TestRandomStream:
         assert 20 < sum(unchanged) < 100
         assert all(len(_preorder(c)) <= gt.TREE_CAP for c in children)
         assert _trees_digest(children, unchanged) == NEAR_CAP_VARIATION_DIGEST
+
+
+# population sizes around powers of two, where a draw below n is redrawn
+# most often (128) and least often (129)
+POPULATION_SIZES = [4, 5, 100, 128, 129]
+
+
+class TestDrawRule:
+    """Every integer draw is _below on getrandbits: the same values and the
+    same generator state as random.Random's randrange, and so the same trees
+    the oracles build and breed with choice, randint and randrange."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 5, 13, 15, 100, 128, 129, 256, 1999, 2**31 + 1, 10**20]
+    )
+    def test_below_is_randrange(self, n):
+        for seed in range(20):
+            a, b = random.Random(seed), random.Random(seed)
+            assert [gt._below(a.getrandbits, n) for _ in range(50)] == [
+                b.randrange(n) for _ in range(50)
+            ]
+            assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("method", ["grow", "full"])
+    def test_random_tree_matches_the_oracle(self, method):
+        # repr tells a float payload from an int one, and -0.0 from 0.0
+        for seed in range(200):
+            a, b = random.Random(seed), random.Random(seed)
+            for depth in range(gt.RAMP_MAX_DEPTH + 1):
+                tree = random_tree(a, depth, method)
+                assert repr(tree) == repr(random_tree_by_choice(b, depth, method))
+            assert a.getstate() == b.getstate()
+
+    def test_ramped_population_matches_the_oracle(self):
+        depths = gt.RAMP_MAX_DEPTH - gt.RAMP_MIN_DEPTH + 1
+        for seed in range(30):
+            a, b = random.Random(seed), random.Random(seed)
+            population = ramped_population(a, 100)
+            expected = [
+                random_tree_by_choice(
+                    b, gt.RAMP_MIN_DEPTH + i % depths, "grow" if i % 2 else "full"
+                )
+                for i in range(100)
+            ]
+            assert repr(population) == repr(expected)
+            assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("size", POPULATION_SIZES)
+    def test_variation_matches_the_oracle(self, size):
+        population = ramped_population(random.Random(size), size)
+        pick = random.Random(0)
+        a, b = random.Random(size), random.Random(size)
+        for _ in range(200):
+            x = population[pick.randrange(size)]
+            y = population[pick.randrange(size)]
+            assert crossover(x, y, a) == crossover_by_randrange(x, y, b)
+            child = mutate(x, a)
+            assert repr(child) == repr(mutate_by_randrange(x, b))
+            population[pick.randrange(size)] = child
+        assert a.getstate() == b.getstate()
 
 
 def _stack_depth() -> int:

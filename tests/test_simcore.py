@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lockdownsched._simcore import (
-    _buckets,
     bound_array,
     build_context,
     counts_for_slots,
@@ -19,6 +18,7 @@ from lockdownsched import gp_engine
 from lockdownsched.allocation import AllocationPlan, decode, round_robin
 from lockdownsched.dataset import (
     INFECTED,
+    N_CELLS,
     generate_dataset,
     mark_apriori_infection,
     parse_dataset,
@@ -105,9 +105,10 @@ def test_counts_match_reference_at_benchmark_scale():
         ref = simulate(ds, plan, MODEL_FULL, table=table, engine="reference")
         assert counts_for_slots(ctx, slots) == ref.counts()
         assert simulate(ds, plan, MODEL_FULL, table=table, engine="kernel") == ref
-        sizes = _buckets(ctx, slots)[0]
-        skipped += int(((sizes >= 2) & (sizes < ctx.min_group)).sum())
-        visited += int((sizes >= ctx.min_group).sum())
+        # the kernel keeps a cell by its request count, as _visitor_masks does
+        requests = np.bincount(ctx.requests.cells(slots), minlength=N_CELLS)
+        skipped += int(((requests > 0) & (requests < ctx.min_group)).sum())
+        visited += int((requests >= ctx.min_group).sum())
         infected += [st for st, _ in ref.final_status].count("I")
     # the filter both skips and keeps cells, and the plans do transmit
     assert skipped > 0 and visited > 0
