@@ -2,14 +2,19 @@
 
 The plain-Python engine in simulator.py is the readable reference; the loops
 here replay the exact same arithmetic, in the exact same order, over inputs
-prepared once per dataset and model by build_context, which also picks the
-model's loop, ctx.week, and what it reads of a plan, ctx.visits.
+prepared once per dataset and model.  build_context holds this module's one
+branch on the model: it returns a _PartialWeek or a _FullWeek, each holding
+only its own model's inputs.  Both share, through _Week, the request index,
+each person's age group and health, and ill_code, each person's outcome code
+once ill, which depends only on their age group and health.  Each has
+counts(slots), (N_H, N_D), and outcome(ds, slots), SimOutcome's fields but
+the two counts, which buckets the plan once and runs the week once.
 
 _buckets sorts a plan's requests into their cells (RequestIndex.cells) once,
 with one stable int16 sort.  The fractional loop walks those buckets, as
-plain Python lists, in cell order, and simulate() counts occupancy from them
-under either model.  It returns (levels, snapshots, iso_day (the day a
-person isolated at the end of, or -1), outcome codes, N_H, N_D).
+plain Python lists, in cell order, and both outcomes count occupancy from
+them.  It returns (levels, snapshots, iso_day (the day a person isolated at
+the end of, or -1), the ill).
 
 The standard loop holds sets of persons as the bits of Python ints: bit r is
 the person of r-th lowest id, so a group's k lowest-id susceptibles are its
@@ -19,7 +24,7 @@ infect anyone, into one int; a group is that mask less the isolated, and
 p_n is ctx.probs[n], PnTable.p_for's values.  A person's isolation day is
 fixed on the day they are infected, so the loop returns bitsets (the
 infected, those infected on each day, those isolating at the end of each
-day) and N_H, N_D, and _full_fields spells the bitsets out per person.
+day) and N_H, N_D, and _FullWeek.outcome spells the bitsets out per person.
 Evolution scores every plan it has not met before through counts_for_slots,
 so this is the hot path.
 
@@ -61,87 +66,101 @@ OUTCOME_ICU_DEATH = "icu_death"
 OUTCOME_LABELS = (OUTCOME_NONE, OUTCOME_IMMUNE, OUTCOME_ICU_RECOVERED, OUTCOME_ICU_DEATH)
 
 
-class SimContext:
-    """Per dataset + model inputs of the week loops, converted once."""
+class _Week:
+    """What both models' week loops read of a dataset, converted once."""
 
-    __slots__ = (
-        "week",
-        "visits",
-        "n_persons",
-        "requests",
-        "age_idx",
-        "health",
-        "levels0",
-        "status0",
-        "gcoef",
-        "probs",
-        "min_group",
-        "rules",
-        "bands",
-        "n_bytes",
-        "bit_person",
-        "request_bit",
-        "start",
-        "counted",
-    )
+    def __init__(self, ds: Dataset, rules):
+        ri = request_index(ds)
+        self.requests = ri
+        self.n_persons = len(ds.persons)
+        self.age_idx = ri.age_index.tolist()
+        self.health = ri.health.tolist()
+        # each person's outcome once ill, simulator._health_band's band as a
+        # code into OUTCOME_LABELS: 1 immune, 2 ICU recovered, 3 ICU death
+        immune = np.array([r.immune_above for r in rules])[ri.age_index]
+        recover = np.array([r.recover_above for r in rules])[ri.age_index]
+        self.ill_code = np.where(
+            ri.health > immune, 1, np.where(ri.health > recover, 2, 3)
+        ).tolist()
+
+    def _fields(self, buckets, iso_day, ill) -> dict:
+        """The fields both models' outcomes share: everyone in ill gets their
+        ill_code, everyone else 0, "none"."""
+        sizes, _, members = buckets
+        codes = [0] * self.n_persons
+        for pi in ill:
+            codes[pi] = self.ill_code[pi]
+        # a member attends cell c of day d unless they isolated before day d
+        cell = np.repeat(np.arange(N_CELLS), sizes)
+        iso = np.asarray(iso_day, dtype=np.int64)[members]
+        present = (iso < 0) | (iso >= cell // CELLS_PER_DAY)
+        occupancy = np.bincount(cell[present], minlength=N_CELLS)
+        return dict(
+            isolation_day=tuple(iso_day),
+            classifications=tuple(OUTCOME_LABELS[c] for c in codes),
+            occupancy=tuple(occupancy.tolist()),
+        )
 
 
-def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
-    ri = request_index(ds)
-    ctx = SimContext()
-    ctx.n_persons = len(ds.persons)
-    ctx.requests = ri
-    ctx.age_idx = ri.age_index.tolist()
-    ctx.health = ri.health.tolist()
+class _PartialWeek(_Week):
+    """The fractional model's inputs: levels at the start and g factors."""
 
-    # callers check the model, s and table first: simulate and GpConfig
-    partial = model == MODEL_PARTIAL
-    rules = [(PARTIAL_RULES if partial else FULL_RULES)[a] for a in AGE_GROUPS]
-    # both models band an ill person's outcome by health alike
-    ctx.bands = (
-        [r.immune_above for r in rules],
-        [r.recover_above for r in rules],
-    )
-    if partial:
-        ctx.week, ctx.visits = _partial_week, _buckets
-        ctx.levels0 = [
+    def __init__(self, ds: Dataset, s: int):
+        rules = [PARTIAL_RULES[a] for a in AGE_GROUPS]
+        super().__init__(ds, rules)
+        self.levels0 = [
             float(ds.taxonomy_infection.get(p.age_group, 0.0)) for p in ds.persons
         ]
-        ctx.status0 = None
         # the reference's own g factors, so the bits agree
-        ctx.gcoef = _g_prefix(s, ctx.n_persons + 1)
-        ctx.probs = None
-        ctx.min_group = None
-        ctx.rules = (
-            [r.iso_high for r in rules],
-            [r.iso_low for r in rules],
-            [r.out_threshold for r in rules],
-            partial_infection.ISOLATION_HEALTH_CAP,
+        self.gcoef = _g_prefix(s, self.n_persons + 1)
+        self.iso_high = [r.iso_high for r in rules]
+        self.iso_low = [r.iso_low for r in rules]
+        self.out_thr = [r.out_threshold for r in rules]
+
+    def counts(self, slots) -> tuple:
+        ill = _partial_week(self, _buckets(self, slots))[-1]
+        codes = [self.ill_code[pi] for pi in ill]
+        return codes.count(2), codes.count(3)
+
+    def outcome(self, ds: Dataset, slots) -> dict:
+        """SimOutcome's fields but the two counts."""
+        buckets = _buckets(self, slots)
+        levels, snapshots, iso_day, ill = _partial_week(self, buckets)
+        return dict(
+            self._fields(buckets, iso_day, ill),
+            final_levels=tuple(levels),
+            final_status=None,
+            trajectory=tuple(_group_averages(ds, snap) for snap in snapshots),
         )
-        ctx.n_bytes = ctx.bit_person = ctx.request_bit = None
-        ctx.start = ctx.counted = None
-    else:
-        ctx.week, ctx.visits = _full_week, _visitor_masks
+
+
+class _FullWeek(_Week):
+    """The standard model's inputs, as person bitsets."""
+
+    def __init__(self, ds: Dataset, table):
+        rules = [FULL_RULES[a] for a in AGE_GROUPS]
+        super().__init__(ds, rules)
+        ri = self.requests
         # the dataset's immunity flags 0/1/2 are the codes of Status.S/I/R
-        ctx.status0 = [p.immunity_flag for p in ds.persons]
-        ctx.levels0 = None
-        ctx.gcoef = None
+        self.status0 = np.array([p.immunity_flag for p in ds.persons], dtype=np.int64)
         # p_n by n infected; a group holds at most n_persons, and _min_group
         # reads up to MAX_TABLE_N + 1, the first n with p = 1.0
-        ctx.probs = [
-            table.p_for(n) for n in range(max(ctx.n_persons, MAX_TABLE_N) + 2)
+        self.probs = [
+            table.p_for(n) for n in range(max(self.n_persons, MAX_TABLE_N) + 2)
         ]
-        ctx.min_group = _min_group(ctx.probs)
+        self.min_group = _min_group(self.probs)
         # bit r of a bitset is the person of r-th lowest id, ties in dataset
         # order, so a group's k lowest-id susceptibles are its k lowest bits;
         # at least one byte, so that an empty dataset still has a width
-        ctx.n_bytes = max(1, -(-ctx.n_persons // 8))
-        ctx.bit_person = np.argsort(ri.person_id, kind="stable")
-        bit = np.empty(ctx.n_persons, dtype=np.intp)
-        bit[ctx.bit_person] = np.arange(ctx.n_persons)
-        ctx.request_bit = bit[ri.person]
-        status0 = np.asarray(ctx.status0)
-        ctx.start = (_mask(ctx, status0 == Status.I), _mask(ctx, status0 == Status.S))
+        self.n_bytes = max(1, -(-self.n_persons // 8))
+        self.bit_person = np.argsort(ri.person_id, kind="stable")
+        bit = np.empty(self.n_persons, dtype=np.intp)
+        bit[self.bit_person] = np.arange(self.n_persons)
+        self.request_bit = bit[ri.person]
+        self.start = (
+            _mask(self, self.status0 == Status.I),
+            _mask(self, self.status0 == Status.S),
+        )
         # full_isolation: an infected person isolates at the end of the day
         # after their infection if health < day1_health, else at the end of
         # the one after that if health < day2_health; those infected before
@@ -149,21 +168,55 @@ def build_context(ds: Dataset, model: str, *, s=None, table=None) -> SimContext:
         health, age = ri.health, ri.age_index
         day1 = health < np.array([r.day1_health for r in rules])[age]
         day2 = ~day1 & (health < np.array([r.day2_health for r in rules])[age])
-        ctx.rules = (_mask(ctx, day1), _mask(ctx, day2))
-        # the persons N_H and N_D count once infected: outcome codes 2 and 3
-        codes = np.array(_classify(ctx, range(ctx.n_persons))[0])
-        ctx.counted = (_mask(ctx, codes == 2), _mask(ctx, codes == 3))
-    return ctx
+        self.isolate_next, self.isolate_later = _mask(self, day1), _mask(self, day2)
+        # the persons N_H and N_D count once infected
+        code = np.array(self.ill_code, dtype=np.int64)
+        self.counted = (_mask(self, code == 2), _mask(self, code == 3))
+
+    def counts(self, slots) -> tuple:
+        return _full_week(self, _visitor_masks(self, slots))[-2:]
+
+    def outcome(self, ds: Dataset, slots) -> dict:
+        """SimOutcome's fields but the two counts, the week's bitsets spelled
+        out per person."""
+        infected, infected_on, isolating, _, _ = _full_week(
+            self, _visitor_masks(self, slots)
+        )
+        status = self.status0.copy()
+        days = np.zeros(self.n_persons, dtype=np.int64)
+        iso_day = np.full(self.n_persons, -1, dtype=np.int64)
+        ill = _persons(self, infected)
+        status[ill] = 1
+        for day, (new, leaving) in enumerate(zip(infected_on, isolating)):
+            # the infection clock keeps counting even in isolation
+            days[_persons(self, new)] = N_DAYS - day
+            iso_day[_persons(self, leaving)] = day
+        return dict(
+            self._fields(_buckets(self, slots), iso_day.tolist(), ill.tolist()),
+            final_levels=None,
+            final_status=tuple(
+                (Status(st).name, d) for st, d in zip(status.tolist(), days.tolist())
+            ),
+            trajectory=None,
+        )
 
 
-def _mask(ctx: SimContext, flags) -> int:
+def build_context(ds: Dataset, model: str, *, s=None, table=None) -> _Week:
+    """The week loops' inputs for one dataset and model; callers check the
+    model, s and table first: simulate and GpConfig."""
+    if model == MODEL_PARTIAL:
+        return _PartialWeek(ds, s)
+    return _FullWeek(ds, table)
+
+
+def _mask(ctx: _FullWeek, flags) -> int:
     """The bitset of the persons whose flag (one per person, in dataset
     order) is set."""
     bits = np.packbits(np.asarray(flags, dtype=bool)[ctx.bit_person], bitorder="little")
     return int.from_bytes(bits.tobytes(), "little")
 
 
-def _persons(ctx: SimContext, mask: int) -> np.ndarray:
+def _persons(ctx: _FullWeek, mask: int) -> np.ndarray:
     """The dataset positions of a bitset's persons, by ascending id."""
     raw = np.frombuffer(mask.to_bytes(ctx.n_bytes, "little"), dtype=np.uint8)
     bits = np.unpackbits(raw, count=ctx.n_persons, bitorder="little")
@@ -210,7 +263,7 @@ def _min_group(probs) -> int:
         total += 1  # ends by MAX_TABLE_N + 2, where p = 1.0 infects one
 
 
-def _buckets(ctx: SimContext, slots):
+def _buckets(ctx: _Week, slots):
     """(sizes, bounds, members) of the cells of a slot assignment.
 
     members lists the distinct person indices of each cell's requests in
@@ -231,32 +284,13 @@ def _buckets(ctx: SimContext, slots):
     return sizes, bounds, person[first]
 
 
-def _classify(ctx: SimContext, ill):
-    """(codes, N_H, N_D): simulator._health_band of each person in ill, as a
-    code into OUTCOME_LABELS; everyone else keeps 0, "none"."""
-    age_idx, health = ctx.age_idx, ctx.health
-    immune_above, recover_above = ctx.bands
-    codes = [0] * ctx.n_persons
-    n_h = n_d = 0
-    for pi in ill:
-        g = age_idx[pi]
-        if health[pi] > immune_above[g]:
-            codes[pi] = 1
-        elif health[pi] > recover_above[g]:
-            codes[pi] = 2
-            n_h += 1
-        else:
-            codes[pi] = 3
-            n_d += 1
-    return codes, n_h, n_d
-
-
-def _partial_week(ctx: SimContext, buckets):
+def _partial_week(ctx: _PartialWeek, buckets):
     n = ctx.n_persons
     _, bounds, members = buckets
     bounds, members = bounds.tolist(), members.tolist()
     age_idx, health, gcoef = ctx.age_idx, ctx.health, ctx.gcoef
-    iso_high, iso_low, out_thr, health_cap = ctx.rules
+    iso_high, iso_low, out_thr = ctx.iso_high, ctx.iso_low, ctx.out_thr
+    health_cap = partial_infection.ISOLATION_HEALTH_CAP
 
     levels = list(ctx.levels0)
     iso_day = [-1] * n
@@ -302,10 +336,10 @@ def _partial_week(ctx: SimContext, buckets):
                 iso_day[pi] = day
 
     ill = [pi for pi in range(n) if levels[pi] > out_thr[age_idx[pi]]]
-    return (levels, snapshots, iso_day, *_classify(ctx, ill))
+    return levels, snapshots, iso_day, ill
 
 
-def _visitor_masks(ctx: SimContext, slots):
+def _visitor_masks(ctx: _FullWeek, slots):
     """(masks, cuts): the visitor bitset of each cell of a plan whose request
     count reaches ctx.min_group, in cell order, and where each day's cells
     start and end in masks.  A smaller cell cannot hold the fewest distinct
@@ -323,10 +357,10 @@ def _visitor_masks(ctx: SimContext, slots):
     return masks, cuts
 
 
-def _full_week(ctx: SimContext, visits):
+def _full_week(ctx: _FullWeek, visits):
     masks, cuts = visits
     min_group, probs = ctx.min_group, ctx.probs
-    isolate_next, isolate_later = ctx.rules
+    isolate_next, isolate_later = ctx.isolate_next, ctx.isolate_later
 
     infected, susceptible = ctx.start
     present = (1 << ctx.n_persons) - 1  # everyone not yet isolated
@@ -365,23 +399,6 @@ def _full_week(ctx: SimContext, visits):
     return infected, infected_on, isolating[:N_DAYS], n_h, n_d
 
 
-def _full_fields(ctx: SimContext, week):
-    """(status, days infected, iso_day, outcome codes), per person, of a
-    standard week's bitsets."""
-    infected, infected_on, isolating = week[:3]
-    status = np.asarray(ctx.status0, dtype=np.int64)
-    days = np.zeros(ctx.n_persons, dtype=np.int64)
-    iso_day = np.full(ctx.n_persons, -1, dtype=np.int64)
-    ill = _persons(ctx, infected)
-    status[ill] = 1
-    for day, (new, leaving) in enumerate(zip(infected_on, isolating)):
-        # the infection clock keeps counting even in isolation
-        days[_persons(ctx, new)] = N_DAYS - day
-        iso_day[_persons(ctx, leaving)] = day
-    codes = _classify(ctx, ill.tolist())[0]
-    return status.tolist(), days.tolist(), iso_day.tolist(), codes
-
-
 def _group_averages(ds: Dataset, levels) -> tuple:
     """Mean level of each age group (0.0 if empty) as Python floats; bincount
     adds a group's levels in person order, as a left-to-right += loop does."""
@@ -393,42 +410,6 @@ def _group_averages(ds: Dataset, levels) -> tuple:
     )
 
 
-def counts_for_slots(ctx: SimContext, slots: np.ndarray) -> tuple:
+def counts_for_slots(ctx: _Week, slots: np.ndarray) -> tuple:
     """(N_H, N_D) fast path used by the evolutionary loop."""
-    out = ctx.week(ctx, ctx.visits(ctx, slots))
-    return out[-2], out[-1]
-
-
-def outcome_fields(ds: Dataset, slots, model: str, *, s=None, table=None) -> dict:
-    """simulate()'s kernel path: SimOutcome's fields but the two counts."""
-    ctx = build_context(ds, model, s=s, table=table)
-    buckets = sizes, _, members = _buckets(ctx, slots)
-    if model == MODEL_PARTIAL:
-        state, extra, iso_day, codes, _, _ = _partial_week(ctx, buckets)
-    else:
-        state, extra, iso_day, codes = _full_fields(
-            ctx, _full_week(ctx, _visitor_masks(ctx, slots))
-        )
-    # a member attends cell c of day d unless they isolated before day d
-    cell = np.repeat(np.arange(N_CELLS), sizes)
-    iso = np.asarray(iso_day, dtype=np.int64)[members]
-    present = (iso < 0) | (iso >= cell // CELLS_PER_DAY)
-    occupancy = np.bincount(cell[present], minlength=N_CELLS)
-    fields = dict(
-        isolation_day=tuple(iso_day),
-        classifications=tuple(OUTCOME_LABELS[c] for c in codes),
-        occupancy=tuple(occupancy.tolist()),
-    )
-    if model == MODEL_PARTIAL:
-        return dict(
-            fields,
-            final_levels=tuple(state),
-            final_status=None,
-            trajectory=tuple(_group_averages(ds, levels) for levels in extra),
-        )
-    return dict(
-        fields,
-        final_levels=None,
-        final_status=tuple((Status(st).name, d) for st, d in zip(state, extra)),
-        trajectory=None,
-    )
+    return ctx.counts(slots)

@@ -41,6 +41,8 @@ N_ESTABLISHMENTS = 12
 CELLS_PER_DAY = N_SLOTS * N_ESTABLISHMENTS
 N_CELLS = N_DAYS * CELLS_PER_DAY
 DAY_LABELS = ("MON", "TUE", "WED")
+# RequestIndex.person_id is an int32 column
+MAX_PERSON_ID = np.iinfo(np.int32).max
 
 SUSCEPTIBLE, INFECTED, IMMUNE = 0, 1, 2
 
@@ -247,6 +249,8 @@ def parse_dataset(text: str) -> Dataset:
             raise DatasetFormatError(lineno, f"bad numeric field: {exc}") from None
         if pid < 0:
             raise DatasetFormatError(lineno, f"negative person id {pid}")
+        if pid > MAX_PERSON_ID:
+            raise DatasetFormatError(lineno, f"person id {pid} above {MAX_PERSON_ID}")
         if pid in seen_ids:
             raise DatasetFormatError(lineno, f"duplicate person id {pid}")
         if age not in AGE_GROUPS:

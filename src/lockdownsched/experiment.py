@@ -415,7 +415,9 @@ def _read_json(path):
 def run_from_manifest(manifest_path, out_dir) -> dict:
     """Replay a recorded run; output is byte-identical to the original."""
     manifest = _read_json(manifest_path)
-    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
+    # true and 1.0 equal 1 in Python, but neither is a format number
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if not (_json_fits(fmt, "int") and fmt == MANIFEST_FORMAT):
         raise ValueError("unsupported manifest format")
     for key, kind in (("spec", dict), ("dataset_file", str), ("dataset_digest", str)):
         if not isinstance(manifest.get(key), kind):

@@ -25,7 +25,7 @@ from ._simcore import (
     OUTCOME_IMMUNE,
     OUTCOME_NONE,
     _group_averages,
-    outcome_fields,
+    build_context,
 )
 from .allocation import AllocationPlan, validate_plan
 from .dataset import N_DAYS, N_ESTABLISHMENTS, N_SLOTS, Dataset, request_index
@@ -224,7 +224,7 @@ def simulate(
         raise ValueError(f"unknown engine {engine!r}")
 
     if engine == "kernel":
-        fields = outcome_fields(ds, slots, model, s=s, table=table)
+        fields = build_context(ds, model, s=s, table=table).outcome(ds, slots)
     elif model == MODEL_PARTIAL:
         fields = _simulate_partial(ds, plan, s)
     else:

@@ -278,6 +278,8 @@ class TestReplayAndCompare:
              "'model'"),
             (_manifest(lambda m: {**m, "spec": {**m["spec"], "colour": "red"}}), "'colour'"),
             (_manifest(lambda m: [m]), "format"),
+            (_manifest(lambda m: {**m, "format": True}), "format"),
+            (_manifest(lambda m: {**m, "format": 1.0}), "format"),
             (_manifest(lambda m: {**m, "spec": {**m["spec"], "population": "500"}}),
              "'population'"),
             (_manifest(lambda m: {**m, "spec": {**m["spec"], "priors": 5}}), "'priors'"),
@@ -317,6 +319,7 @@ class TestReplayAndCompare:
             (_retune_first_person, "digest does not match the manifest"),
         ],
         ids=["no-spec", "no-digest", "no-model", "unknown-key", "not-an-object",
+             "boolean-format", "float-format",
              "string-count", "priors-not-pairs", "float-seed", "prior-above-one",
              "unknown-age", "repeated-baseline", "repeated-pir-seed", "nan-target-fitness",
              "spec-not-an-object",

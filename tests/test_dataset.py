@@ -64,6 +64,7 @@ def test_parse_request_key_rejections(key, fragment):
     ("1 30 9.4 5 AD2", "flag 5"),
     ("1 30 9.4 0 AD2 | MF1 | NC2 | PS1", "day groups"),
     ("-1 30 9.4 0 AD2", "negative person id"),
+    ("2147483648 30 9.4 0 AD2", "person id 2147483648 above 2147483647"),
     ("1 30", "prefix"),
     ("1 thirty 9.4 0 AD2", "bad numeric"),
 ])

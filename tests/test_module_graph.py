@@ -1,8 +1,11 @@
 """The package's import graph runs one way, with every import at module level,
-and the package exports exactly its public names."""
+the package exports exactly its public names, and every function the
+benchmark's tracer wraps exists."""
 
 import ast
 import graphlib
+import importlib
+import importlib.util
 from pathlib import Path
 
 import lockdownsched
@@ -104,3 +107,23 @@ def test_all_lists_exactly_the_public_names():
     exec("from lockdownsched import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == PUBLIC_NAMES
+
+
+def test_every_traced_name_resolves():
+    # the tracer wraps functions by name from outside the package, so a
+    # renamed function would otherwise surface only in a benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+    spec = importlib.util.spec_from_file_location("bench_trace", path)
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    missing = []
+    for module_name, attr, _ in bench_trace.TARGETS:
+        owner = importlib.import_module(module_name)
+        if "." in attr:  # a method, which the tracer reads from the class __dict__
+            cls_name, meth = attr.split(".")
+            found = callable(vars(getattr(owner, cls_name, object)).get(meth))
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(f"{module_name}.{attr}")
+    assert bench_trace.TARGETS and missing == []
