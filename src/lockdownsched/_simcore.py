@@ -4,11 +4,13 @@ The plain-Python engine in simulator.py is the readable reference; the loops
 here replay the exact same arithmetic, in the exact same order, over inputs
 prepared once per dataset and model.  build_context holds this module's one
 branch on the model: it returns a _PartialWeek or a _FullWeek, each holding
-only its own model's inputs.  Both share, through _Week, the request index,
-each person's age group and health, and ill_code, each person's outcome code
-once ill, which depends only on their age group and health.  Each has
-counts(slots), (N_H, N_D), and outcome(ds, slots), SimOutcome's fields but
-the two counts, which buckets the plan once and runs the week once.
+only its own model's inputs.  Each turns its model's age-group rules into
+per-person values once, through _Week._per_person (ill_code, each person's
+outcome code once ill; the standard week's isolation masks; the fractional
+week's iso_level, partial_isolation with the health cap folded in, and
+out_level), so neither week loop reads a rule table, a health or the cap.
+Each has counts(slots), (N_H, N_D), and outcome(ds, slots), SimOutcome's
+fields but the two counts, which buckets the plan once and runs the week once.
 
 _buckets sorts a plan's requests into their cells (RequestIndex.cells) once,
 with one stable int16 sort.  The fractional loop walks those buckets, as
@@ -73,15 +75,15 @@ class _Week:
         ri = request_index(ds)
         self.requests = ri
         self.n_persons = len(ds.persons)
-        self.age_idx = ri.age_index.tolist()
-        self.health = ri.health.tolist()
+        self.rules = rules
         # each person's outcome once ill, simulator._health_band's band as a
         # code into OUTCOME_LABELS: 1 immune, 2 ICU recovered, 3 ICU death
-        immune = np.array([r.immune_above for r in rules])[ri.age_index]
-        recover = np.array([r.recover_above for r in rules])[ri.age_index]
-        self.ill_code = np.where(
-            ri.health > immune, 1, np.where(ri.health > recover, 2, 3)
-        ).tolist()
+        immune, recover = self._per_person("immune_above"), self._per_person("recover_above")
+        self.ill_code = np.where(ri.health > immune, 1, np.where(ri.health > recover, 2, 3)).tolist()
+
+    def _per_person(self, name: str) -> np.ndarray:
+        """Each person's value of their age group's rule field name."""
+        return np.array([getattr(r, name) for r in self.rules])[self.requests.age_index]
 
     def _fields(self, buckets, iso_day, ill) -> dict:
         """The fields both models' outcomes share: everyone in ill gets their
@@ -106,16 +108,19 @@ class _PartialWeek(_Week):
     """The fractional model's inputs: levels at the start and g factors."""
 
     def __init__(self, ds: Dataset, s: int):
-        rules = [PARTIAL_RULES[a] for a in AGE_GROUPS]
-        super().__init__(ds, rules)
+        super().__init__(ds, [PARTIAL_RULES[a] for a in AGE_GROUPS])
         self.levels0 = [
             float(ds.taxonomy_infection.get(p.age_group, 0.0)) for p in ds.persons
         ]
         # the reference's own g factors, so the bits agree
         self.gcoef = _g_prefix(s, self.n_persons + 1)
-        self.iso_high = [r.iso_high for r in rules]
-        self.iso_low = [r.iso_low for r in rules]
-        self.out_thr = [r.out_threshold for r in rules]
+        # simulator.partial_isolation as one level per person: above iso_high,
+        # or above iso_low while health is at most the cap, whichever of the
+        # two levels is lower
+        high, low = self._per_person("iso_high"), self._per_person("iso_low")
+        capped = self.requests.health <= partial_infection.ISOLATION_HEALTH_CAP
+        self.iso_level = np.where(capped, np.minimum(low, high), high).tolist()
+        self.out_level = self._per_person("out_threshold").tolist()
 
     def counts(self, slots) -> tuple:
         ill = _partial_week(self, _buckets(self, slots))[-1]
@@ -138,8 +143,7 @@ class _FullWeek(_Week):
     """The standard model's inputs, as person bitsets."""
 
     def __init__(self, ds: Dataset, table):
-        rules = [FULL_RULES[a] for a in AGE_GROUPS]
-        super().__init__(ds, rules)
+        super().__init__(ds, [FULL_RULES[a] for a in AGE_GROUPS])
         ri = self.requests
         # the dataset's immunity flags 0/1/2 are the codes of Status.S/I/R
         self.status0 = np.array([p.immunity_flag for p in ds.persons], dtype=np.int64)
@@ -165,9 +169,8 @@ class _FullWeek(_Week):
         # after their infection if health < day1_health, else at the end of
         # the one after that if health < day2_health; those infected before
         # the week count as infected on day 0
-        health, age = ri.health, ri.age_index
-        day1 = health < np.array([r.day1_health for r in rules])[age]
-        day2 = ~day1 & (health < np.array([r.day2_health for r in rules])[age])
+        day1 = ri.health < self._per_person("day1_health")
+        day2 = ~day1 & (ri.health < self._per_person("day2_health"))
         self.isolate_next, self.isolate_later = _mask(self, day1), _mask(self, day2)
         # the persons N_H and N_D count once infected
         code = np.array(self.ill_code, dtype=np.int64)
@@ -288,9 +291,7 @@ def _partial_week(ctx: _PartialWeek, buckets):
     n = ctx.n_persons
     _, bounds, members = buckets
     bounds, members = bounds.tolist(), members.tolist()
-    age_idx, health, gcoef = ctx.age_idx, ctx.health, ctx.gcoef
-    iso_high, iso_low, out_thr = ctx.iso_high, ctx.iso_low, ctx.out_thr
-    health_cap = partial_infection.ISOLATION_HEALTH_CAP
+    gcoef, iso_level = ctx.gcoef, ctx.iso_level
 
     levels = list(ctx.levels0)
     iso_day = [-1] * n
@@ -310,16 +311,13 @@ def _partial_week(ctx: _PartialWeek, buckets):
                 # nobody infected, or nobody susceptible
                 if ranked[0] <= 0.0 or ranked[-1] >= 1.0:
                     continue
-                if ranked[-1] > 0.0:
-                    # the most susceptible scales everyone else's level; which
-                    # of several tied owners is dropped leaves the same values
-                    s_max = 1.0 - ranked.pop()
-                else:
-                    # the zero levels stay at the end, each adding 0.0
-                    s_max = 1.0
+                # the most susceptible scales everyone else's level; which of
+                # several tied owners is dropped leaves the same values, and a
+                # zero lowest level gives 1.0, its term only a zero to the sum
+                s_max = 1.0 - ranked.pop()
                 pressure = 0.0
-                for j, x in enumerate(ranked):
-                    pressure += s_max * x * gcoef[j]
+                for x, g in zip(ranked, gcoef):
+                    pressure += s_max * x * g
                 # a pressure that underflows to 0.0 would turn -0.0 into 0.0
                 if pressure == 0.0:
                     continue
@@ -328,14 +326,11 @@ def _partial_week(ctx: _PartialWeek, buckets):
             if slot % 2 == 1:
                 snapshots.append(levels[:])
         for pi in range(n):
-            if iso_day[pi] >= 0:
-                continue
-            x = levels[pi]
-            g = age_idx[pi]
-            if x > iso_high[g] or (x > iso_low[g] and health[pi] <= health_cap):
+            if iso_day[pi] < 0 and levels[pi] > iso_level[pi]:
                 iso_day[pi] = day
 
-    ill = [pi for pi in range(n) if levels[pi] > out_thr[age_idx[pi]]]
+    out_level = ctx.out_level
+    ill = [pi for pi in range(n) if levels[pi] > out_level[pi]]
     return levels, snapshots, iso_day, ill
 
 

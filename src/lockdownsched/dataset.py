@@ -172,6 +172,17 @@ class Dataset:
     persons: tuple
     taxonomy_infection: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # the ids parse_dataset refuses: the reference engine maps ids back
+        # to persons, and RequestIndex.person_id is int32
+        seen = set()
+        for p in self.persons:
+            if not 0 <= p.id <= MAX_PERSON_ID:
+                raise ValueError(f"person id {p.id} outside 0..{MAX_PERSON_ID}")
+            if p.id in seen:
+                raise ValueError(f"duplicate person id {p.id}")
+            seen.add(p.id)
+
     @cached_property
     def _text(self) -> str:
         """The persons in the text format (see serialize_dataset)."""

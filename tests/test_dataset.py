@@ -87,6 +87,19 @@ def test_duplicate_ids_rejected():
         parse_dataset("1 30 9.4 0 AD2\n1 40 8.0 0 MF1\n")
 
 
+@pytest.mark.parametrize("new_id,fragment", [
+    # every id of 0..140 twice: the two engines scored such a world apart
+    (lambda i: i % 141, "duplicate person id 0"),
+    # past the int32 id column, where request_index raised OverflowError
+    (lambda i: 3_000_000_000 + i, "person id 3000000000 outside 0..2147483647"),
+    (lambda i: -1 - i, "person id -1 outside"),
+])
+def test_dataset_refuses_ids_the_text_format_refuses(new_id, fragment):
+    persons = generate_dataset(3).persons
+    with pytest.raises(ValueError, match=fragment):
+        Dataset(tuple(replace(p, id=new_id(i)) for i, p in enumerate(persons)))
+
+
 def test_serialize_parse_canonical_text_round_trip():
     ds = parse_dataset("20 30 9.4 0 AD2:MF1 | PF1 | NC2\n21 40 8.0 1 MS1 | |")
     text = serialize_dataset(ds)

@@ -127,3 +127,18 @@ def test_every_traced_name_resolves():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert bench_trace.TARGETS and missing == []
+
+
+def test_the_week_loops_read_no_rule():
+    # each context turns its model's rules into per-person values once, so
+    # neither loop looks up a rule table or the isolation health cap
+    loops = {"_partial_week", "_full_week"}
+    found = []
+    for func in ast.walk(_parse("_simcore")):
+        if isinstance(func, ast.FunctionDef) and func.name in loops:
+            loops.remove(func.name)
+            for node in ast.walk(func):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name in {"PARTIAL_RULES", "FULL_RULES", "ISOLATION_HEALTH_CAP"}:
+                    found.append(f"{func.name}:{node.lineno} reads {name}")
+    assert loops == set() and found == []

@@ -1,6 +1,7 @@
 """Array bounding, decoding and the week loop agree exactly with the scalar
 oracles and the reference simulator."""
 
+import math
 import random
 
 import numpy as np
@@ -14,11 +15,14 @@ from lockdownsched._simcore import (
     counts_for_slots,
     decode_slots,
 )
-from lockdownsched import gp_engine
+from lockdownsched import gp_engine, partial_infection
 from lockdownsched.allocation import AllocationPlan, decode, round_robin
 from lockdownsched.dataset import (
+    AGE_GROUPS,
     INFECTED,
     N_CELLS,
+    Dataset,
+    Person,
     generate_dataset,
     mark_apriori_infection,
     parse_dataset,
@@ -27,7 +31,14 @@ from lockdownsched.dataset import (
 )
 from lockdownsched.full_infection import build_pn_table
 from lockdownsched.gp_engine import GpConfig, run_pirs
-from lockdownsched.simulator import MODEL_FULL, MODEL_PARTIAL, simulate
+from lockdownsched.partial_infection import PARTIAL_RULES
+from lockdownsched.simulator import (
+    MODEL_FULL,
+    MODEL_PARTIAL,
+    partial_isolation,
+    partial_outcome,
+    simulate,
+)
 
 from scalar_oracles import bound_vector, decode_loop
 
@@ -154,3 +165,29 @@ def test_counts_match_reference_on_bred_plans(monkeypatch, model):
         # the week infects over a hundred on some plans and nobody on others
         seeded = sum(p.immunity_flag == INFECTED for p in ds.persons)
         assert min(infected) == seeded and max(infected) > 100
+
+
+@pytest.mark.parametrize("field", ["iso_low", "iso_high", "out_threshold"])
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_per_person_levels_at_the_band_edges(field, step):
+    # one person per (age group, health) around the isolation health cap, no
+    # requests, and every age group's level at its rule's field or one double
+    # either side: the end-of-day pass and the ill test decide on the levels
+    # alone, as the reference's predicates do
+    cap = partial_infection.ISOLATION_HEALTH_CAP
+    healths = (1.0, cap - 0.1, cap, cap + 0.1, 10.0)
+    persons = tuple(
+        Person(len(healths) * a + h, age, health, 0, ((), (), ()))
+        for a, age in enumerate(AGE_GROUPS)
+        for h, health in enumerate(healths)
+    )
+    priors = {}
+    for age in AGE_GROUPS:
+        edge = getattr(PARTIAL_RULES[age], field)
+        priors[age] = math.nextafter(edge, step * math.inf) if step else edge
+    ds = Dataset(persons, priors)
+    fields = build_context(ds, MODEL_PARTIAL, s=4).outcome(ds, np.zeros(0, dtype=np.int64))
+    for p, iso_day, label in zip(persons, fields["isolation_day"], fields["classifications"]):
+        level = priors[p.age_group]
+        assert (iso_day == 0) == partial_isolation(p.age_group, level, p.health)
+        assert (label != "none") == (partial_outcome(p.age_group, level, p.health) != "none")
