@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--pop", type=int, dest="population", metavar="POP", help="population per run"
     )
-    run.add_argument("--budget", type=int, help="offspring per run")
+    run.add_argument("--budget", type=int, help="offspring per run, at most")
     run.add_argument(
         "--seed-list", default="", help="comma list of run seeds (overrides --pirs)"
     )

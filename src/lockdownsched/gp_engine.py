@@ -18,6 +18,8 @@ values, which makes long allocation vectors appear quickly; its offspring
 count against the budget.  The fitness phase then scores the population
 and breeds on.  Every strict improvement of the best fitness is emitted as
 a solution record, so a run's trajectory can be archived and replayed.
+The budget is a cap, not a count: no fitness is above 0.0, so the run
+stops once its best reaches 0.0, after which no offspring could be emitted.
 
 A tree's printed vector becomes a plan through _simcore.bound_array and
 _simcore.decode_slots, the package's one bounding and decoding rule.
@@ -92,6 +94,8 @@ class GpConfig:
         # a target no run can reach, or one strict JSON cannot record
         if self.target_fitness is not None and not math.isfinite(self.target_fitness):
             raise ValueError("target_fitness must be finite when set")
+        if self.target_fitness is not None and self.target_fitness > 0.0:
+            raise ValueError("target_fitness must not be above 0.0 when set")
         if self.target_nd is not None and self.target_nd < 0:
             raise ValueError("target_nd must not be negative when set")
 
@@ -282,8 +286,10 @@ def evolve_pir(
     """Run one independent evolution; returns the best record found.
 
     ``sink``, when given, receives every strict improvement (the first
-    finite-fitness best included) in the order they appear.  The full model
-    needs ``table``, the p_n table for ``config.q``.
+    finite-fitness best included) in the order they appear.  The run breeds
+    until the budget is spent, a configured target is met or the best
+    fitness reaches 0.0, the highest there is.  The full model needs
+    ``table``, the p_n table for ``config.q``.
     """
     evaluator = _Evaluator(ds, config, table)
     rng = random.Random(seed)
@@ -320,7 +326,8 @@ def evolve_pir(
                 sink(best_rec)
             if _target_met(config, best_rec.fitness, best_rec.n_d):
                 break
-        if spent >= config.budget:
+        # no fitness is above 0.0, so no later offspring could be emitted
+        if spent >= config.budget or fitness[best_idx] >= 0.0:
             break
         victim = _breed(rng, population, sizes, fitness, best_idx)
         spent += 1
@@ -347,8 +354,10 @@ def run_pirs(
     The ranked list is sorted by a total key so that the merge order of the
     runs can never change the result; the Pareto front minimises deaths and
     hospitalisations jointly.  Later PIRs are skipped once a run has already
-    met the configured early-stop target.  Each PIR scores its trees with a
-    memo of its own; PIRs share under 1% of their plans.
+    met the configured early-stop target.  A run whose best reaches fitness
+    0.0 stops early, but the later PIRs still start, since their records
+    belong to the archive.  Each PIR scores its trees with a memo of its
+    own; PIRs share under 1% of their plans.
     """
     records = []
     for pir_id, seed in enumerate(seeds):

@@ -5,15 +5,18 @@ before the array core in lockdownsched._simcore took them over, the
 exhaustive enumeration that encounter_pressure's sorted sum must equal, and
 tree building, variation and tournaments as they drew from random.Random's
 choice, randint and randrange before each draw went to getrandbits
-directly.  They are kept here, outside the package, so src/ holds only what
-a run executes."""
+directly, and the evolution loop as it spent its whole budget before a run
+stopped at the first plan to score 0.0.  They are kept here, outside the
+package, so src/ holds only what a run executes."""
 
 import csv
 import math
+import random
 from itertools import product
 
 from lockdownsched.allocation import PLAN_CSV_HEADER, AllocationPlan, validate_plan
 from lockdownsched.dataset import WINDOWS, request_index
+from lockdownsched.gp_engine import _breed, _Evaluator, _target_met
 from lockdownsched.gp_tree import (
     CONSTANT,
     FUNCTION_CODES,
@@ -23,6 +26,7 @@ from lockdownsched.gp_tree import (
     SCONSTANT,
     _graft,
     _subtree_end,
+    ramped_population,
 )
 from lockdownsched.partial_infection import EncounterGroup
 
@@ -157,6 +161,48 @@ def kill_tournament_by_randrange(rng, scores, sizes, protect: int) -> int:
             loser = j if loser == i else i
         if loser != protect:
             return loser
+
+
+# --- the evolution loop that spends its whole budget ------------------------
+
+def evolve_pir_whole_budget(ds, config, seed, sink=None, *, pir_id=0, table=None):
+    """gp_engine.evolve_pir breeding on after the best fitness reaches 0.0,
+    until the budget or a configured target stops it.  The warm-up, which
+    the stop does not touch, is left out."""
+    if config.seed_len is not None:
+        raise ValueError("the oracle runs no warm-up")
+    evaluator = _Evaluator(ds, config, table)
+    rng = random.Random(seed)
+    population = ramped_population(rng, config.population)
+    sizes = [len(t) for t in population]
+    spent = 0
+    scored = [evaluator.evaluate(t) for t in population]
+    fitness = [f for f, _, _ in scored]
+    best_idx = max(range(len(population)), key=lambda i: (fitness[i], -sizes[i]))
+    best_rec = None
+    improved = True
+    while True:
+        if improved and math.isfinite(fitness[best_idx]):
+            best_rec = evaluator.record(
+                population[best_idx], scored[best_idx], pir_id, seed
+            )
+            if sink is not None:
+                sink(best_rec)
+            if _target_met(config, best_rec.fitness, best_rec.n_d):
+                break
+        if spent >= config.budget:
+            break
+        victim = _breed(rng, population, sizes, fitness, best_idx)
+        spent += 1
+        scored[victim] = evaluator.evaluate(population[victim])
+        fitness[victim] = scored[victim][0]
+        improved = fitness[victim] > fitness[best_idx]
+        if improved:
+            best_idx = victim
+
+    if best_rec is None:
+        raise RuntimeError("evolution produced no finite-fitness individual")
+    return best_rec
 
 
 # --- exhaustive enumeration oracle for encounter_pressure -------------------

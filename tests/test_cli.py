@@ -110,6 +110,9 @@ RUN_REFUSALS = [
                      "target_fitness must be finite", id=f"target-fitness-{value}")
         for value in ("nan", "inf")
     ),
+    # no fitness is above 0.0, so the run would spend its whole budget
+    pytest.param(["--model", "partial", "--target-fitness", "0.5"],
+                 "target_fitness must not be above 0.0", id="target-fitness-above-zero"),
     # no death count is negative, so the run would spend its whole budget
     pytest.param(["--model", "partial", "--target-nd", "-1"],
                  "target_nd must not be negative", id="negative-target-nd"),
@@ -296,6 +299,8 @@ class TestReplayAndCompare:
              "PIR seed 2 given twice"),
             (_manifest(lambda m: {**m, "spec": {**m["spec"], "target_fitness": float("nan")}}),
              "'target_fitness'"),
+            (_manifest(lambda m: {**m, "spec": {**m["spec"], "target_fitness": 0.5}}),
+             "target_fitness must not be above 0.0"),
             (_manifest(lambda m: {**m, "spec": 7}), "'spec'"),
             (_manifest(lambda m: {**m, "dataset_file": 5}), "'dataset_file'"),
             # the fractional model never marks persons, so the spec refuses
@@ -322,7 +327,7 @@ class TestReplayAndCompare:
              "boolean-format", "float-format",
              "string-count", "priors-not-pairs", "float-seed", "prior-above-one",
              "unknown-age", "repeated-baseline", "repeated-pir-seed", "nan-target-fitness",
-             "spec-not-an-object",
+             "target-fitness-above-zero", "spec-not-an-object",
              "dataset-file-not-a-string", "fractions-on-the-fractional-model",
              "q-on-the-fractional-model", "apriori-seed-on-the-fractional-model",
              "repeated-prior-age", "negative-generate-seed",

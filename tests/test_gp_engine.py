@@ -39,6 +39,7 @@ from lockdownsched.simulator import (
 from scalar_oracles import (
     bound_vector,
     decode_loop,
+    evolve_pir_whole_budget,
     kill_tournament_by_randrange,
     tournament_by_randrange,
 )
@@ -87,6 +88,10 @@ class TestConfig:
             GpConfig(model=MODEL_PARTIAL, s=1)
         with pytest.raises(ValueError):
             GpConfig(model=MODEL_FULL, q=None)
+        # no fitness is above 0.0, so no run could reach such a target
+        with pytest.raises(ValueError, match="target_fitness must not be above 0.0"):
+            GpConfig(target_fitness=0.5)
+        assert GpConfig(target_fitness=0.0).target_fitness == 0.0
         with pytest.raises(ValueError, match="pn_iterations"):
             ExperimentSpec(model=MODEL_FULL, q=4, generate_seed=1, pn_iterations=0)
 
@@ -407,6 +412,85 @@ class TestWarmUp:
             0.8838235294117638, 0.0001, 0.0001, 0.019792387543252594, 0.0001,
             0.0001, 0.6119402985074625,
         )
+
+
+class TestStopAtZero:
+    """evolve_pir against the loop that spent its whole budget: the same
+    sink stream and best, and no offspring scored after the first 0.0."""
+
+    # world -> the fractional model's priors or the standard model's a-priori
+    # infected fraction, config changes, PIR seeds, and when the run first
+    # scores 0.0: in its initial population, on a bred offspring, or never
+    WORLDS = {
+        # the evolve_full benchmark's world
+        "benchmark-full": (None, dict(model=MODEL_FULL, q=4, population=100, budget=100),
+                           (1, 2, 3), "initial"),
+        "few-infected-partial": ({20: 0.001, 40: 0.003, 50: 0.002}, {}, (1, 2), "initial"),
+        # test_pinned_full_run's world
+        "pinned-full": (0.2, dict(model=MODEL_FULL, q=5, population=20, budget=150),
+                        (2,), "bred"),
+        "some-infected-partial": ({20: 0.003, 40: 0.009, 50: 0.006}, {}, (1, 3), "bred"),
+        "quick-partial": ({20: 0.01, 40: 0.03, 50: 0.02}, {}, (5,), "never"),
+        "many-infected-full": (0.4, dict(model=MODEL_FULL, q=5, population=20, budget=150),
+                               (2,), "never"),
+    }
+
+    @staticmethod
+    def world(name, tiny_table):
+        infection, over, seeds, solved = TestStopAtZero.WORLDS[name]
+        if name == "benchmark-full":
+            ds = generate_dataset(12345).with_taxonomy({20: 0.01, 40: 0.03, 50: 0.02})
+            ds = mark_apriori_infection(ds, 0.053, 0.021, seed=777)
+            table = build_pn_table(4, 100_000, seed=0)
+        elif over.get("model") == MODEL_FULL:
+            ds = mark_apriori_infection(generate_dataset(seed=99), infection, 0.021, seed=99)
+            table = tiny_table
+        else:
+            ds, table = generate_dataset(seed=99).with_taxonomy(infection), None
+        return ds, quick_config(**over), seeds, table, solved
+
+    @pytest.mark.parametrize("name", list(WORLDS))
+    def test_matches_the_whole_budget_loop(self, monkeypatch, tiny_table, name):
+        ds, cfg, seeds, table, solved = self.world(name, tiny_table)
+        real = gp_engine._Evaluator.evaluate
+        for seed in seeds:
+            scores = []
+
+            def logged(self, tree):
+                scores.append(real(self, tree))
+                return scores[-1]
+
+            monkeypatch.setattr(gp_engine._Evaluator, "evaluate", logged)
+            want = []
+            want_best = evolve_pir_whole_budget(
+                ds, cfg, seed, want.append, pir_id=3, table=table
+            )
+            monkeypatch.undo()
+            calls = counting_evaluations(monkeypatch)
+            got = []
+            best = evolve_pir(ds, cfg, seed, got.append, pir_id=3, table=table)
+            monkeypatch.undo()
+            assert (got, best) == (want, want_best)
+            assert len(scores) == cfg.population + cfg.budget
+            first = next((i for i, (f, _, _) in enumerate(scores) if f >= 0.0), None)
+            if solved == "initial":
+                assert first < cfg.population
+                assert calls[0] == cfg.population
+            elif solved == "bred":
+                j = first - cfg.population + 1  # the first offspring to score 0.0
+                assert j >= 1
+                assert calls[0] == cfg.population + j
+            else:
+                assert first is None
+                assert calls[0] == cfg.population + cfg.budget
+            assert (best.fitness >= 0.0) == (first is not None)
+
+    def test_later_pirs_still_run(self):
+        # both PIRs are solved in their initial populations, and each one's
+        # record still goes to the archive
+        ds, cfg, seeds, table, _ = self.world("few-infected-partial", None)
+        arch = run_pirs(ds, cfg, seeds, table=table)
+        assert [(r.pir_id, r.fitness) for r in arch.records] == [(0, 0.0), (1, 0.0)]
 
 
 class TestNonFiniteStart:

@@ -3,6 +3,7 @@ oracles and the reference simulator."""
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from lockdownsched.dataset import (
     AGE_GROUPS,
     INFECTED,
     N_CELLS,
+    SUSCEPTIBLE,
     Dataset,
     Person,
     generate_dataset,
@@ -130,9 +132,14 @@ def test_counts_match_reference_at_benchmark_scale():
 
 @pytest.mark.parametrize("model", [MODEL_PARTIAL, MODEL_FULL])
 def test_counts_match_reference_on_bred_plans(monkeypatch, model):
-    # every plan the benchmark's first evolve operation of the model scores:
-    # one PIR of population 100, budget 100 and seed 1 on that model's world,
-    # so the plans are bred ones, as evolution meets them
+    # every plan one PIR of population 100, budget 100 and seed 1 scores on
+    # the model's benchmark world, so the plans are bred ones, as evolution
+    # meets them.  The fractional PIR is the benchmark's first evolve
+    # operation.  A standard-model PIR stops at its first plan to score 0.0,
+    # and the benchmark's first one finds it in its initial population, so
+    # here the first susceptible 80-year-old is infected too: that age group
+    # has no immune band, so they count on every plan, no plan scores 0.0
+    # and the PIR breeds its whole budget
     ds = generate_dataset(12345)
     if model == MODEL_PARTIAL:
         ds = ds.with_taxonomy(parse_priors("20=0.01;40=0.03;50=0.02"))
@@ -140,6 +147,13 @@ def test_counts_match_reference_on_bred_plans(monkeypatch, model):
         config = GpConfig(model=model, s=4, w_c=0.65, population=100, budget=100)
     else:
         ds = mark_apriori_infection(ds, 0.053, 0.021, seed=777)
+        k = next(
+            i for i, p in enumerate(ds.persons)
+            if p.age_group == 80 and p.immunity_flag == SUSCEPTIBLE
+        )
+        persons = list(ds.persons)
+        persons[k] = replace(persons[k], immunity_flag=INFECTED)
+        ds = replace(ds, persons=tuple(persons))
         params = {"table": build_pn_table(4, 100_000, seed=0)}
         config = GpConfig(model=model, q=4, w_c=0.65, population=100, budget=100)
     scored = []
