@@ -173,14 +173,27 @@ class Dataset:
     taxonomy_infection: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # the ids parse_dataset refuses: the reference engine maps ids back
-        # to persons, and RequestIndex.person_id is int32
+        # what check_priors and parse_dataset refuse: the reference engine
+        # maps ids back to persons, RequestIndex.person_id is int32, both
+        # engines index rules by age group and flags by Status, plans walk
+        # N_DAYS days, and the fractional step assumes levels in [0, 1]
+        check_priors(self.taxonomy_infection)
         seen = set()
         for p in self.persons:
             if not 0 <= p.id <= MAX_PERSON_ID:
                 raise ValueError(f"person id {p.id} outside 0..{MAX_PERSON_ID}")
             if p.id in seen:
                 raise ValueError(f"duplicate person id {p.id}")
+            if p.age_group not in AGE_GROUPS:
+                raise ValueError(f"person {p.id}: age {p.age_group} not one of {AGE_GROUPS}")
+            if not 1.0 <= p.health <= 10.0:
+                raise ValueError(f"person {p.id}: health {p.health} outside [1.0, 10.0]")
+            if p.immunity_flag not in (SUSCEPTIBLE, INFECTED, IMMUNE):
+                raise ValueError(f"person {p.id}: immunity flag {p.immunity_flag} not in 0/1/2")
+            if len(p.requests_by_day) != N_DAYS:
+                raise ValueError(
+                    f"person {p.id}: {len(p.requests_by_day)} request days, not {N_DAYS}"
+                )
             seen.add(p.id)
 
     @cached_property

@@ -96,6 +96,8 @@ class ExperimentSpec(GpConfig):
             for name in ("q", "pn_iterations", "pn_seed", "apriori_seed"):
                 if getattr(self, name) != defaults[name]:
                     raise ValueError(f"{name} applies to the full model only")
+        # last, so the rules above name what they refuse
+        _check_spec_types(spec_to_json(self))
 
 
 def spec_to_json(spec: ExperimentSpec) -> dict:
@@ -112,35 +114,43 @@ def _json_fits(value, kind: str) -> bool:
     return isinstance(value, allowed) and not isinstance(value, bool)
 
 
+def _check_spec_types(doc: dict) -> None:
+    """Refuse, by key, a spec value of a type the manifest could not record
+    or spec_from_json would refuse.  The doc is spec_to_json's, whose
+    sequences are tuples, or a manifest's, whose sequences are lists."""
+    annotations = {f.name: f.type for f in fields(ExperimentSpec)}
+    for key, value in doc.items():
+        if not _spec_value_fits(key, annotations[key], value):
+            raise ValueError(f"spec key {key!r} has a value of the wrong type")
+
+
 def _spec_value_fits(key: str, annotation: str, value) -> bool:
     if key == "priors":  # [age, prior] pairs
-        return isinstance(value, list) and all(
-            isinstance(pair, list) and len(pair) == 2
+        return isinstance(value, (list, tuple)) and all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2
             and _json_fits(pair[0], "int") and _json_fits(pair[1], "float")
             for pair in value
         )
     if key in ("baselines", "pir_seeds"):
         item = "str" if key == "baselines" else "int"
-        return isinstance(value, list) and all(_json_fits(v, item) for v in value)
+        return isinstance(value, (list, tuple)) and all(_json_fits(v, item) for v in value)
     kind, _, optional = annotation.partition(" | ")
     return (optional and value is None) or _json_fits(value, kind)
 
 
 def spec_from_json(doc: dict) -> ExperimentSpec:
-    annotations = {f.name: f.type for f in fields(ExperimentSpec)}
-    unknown = sorted(set(doc) - set(annotations))
+    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentSpec)})
     if unknown:
         raise ValueError(f"unknown spec key {unknown[0]!r}")
     if "model" not in doc:
         raise ValueError("spec lacks the key 'model'")
-    for key, value in doc.items():
-        if not _spec_value_fits(key, annotations[key], value):
-            raise ValueError(f"spec key {key!r} has a value of the wrong type")
+    _check_spec_types(doc)
     # only priors, baselines and pir_seeds are lists; a key left out takes
-    # the spec's default
+    # the spec's default.  A prior keeps its JSON type: the dataset digest
+    # writes 0 and 0.0 apart
     settings = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
     if "priors" in doc:
-        settings["priors"] = priors_from_pairs((age, float(p)) for age, p in doc["priors"])
+        settings["priors"] = priors_from_pairs(doc["priors"])
     return ExperimentSpec(**settings)
 
 

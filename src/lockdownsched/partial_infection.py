@@ -4,8 +4,9 @@ Every person carries an infection level I in [0,1] (susceptibility S = 1-I).
 When a group shares a venue that is divided into s sub-locations, the chance
 that the most susceptible participant bumps into the j-th most infected one,
 and nobody more infected, is g_j = (1/s)((s-1)/s)^(j-1).  The encounter's
-infection pressure p weighs those geometric factors by infection levels;
-every participant's level then moves to I' = p(1-I) + I, which both
+infection pressure p ranks the levels highest first and drops the lowest,
+whose S scales the sum of the j-th remaining level times g_j; every
+participant's level then moves to I' = p(1-I) + I, which both
 simulation engines apply inline.  Both engines read the model's age-banded
 rules from here.
 """
@@ -70,30 +71,19 @@ class EncounterGroup:
 def encounter_pressure(group: EncounterGroup) -> float:
     """Infection pressure produced by one encounter.
 
-    Degenerate gatherings (fewer than two people, nobody infected, or nobody
-    with any susceptibility left) produce no pressure.  Otherwise the most
-    susceptible participant's S scales the descending-sorted infection levels
-    of the rest, paired with the decreasing g factors; when fully susceptible
-    people are present that scale is 1 and only infected levels enter the sum.
+    The levels are ranked highest first and the lowest is dropped: its
+    participant is the most susceptible, and their S = 1 - I scales the
+    remaining levels, paired with the decreasing g factors.  Which of
+    several tied lowest levels is dropped leaves the same values.  A group
+    of fewer than two, nobody infected, or nobody with any susceptibility
+    left produces no pressure.  A fully susceptible participant drops a
+    zero, so the scale is 1, and any other zero level adds only a zero term.
     """
-    parts = group.participants
-    n_p = len(parts)
-    if n_p < 2:
+    levels = sorted((lvl for _, lvl in group.participants), reverse=True)
+    if len(levels) < 2 or levels[0] <= 0.0 or levels[-1] >= 1.0:
         return 0.0
-    levels = [lvl for _, lvl in parts]
-    n = sum(1 for lvl in levels if lvl > 0.0)
-    if n == 0 or all(lvl >= 1.0 for lvl in levels):
-        return 0.0
-    if n == n_p:
-        # ties on the most-susceptible participant resolve to the lowest id
-        owner = min(range(n_p), key=lambda k: (levels[k], parts[k][0]))
-        s_max = 1.0 - levels[owner]
-        ranked = sorted((levels[k] for k in range(n_p) if k != owner), reverse=True)
-    else:
-        s_max = 1.0
-        ranked = sorted((lvl for lvl in levels if lvl > 0.0), reverse=True)
-    g = _g_prefix(group.s, len(ranked))
+    s_max = 1.0 - levels.pop()
     pressure = 0.0
-    for j, lvl in enumerate(ranked):
-        pressure += s_max * lvl * g[j]
+    for lvl, g in zip(levels, _g_prefix(group.s, len(levels))):
+        pressure += s_max * lvl * g
     return pressure

@@ -35,10 +35,9 @@ from .partial_infection import PARTIAL_RULES, EncounterGroup, encounter_pressure
 
 def partial_isolation(age_group: int, level: float, health: float) -> bool:
     rule = PARTIAL_RULES[age_group]
-    if level > rule.iso_high:
-        return True
-    cap = partial_infection.ISOLATION_HEALTH_CAP
-    return rule.iso_low < level <= rule.iso_high and health <= cap
+    return level > rule.iso_high or (
+        level > rule.iso_low and health <= partial_infection.ISOLATION_HEALTH_CAP
+    )
 
 
 def full_isolation(age_group: int, days_infected: int, health: float) -> bool:

@@ -5,9 +5,11 @@ before the array core in lockdownsched._simcore took them over, the
 exhaustive enumeration that encounter_pressure's sorted sum must equal, and
 tree building, variation and tournaments as they drew from random.Random's
 choice, randint and randrange before each draw went to getrandbits
-directly, and the evolution loop as it spent its whole budget before a run
-stopped at the first plan to score 0.0.  They are kept here, outside the
-package, so src/ holds only what a run executes."""
+directly, the evolution loop as it spent its whole budget before a run
+stopped at the first plan to score 0.0, and encounter_pressure as it found
+the most susceptible participant by (level, id) before it sorted once and
+dropped the lowest level.  They are kept here, outside the package, so src/
+holds only what a run executes."""
 
 import csv
 import math
@@ -28,7 +30,7 @@ from lockdownsched.gp_tree import (
     _subtree_end,
     ramped_population,
 )
-from lockdownsched.partial_infection import EncounterGroup
+from lockdownsched.partial_infection import EncounterGroup, g_factor
 
 
 def bound_value(x: float) -> float:
@@ -252,3 +254,31 @@ def brute_force_pressure(group: EncounterGroup) -> float:
             continue
         best = max(best, labeling_term(group, roles))
     return best
+
+
+# --- encounter_pressure with an owner search --------------------------------
+
+def encounter_pressure_by_owner(group: EncounterGroup) -> float:
+    """encounter_pressure counting positive levels: with everyone infected,
+    the owner, the lowest level with ties to the lowest id, is left out and
+    their S scales the rest; otherwise S is 1 and only positive levels
+    enter the sum."""
+    parts = group.participants
+    n_p = len(parts)
+    if n_p < 2:
+        return 0.0
+    levels = [lvl for _, lvl in parts]
+    n = sum(1 for lvl in levels if lvl > 0.0)
+    if n == 0 or all(lvl >= 1.0 for lvl in levels):
+        return 0.0
+    if n == n_p:
+        owner = min(range(n_p), key=lambda k: (levels[k], parts[k][0]))
+        s_max = 1.0 - levels[owner]
+        ranked = sorted((levels[k] for k in range(n_p) if k != owner), reverse=True)
+    else:
+        s_max = 1.0
+        ranked = sorted((lvl for lvl in levels if lvl > 0.0), reverse=True)
+    pressure = 0.0
+    for j, lvl in enumerate(ranked):
+        pressure += s_max * lvl * g_factor(group.s, j + 1)
+    return pressure

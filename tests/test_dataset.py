@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -87,17 +88,43 @@ def test_duplicate_ids_rejected():
         parse_dataset("1 30 9.4 0 AD2\n1 40 8.0 0 MF1\n")
 
 
-@pytest.mark.parametrize("new_id,fragment", [
+@pytest.mark.parametrize("change,fragment", [
     # every id of 0..140 twice: the two engines scored such a world apart
-    (lambda i: i % 141, "duplicate person id 0"),
+    (lambda i, p: replace(p, id=i % 141), "duplicate person id 0"),
     # past the int32 id column, where request_index raised OverflowError
-    (lambda i: 3_000_000_000 + i, "person id 3000000000 outside 0..2147483647"),
-    (lambda i: -1 - i, "person id -1 outside"),
+    (lambda i, p: replace(p, id=3_000_000_000 + i), "person id 3000000000 outside 0..2147483647"),
+    (lambda i, p: replace(p, id=-1 - i), "person id -1 outside"),
+    # the request index looked the age up with tuple.index
+    (lambda i, p: replace(p, age_group=25), r"person 0: age 25 not one of \(20,"),
+    (lambda i, p: replace(p, health=0.0), r"person 0: health 0.0 outside \[1.0, 10.0\]"),
+    (lambda i, p: replace(p, health=math.nan), "person 0: health nan outside"),
+    # evolution scored such a world, and simulate then refused its flag
+    (lambda i, p: replace(p, immunity_flag=5), "person 0: immunity flag 5 not in 0/1/2"),
+    # round_robin indexed past the third day
+    (lambda i, p: replace(p, requests_by_day=p.requests_by_day + ((),)),
+     "person 0: 4 request days, not 3"),
+    (lambda i, p: replace(p, requests_by_day=p.requests_by_day[:2]),
+     "person 0: 2 request days, not 3"),
 ])
-def test_dataset_refuses_ids_the_text_format_refuses(new_id, fragment):
+def test_dataset_refuses_ids_the_text_format_refuses(change, fragment):
     persons = generate_dataset(3).persons
     with pytest.raises(ValueError, match=fragment):
-        Dataset(tuple(replace(p, id=new_id(i)) for i, p in enumerate(persons)))
+        Dataset(tuple(change(i, p) for i, p in enumerate(persons)))
+
+
+@pytest.mark.parametrize("priors,fragment", [
+    ({25: 0.2}, "age 25 not one of"),
+    # the two engines scored comp3 apart on a negative level
+    ({20: -0.5, 30: 0.2, 40: 0.3}, r"prior -0.5 outside \[0, 1\]"),
+    ({20: 1.5}, "prior 1.5 outside"),
+    ({20: math.nan}, "prior nan outside"),
+])
+def test_dataset_refuses_priors_check_priors_refuses(priors, fragment):
+    ds = generate_dataset(1)
+    with pytest.raises(ValueError, match=fragment):
+        ds.with_taxonomy(priors)
+    with pytest.raises(ValueError, match=fragment):
+        Dataset(ds.persons, priors)
 
 
 def test_serialize_parse_canonical_text_round_trip():

@@ -10,9 +10,10 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lockdownsched import experiment
-from lockdownsched.allocation import round_robin
+from lockdownsched.allocation import BASELINE_VARIANTS, round_robin
 from lockdownsched.dataset import (
     AGE_GROUPS,
     N_DAYS,
@@ -150,6 +151,72 @@ class TestSpec:
         doc = {**json.loads(json.dumps(spec_to_json(partial_spec()))), key: value}
         with pytest.raises(ValueError, match=f"'{key}'"):
             spec_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "key, over",
+        [
+            ("s", dict(s=2.5)),
+            ("budget", dict(budget=2.0)),
+            ("population", dict(population=4.0)),
+            ("seed_len", dict(seed_len=2.5)),
+            ("target_nd", dict(target_nd=0.5)),
+            ("w_c", dict(w_c=True)),
+            ("pir_seeds", dict(pir_seeds=(1.5,))),
+            ("priors", dict(priors={20.0: 0.01})),
+            ("q", dict(model="full", q=True)),
+            # json.dump refused it only once the whole report was written
+            ("dataset_path", dict(generate_seed=None, dataset_path=Path("dataset.txt"))),
+        ],
+    )
+    def test_value_its_manifest_would_refuse(self, key, over):
+        # spec_from_json would refuse the manifest this spec writes, so the
+        # report could not be replayed
+        with pytest.raises(ValueError, match=f"spec key '{key}' has a value of the wrong type"):
+            partial_spec(**over)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_manifest_round_trip_property(self, data):
+        model = data.draw(st.sampled_from(["partial", "full"]))
+        over = dict(
+            model=model,
+            w_c=data.draw(st.one_of(st.floats(0.0, 1.0), st.integers(0, 1))),
+            population=data.draw(st.integers(4, 1000)),
+            budget=data.draw(st.integers(1, 10**6)),
+            seed_len=data.draw(st.none() | st.integers(1, 50)),
+            target_fitness=data.draw(st.none() | st.floats(-1e6, 0.0)),
+            target_nd=data.draw(st.none() | st.integers(0, 300)),
+            priors=data.draw(st.dictionaries(
+                st.sampled_from(AGE_GROUPS), st.floats(0.0, 1.0) | st.integers(0, 1)
+            )),
+            baselines=tuple(data.draw(st.permutations(BASELINE_VARIANTS))[
+                :data.draw(st.integers(0, len(BASELINE_VARIANTS)))
+            ]),
+            pir_seeds=tuple(data.draw(st.lists(st.integers(-2**40, 2**40), unique=True))),
+        )
+        if data.draw(st.booleans()):
+            over.update(generate_seed=None, dataset_path=data.draw(st.text(min_size=1)))
+        else:
+            over.update(generate_seed=data.draw(st.integers(0, 2**32 - 1)))
+        if model == "full":
+            infected = data.draw(st.floats(0.0, 1.0))
+            over.update(
+                s=data.draw(st.none() | st.integers(2, 10)),
+                q=data.draw(st.integers(1, 50)),
+                apriori_infected=infected,
+                apriori_immune=data.draw(st.floats(0.0, 1.0 - infected)),
+                apriori_seed=data.draw(st.integers(0, 2**32 - 1)),
+                pn_iterations=data.draw(st.integers(1, 10**6)),
+                pn_seed=data.draw(st.integers(0, 2**32 - 1)),
+            )
+        else:
+            over.update(s=data.draw(st.integers(2, 10)))
+        spec = ExperimentSpec(**over)
+        text = json.dumps(spec_to_json(spec))
+        again = spec_from_json(json.loads(text))
+        assert again == spec
+        # the replay writes the same manifest, priors' 0 and 0.0 apart
+        assert json.dumps(spec_to_json(again)) == text
 
     def test_json_int_fits_a_float_field(self):
         doc = {**json.loads(json.dumps(spec_to_json(partial_spec()))), "w_c": 1}

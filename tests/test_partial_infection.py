@@ -1,11 +1,12 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lockdownsched.partial_infection import EncounterGroup, encounter_pressure, g_factor
 
-from scalar_oracles import brute_force_pressure, labeling_term
+from scalar_oracles import brute_force_pressure, encounter_pressure_by_owner, labeling_term
 
 
 def group_of(levels, s):
@@ -104,6 +105,31 @@ def test_labeling_terms_match_tabulated_contributions():
     assert labeling_term(ex4, "ISII") == pytest.approx(0.0004, abs=1e-3)
     assert labeling_term(ex4, "IISI") == pytest.approx(0.2481, abs=1e-3)
     assert labeling_term(ex4, "IIIS") == pytest.approx(0.2394, abs=1e-3)
+
+
+# every level in [0, 1]: the endpoints with both zeros, a midpoint, the
+# subnormals, and ties of any level
+unit_level = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 2.225073858507201e-308]),
+    st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(unit_level, max_size=8),
+        st.lists(unit_level, min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), max_size=8)
+        ),
+    ),
+    st.integers(2, 8),
+)
+def test_pressure_matches_the_owner_search_bit_for_bit(levels, s):
+    g = group_of(levels, s)
+    assert struct.pack("<d", encounter_pressure(g)) == struct.pack(
+        "<d", encounter_pressure_by_owner(g)
+    )
 
 
 levels_strategy = st.lists(
